@@ -1,6 +1,6 @@
-"""Benchmark H — the flattened and vector hot cores against the reference.
+"""Benchmark H — the flattened and native hot cores against the reference.
 
-The pytest-benchmark view of the ``repro-bench`` measurement: one
+The pytest-benchmark view of the ``repro bench`` measurement: one
 population pass per engine (identical results enforced) plus the
 headline speedups, published to ``results/hot_core.txt`` so the perf
 trajectory is tracked next to the experiment tables.
@@ -24,25 +24,25 @@ def test_hot_core_speedup(benchmark, results_dir):
     def headline():
         return (
             f"population speedups fast {pop['speedups']['fast']}x, "
-            f"vector {pop['speedups']['vector']}x "
+            f"native {pop['speedups']['native']}x "
             f"({pop['blocks']} blocks, {pop['omega_calls']} omega calls)"
         )
 
     benchmark.pedantic(headline, rounds=1, iterations=1)
     walls = ", ".join(
         f"{name} {pop['engines'][name]['wall_seconds']:.2f}s"
-        for name in ("fast", "vector", "reference")
+        for name in ("fast", "native", "reference")
     )
     rendered = (
-        "H — flattened + vector hot cores vs reference engine\n"
+        "H — flattened + native hot cores vs reference engine\n"
         f"population: {pop['blocks']} blocks, {walls} "
         f"-> fast {pop['speedups']['fast']}x, "
-        f"vector {pop['speedups']['vector']}x "
+        f"native {pop['speedups']['native']}x "
         f"({pop['engines']['fast']['omega_per_sec']:.0f} omega calls/s on "
         "fast)\n"
         f"kernels: {len(kern['entries'])} kernel x machine pairs "
         f"-> fast {kern['speedups']['fast']}x, "
-        f"vector {kern['speedups']['vector']}x\n"
+        f"native {kern['speedups']['native']}x\n"
         f"identical results: {payload['summary']['identical']}, "
         f"certified: {pop['certified']}/{pop['blocks']}"
     )

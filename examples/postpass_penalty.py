@@ -58,7 +58,7 @@ def main() -> None:
         f"\npenalty: {postpass.final_nops - prepass.final_nops} NOPs — "
         "both searches are optimal; the difference is purely the\n"
         "artificial register-reuse dependences (run "
-        "`repro-experiments ablation-a3` for the population-level sweep)"
+        "`repro experiments ablation-a3` for the population-level sweep)"
     )
 
 

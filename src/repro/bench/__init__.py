@@ -10,7 +10,7 @@ certifies the fast engine's schedules through the independent checker in
 :mod:`repro.verify.certificate`, and writes ``BENCH_search.json`` so the
 numbers are versioned alongside the code that produced them.
 
-Entry points: the ``repro-bench`` console script (:mod:`repro.bench.cli`)
+Entry points: the ``repro bench`` subcommand (:mod:`repro.bench.cli`)
 and ``benchmarks/bench_hot_core.py`` (the pytest-benchmark view of the
 same measurement).
 """

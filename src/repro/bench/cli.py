@@ -1,13 +1,13 @@
-"""``repro-bench`` — time the four search engines, write ``BENCH_search.json``.
+"""``repro bench`` — time the three search engines, write ``BENCH_search.json``.
 
 Examples::
 
-    repro-bench                          # REPRO_SCALE-sized population + kernels
-    repro-bench --blocks 200 --no-kernels --out /tmp/bench.json
-    REPRO_SCALE=0.005 repro-bench       # CI smoke size (80 blocks)
+    repro bench                          # REPRO_SCALE-sized population + kernels
+    repro bench --blocks 200 --no-kernels --out /tmp/bench.json
+    REPRO_SCALE=0.005 repro bench       # CI smoke size (80 blocks)
 
-    repro-bench --service                # daemon load bench -> BENCH_service.json
-    repro-bench --service --chaos "crash=0.2,hang=0.1,seed=7"
+    repro bench --service                # daemon load bench -> BENCH_service.json
+    repro bench --service --chaos "crash=0.2,hang=0.1,seed=7"
 
 Exit status is non-zero when the engines diverge or a schedule fails
 certification; the speedup itself is reported, never asserted (see
@@ -33,7 +33,7 @@ def build_parser(prog: str = "repro-bench") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "Benchmark the fast, vector and native search engines against "
+            "Benchmark the fast and native search engines against "
             "the reference (identical results enforced, schedules "
             "certified)."
         ),

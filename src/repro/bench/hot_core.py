@@ -1,12 +1,12 @@
-"""Four-engine search benchmark (the ``BENCH_search.json`` writer).
+"""Three-engine search benchmark (the ``BENCH_search.json`` writer).
 
 Measurement method
 ------------------
-Per block the four engines run back to back (fast, vector, native,
-reference) and each call is timed individually; per-engine wall time is
+Per block the three engines run back to back (fast, native, reference)
+and each call is timed individually; per-engine wall time is
 the sum of its own calls.  Interleaving makes the comparison robust
 against machine load drifting over the run — a bias that back-to-back
-*batches* are fully exposed to.  Every result quadruple is compared
+*batches* are fully exposed to.  Every result triple is compared
 field by field (schedule, Ω calls, prune counts, completion flags —
 everything except wall time), and every native-engine schedule is
 certified through :mod:`repro.verify.certificate`, which shares no code
@@ -16,12 +16,11 @@ exit from the CLI) while speedup itself is only reported, never
 asserted — perf assertions belong to the acceptance pipeline, not to a
 load-sensitive smoke job.
 
-When NumPy is missing the "vector" engine transparently degrades to a
-second "fast" run (one warning line on stderr), and when no C compiler
-is found the "native" engine does the same; the payload still carries
-both columns so downstream trend tooling keeps a stable shape, and
-``config.env.numpy`` / ``config.env.cc`` are ``null`` so the run is
-honest about what was measured.
+When no C compiler is found the "native" engine transparently degrades
+to a second "fast" run (one warning line on stderr); the payload still
+carries the native column so downstream trend tooling keeps a stable
+shape, and ``config.env.cc`` is ``null`` so the run is honest about
+what was measured.
 
 Suites
 ------
@@ -36,14 +35,14 @@ Suites
     speedup holds on real dependence structure, not just synthetic
     statistics.
 
-Schema (``repro-bench/3``)::
+Schema (``repro-bench/4``)::
 
     {
-      "schema": "repro-bench/3",
+      "schema": "repro-bench/4",
       "config": {
         "blocks": 2000, "master_seed": 1990, "curtail": 50000,
         "repeats": 25,
-        "env": {"python": "3.11.7", "numpy": "2.4.6",
+        "env": {"python": "3.11.7",
                 "cc": {"path": "/usr/bin/cc", "version": "cc ... 12.2.0"},
                 "platform": "Linux-6.8-x86_64", "cpu_count": 8}
       },
@@ -53,11 +52,10 @@ Schema (``repro-bench/3``)::
           "omega_calls": 1449520,            # identical across engines
           "engines": {
             "fast":      {"wall_seconds": 6.0, "omega_per_sec": 240000.0},
-            "vector":    {"wall_seconds": 5.4, "omega_per_sec": 268000.0},
             "native":    {"wall_seconds": 1.6, "omega_per_sec": 905000.0},
             "reference": {"wall_seconds": 14.0, "omega_per_sec": 103000.0}
           },
-          "speedups": {"fast": 2.33, "vector": 2.59, "native": 8.75},
+          "speedups": {"fast": 2.33, "native": 8.75},
           "identical": true,                 # every result field matched
           "certified": 1964                  # schedules certificate-checked
         },
@@ -65,25 +63,25 @@ Schema (``repro-bench/3``)::
           "entries": [
             {"kernel": "dot4", "machine": "paper_simulation",
              "omega_calls": 123,
-             "seconds": {"fast": ..., "vector": ..., "native": ...,
-                         "reference": ...},
-             "speedups": {"fast": ..., "vector": ..., "native": ...},
+             "seconds": {"fast": ..., "native": ..., "reference": ...},
+             "speedups": {"fast": ..., "native": ...},
              "identical": true},
             ...
           ],
           "speedups": {...}                  # total ref / total engine
         }
       },
-      "summary": {"speedups": {"fast": 2.33, "vector": 2.59,
-                               "native": 8.75},
+      "summary": {"speedups": {"fast": 2.33, "native": 8.75},
                   "identical": true, "failures": []}
     }
 
 Schema history: ``repro-bench/1`` had two engines, a scalar ``speedup``
 field (reference/fast) and only ``config.python``; ``/2`` added the
 vector column, per-engine ``speedups`` and the ``config.env`` record;
-``/3`` adds the native column and ``config.env.cc`` (the discovered C
-compiler, or ``null`` when the native engine ran its fallback).
+``/3`` added the native column and ``config.env.cc`` (the discovered C
+compiler, or ``null`` when the native engine ran its fallback); ``/4``
+drops the vector column and ``config.env.numpy`` with the removed
+vector engine.
 """
 
 from __future__ import annotations
@@ -102,19 +100,17 @@ from ..machine.presets import (
 )
 from ..sched.multi import first_pipeline_assignment
 from ..sched.nop_insertion import PipelineAssignment
-from ..sched.search import SearchOptions, SearchResult, schedule_block
+from ..sched.search import ENGINES, SearchOptions, SearchResult, schedule_block
 from ..experiments.runner import DEFAULT_CURTAIL, population_size
 from ..synth.kernels import KERNELS
 from ..synth.population import PopulationSpec, sample_population
 
 #: Version tag of the ``BENCH_search.json`` payload.
-SCHEMA = "repro-bench/3"
+SCHEMA = "repro-bench/4"
 
-#: Engines timed per block, in run order; "fast" is the comparison base
-#: for identity checks, "reference" the base for speedups.
-ENGINES = ("fast", "vector", "native", "reference")
-
-#: Engines compared field-by-field against "fast" per block.
+#: Engines compared field-by-field against "fast" per block (every
+#: engine in ``ENGINES`` is timed, in order; "reference" is the base
+#: for speedups).
 _TWINS = tuple(name for name in ENGINES if name != "fast")
 
 #: Deterministic presets the kernel suite runs on (name -> factory).
@@ -127,17 +123,10 @@ KERNEL_MACHINES = (
 
 def bench_environment() -> Dict:
     """The ``config.env`` record: everything a timing depends on."""
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
     from ..native import compiler_info
 
     return {
         "python": platform.python_version(),
-        "numpy": numpy_version,
         "cc": compiler_info(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
@@ -221,7 +210,7 @@ def bench_population(
     certify: bool = True,
     failures: Optional[List[str]] = None,
 ) -> Dict:
-    """All four engines over the synthetic corpus, interleaved per block."""
+    """Every engine over the synthetic corpus, interleaved per block."""
     machine = paper_simulation_machine()
     options = _engine_options(curtail)
     perf = time.perf_counter
@@ -359,8 +348,8 @@ def run_bench(
     """Run every suite; returns ``(payload, failures)``.
 
     ``failures`` lists engine divergences and certificate rejections —
-    empty means the fast, vector and native engines are (still)
-    bit-for-bit the reference.  ``blocks`` defaults to the ``REPRO_SCALE``-sized
+    empty means the fast and native engines are (still) bit-for-bit
+    the reference.  ``blocks`` defaults to the ``REPRO_SCALE``-sized
     population (the same corpus the experiments schedule).
     """
     if blocks is None:

@@ -15,13 +15,9 @@ Each subcommand delegates to the corresponding tool module
 ``repro.bench.cli``, ``repro.service.cli``); the shared flags
 (``--engine``, ``--seed``, ``--curtail``, ``--stats-json``, the budget
 and timeout knobs) come from one registry in :mod:`repro.cliutil`, so
-their names and defaults cannot drift between tools.
-
-The historical per-tool console scripts (``repro-compile``,
-``repro-experiments``, ``repro-verify``, ``repro-bench``) still work:
-they are deprecation shims that print a one-line notice to stderr and
-delegate here.  Subcommand modules are imported lazily so ``repro
-compile`` does not pay for the experiment suite's imports.
+their names and defaults cannot drift between tools.  Subcommand
+modules are imported lazily so ``repro compile`` does not pay for the
+experiment suite's imports.
 """
 
 from __future__ import annotations
@@ -95,37 +91,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _usage(sys.stderr)
         return 2
     return _resolve(name)(rest, prog=f"{PROG} {name}")
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims behind the legacy console scripts.
-# ----------------------------------------------------------------------
-
-def _shim(name: str, argv: Optional[List[str]]) -> int:
-    print(
-        f"repro-{name} is deprecated; use '{PROG} {name}' instead",
-        file=sys.stderr,
-    )
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Keep the legacy prog in errors/help so existing scripts' output
-    # stays recognizable.
-    return _resolve(name)(argv, prog=f"repro-{name}")
-
-
-def compile_shim(argv: Optional[List[str]] = None) -> int:
-    return _shim("compile", argv)
-
-
-def experiments_shim(argv: Optional[List[str]] = None) -> int:
-    return _shim("experiments", argv)
-
-
-def verify_shim(argv: Optional[List[str]] = None) -> int:
-    return _shim("verify", argv)
-
-
-def bench_shim(argv: Optional[List[str]] = None) -> int:
-    return _shim("bench", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -250,7 +250,7 @@ def compile_block(
     """Compile hand-written tuple code (no front end).
 
     The entry point for code already in the linear notation of Figure 3
-    (``repro.ir.parse_block``); used by ``repro-compile --tuples``.
+    (``repro.ir.parse_block``); used by ``repro compile --tuples``.
     ``optimize`` defaults to off — hand-written tuples usually *are* the
     intended code.  Verification against source semantics is not
     available (there is no source program); use the simulator directly.

@@ -246,9 +246,9 @@ def run_population_parallel(
         from ..sched.core import resolve_engine
 
         # Normalize in the parent rather than letting every worker
-        # discover the missing dependency (NumPy / a C compiler) on its
-        # own: one warning line per run, byte-identical records, never a
-        # crash.
+        # substitute the engine (the removed "vector" name, or "native"
+        # without a C compiler) on its own: one warning line per run,
+        # byte-identical records, never a crash.
         resolved = resolve_engine(options.engine, telemetry=telemetry)
         if resolved != options.engine:
             options = dataclasses.replace(options, engine=resolved)

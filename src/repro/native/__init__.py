@@ -1,7 +1,7 @@
 """``engine="native"``: the branch-and-bound hot core, compiled to C.
 
-This package holds the fourth search engine of the repository's engine
-lattice (``fast`` / ``vector`` / ``reference`` / ``native``): a
+This package holds the third search engine of the repository's engine
+lattice (``fast`` / ``reference`` / ``native``): a
 self-contained C99 port of the flattened DFS and windowed splitter in
 :mod:`repro.sched.core`, compiled at first use from the adjacent
 ``kernel.c`` with the system C compiler and bound through ``ctypes`` —
@@ -16,7 +16,7 @@ no new Python dependency.
 
 Results are bit-for-bit identical to every other engine (everything
 except wall time); without a C compiler the engine degrades to ``fast``
-with a one-line stderr notice, exactly like ``vector`` without NumPy.
+with a one-line stderr notice.
 """
 
 from .bindings import (

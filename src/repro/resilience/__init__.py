@@ -1,7 +1,7 @@
 """Fault tolerance for population runs.
 
 Four pieces, composed by :mod:`repro.experiments.parallel` and the
-``repro-experiments`` CLI:
+``repro experiments`` CLI:
 
 * :mod:`repro.resilience.budget` — unified wall-clock / Ω-call / memo
   budgets and the ``optimal-search → curtailed-search → split-windows →

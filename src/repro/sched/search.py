@@ -101,6 +101,30 @@ from .nop_insertion import (
 #: of an average block".
 DEFAULT_CURTAIL = 50_000
 
+#: The search engines, bit-for-bit identical in every ``SearchResult``
+#: field except ``elapsed_seconds``: ``"fast"`` (the flattened array
+#: engine in ``repro.sched.core`` — bitmask ready sets, explicit stack,
+#: in-place do/undo), ``"native"`` (the same DFS compiled to C in
+#: ``repro.native`` and bound through ctypes; degrades to ``"fast"``
+#: with a one-line notice when no C compiler is available) and
+#: ``"reference"`` (the readable recursive formulation below, kept for
+#: ablation and differential testing).
+ENGINES = ("fast", "native", "reference")
+
+
+def check_engine(engine: str) -> str:
+    """Validate an engine name and return it unchanged.
+
+    Besides :data:`ENGINES` this accepts the removed ``"vector"`` name,
+    which :func:`repro.sched.core.resolve_engine` runs as ``"fast"``.
+    """
+    if engine not in ENGINES and engine != "vector":
+        raise ValueError(
+            f"unknown search engine {engine!r} "
+            f"(expected one of {', '.join(map(repr, ENGINES))})"
+        )
+    return engine
+
 
 @dataclass(frozen=True)
 class SearchOptions:
@@ -131,17 +155,7 @@ class SearchOptions:
     #: (default) assumes "always enough registers", as the paper's
     #: simulations do.
     max_live: Optional[int] = None
-    #: Which DFS implementation runs the search: ``"fast"`` (the flattened
-    #: array engine in ``repro.sched.core`` — bitmask ready sets, explicit
-    #: stack, in-place do/undo), ``"vector"`` (the same engine with NumPy
-    #: batch kernels over the flat arrays; degrades to ``"fast"`` with a
-    #: one-line notice when NumPy is absent), ``"native"`` (the same DFS
-    #: compiled to C in ``repro.native`` and bound through ctypes;
-    #: degrades to ``"fast"`` with a one-line notice when no C compiler
-    #: is available) or ``"reference"`` (the readable recursive
-    #: formulation below).  All four are bit-for-bit identical in every
-    #: ``SearchResult`` field except ``elapsed_seconds``; the reference
-    #: is kept for ablation and differential testing.
+    #: Which DFS implementation runs the search; one of :data:`ENGINES`.
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -149,11 +163,7 @@ class SearchOptions:
             raise ValueError("curtail point must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time limit must be positive")
-        if self.engine not in ("fast", "reference", "vector", "native"):
-            raise ValueError(
-                f"unknown search engine {self.engine!r} "
-                "(expected 'fast', 'reference', 'vector' or 'native')"
-            )
+        check_engine(self.engine)
         if self.max_memo_entries < 0:
             raise ValueError("max_memo_entries must be non-negative")
         if self.max_live is not None and self.max_live < 3:
@@ -237,13 +247,8 @@ class ScheduleRequest:
                 f"unknown scheduling backend {self.backend!r} "
                 "(expected 'search' or 'ilp')"
             )
-        if self.engine is not None and self.engine not in (
-            "fast", "reference", "vector", "native",
-        ):
-            raise ValueError(
-                f"unknown search engine {self.engine!r} "
-                "(expected 'fast', 'reference', 'vector' or 'native')"
-            )
+        if self.engine is not None:
+            check_engine(self.engine)
         if self.seed is not None:
             object.__setattr__(self, "seed", tuple(self.seed))
 
@@ -432,13 +437,11 @@ def schedule_block(
         Optional :class:`repro.telemetry.Telemetry` registry; the
         search's prune counters and wall time are folded into it.
     engine:
-        ``"fast"``, ``"vector"``, ``"native"`` or ``"reference"``;
-        overrides ``options.engine``.  All engines return bit-for-bit
-        identical results (everything except ``elapsed_seconds``);
-        ``"vector"`` degrades to ``"fast"`` when NumPy is unavailable
-        and ``"native"`` degrades to ``"fast"`` when no C compiler is
-        available (a one-line stderr notice each, once per process).
-        See :mod:`repro.sched.core` and :mod:`repro.native`.
+        One of :data:`ENGINES`; overrides ``options.engine``.  All
+        engines return bit-for-bit identical results (everything except
+        ``elapsed_seconds``); ``"native"`` degrades to ``"fast"`` when no
+        C compiler is available, with a one-line stderr notice once per
+        process.  See :mod:`repro.sched.core` and :mod:`repro.native`.
     backend:
         ``"search"`` (this module's branch-and-bound over orders) or
         ``"ilp"`` (the time-indexed ILP witness in :mod:`repro.ilp`,
@@ -510,13 +513,8 @@ def schedule_block(
         raise unsupported_backend_option("ilp", "max_live")
     if backend == "ilp" and engine is not None:
         raise unsupported_backend_option("ilp", "engine")
-    engine_name = options.engine if engine is None else engine
-    if engine_name not in ("fast", "reference", "vector", "native"):
-        raise ValueError(
-            f"unknown search engine {engine_name!r} "
-            "(expected 'fast', 'reference', 'vector' or 'native')"
-        )
-    if engine_name in ("vector", "native"):
+    engine_name = check_engine(options.engine if engine is None else engine)
+    if engine_name != "reference":
         from .core import resolve_engine
 
         engine_name = resolve_engine(engine_name, telemetry=telemetry)
@@ -581,15 +579,6 @@ def schedule_block(
 
         return _done(
             run_fast_search(
-                dag, machine, resolver, options, initial, seed,
-                fits_budget, start,
-            )
-        )
-    if engine_name == "vector":
-        from .core import run_vector_search
-
-        return _done(
-            run_vector_search(
                 dag, machine, resolver, options, initial, seed,
                 fits_budget, start,
             )

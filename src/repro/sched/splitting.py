@@ -36,7 +36,7 @@ from .nop_insertion import (
     ScheduleTiming,
     SigmaResolver,
 )
-from .search import _Curtailed
+from .search import _Curtailed, check_engine
 
 #: The paper's suggested window size.
 DEFAULT_WINDOW = 20
@@ -84,9 +84,7 @@ def schedule_block_split(
         Curtail point applied to each window's search independently.
     engine:
         ``"fast"`` runs the windows on the flattened array engine in
-        :mod:`repro.sched.core`; ``"vector"`` adds that engine's NumPy
-        batch window scorer (degrading to ``"fast"`` with a one-line
-        notice when NumPy is absent); ``"native"`` runs the windows on
+        :mod:`repro.sched.core`; ``"native"`` runs the windows on
         the compiled C kernel in :mod:`repro.native` (degrading to
         ``"fast"`` with a one-line notice when no C compiler is
         available); ``"reference"`` runs the recursive formulation
@@ -95,11 +93,7 @@ def schedule_block_split(
     """
     if window < 1:
         raise ValueError("window must be at least 1 instruction")
-    if engine not in ("fast", "reference", "vector", "native"):
-        raise ValueError(
-            f"unknown search engine {engine!r} "
-            "(expected 'fast', 'reference', 'vector' or 'native')"
-        )
+    check_engine(engine)
     start = time.perf_counter()
     if seed is None:
         seed = list_schedule(dag)
@@ -109,18 +103,11 @@ def schedule_block_split(
 
     resolver = SigmaResolver(dag, machine, assignment)
 
-    if engine in ("vector", "native"):
-        from .core import resolve_engine
+    if engine != "reference":
+        from .core import resolve_engine, run_fast_split, run_native_split
 
         engine = resolve_engine(engine, telemetry=telemetry)
-
-    if engine in ("fast", "vector", "native"):
-        if engine == "vector":
-            from .core import run_vector_split as run_split
-        elif engine == "native":
-            from .core import run_native_split as run_split
-        else:
-            from .core import run_fast_split as run_split
+        run_split = run_native_split if engine == "native" else run_fast_split
 
         timing, windows, omega_calls, all_completed, totals = run_split(
             dag, machine, resolver, seed, window,

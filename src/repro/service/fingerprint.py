@@ -36,9 +36,9 @@ The key is built from the same dense lowering the fast engine uses
   additionally depends on which *values* each tuple consumes; the dense
   value-reference sets and produces-a-value flags are folded in exactly
   then.
-* **Options** participate minus ``engine``: all four engines (fast,
-  vector, native, reference) are bit-for-bit identical in every field
-  the cache stores, so they share entries — a result solved under one
+* **Options** participate minus ``engine``: all three engines (fast,
+  native, reference) are bit-for-bit identical in every field the cache
+  stores, so they share entries — a result solved under one
   engine is served to requests arriving under any other.
 
 The fingerprint deliberately does **not** try to canonicalize away the
@@ -74,8 +74,8 @@ __all__ = ["CanonicalForm", "fingerprint_problem", "canonical_payload"]
 CANON_VERSION = "repro-canon/1"
 
 #: ``SearchOptions`` fields that shape the search outcome and therefore
-#: the key.  ``engine`` is excluded on purpose: the fast, vector, native
-#: and reference engines are bit-for-bit identical in every stored field.
+#: the key.  ``engine`` is excluded on purpose: the fast, native and
+#: reference engines are bit-for-bit identical in every stored field.
 _OPTION_FIELDS = (
     "curtail",
     "alpha_beta",

@@ -1,7 +1,7 @@
 """Seeded deterministic fuzzing for the differential oracle.
 
 ``tests/test_differential.py`` drives the oracle through hypothesis;
-this module is the dependency-free twin used by the ``repro-verify``
+this module is the dependency-free twin used by the ``repro verify``
 CLI and CI: a plain ``random.Random`` generator for blocks and machine
 descriptions, so a seed fully determines the run and a CI failure can
 be replayed locally with the same command line.

@@ -1,4 +1,4 @@
-"""The unified ``repro`` entry point and the legacy deprecation shims."""
+"""The unified ``repro`` entry point."""
 
 from __future__ import annotations
 
@@ -51,33 +51,8 @@ class TestDispatch:
         assert "omega calls" in capsys.readouterr().out
 
 
-class TestShims:
-    def test_compile_shim_warns_and_delegates(self, capsys):
-        rc = console.compile_shim(["-e", "b = 15; a = b * a;", "--show", "stats"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "repro compile" in captured.err  # points at the replacement
-        assert "omega calls" in captured.out
-
-    def test_shim_keeps_legacy_prog_in_help(self, capsys):
+    def test_removed_vector_engine_is_an_invalid_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            console.verify_shim(["--help"])
-        assert exc.value.code == 0
-        assert "repro-verify" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "shim", ["compile_shim", "experiments_shim", "verify_shim", "bench_shim"]
-    )
-    def test_every_legacy_script_has_a_shim(self, shim, capsys):
-        with pytest.raises(SystemExit) as exc:
-            getattr(console, shim)(["--help"])
-        assert exc.value.code == 0
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_experiments_shim_end_to_end(self, capsys):
-        rc = console.experiments_shim(["table1"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "Table 1" in captured.out
+            console.main(["compile", "-e", "a = 1;", "--engine", "vector"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'vector'" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from repro.machine.machine import MachineDescription
 from repro.machine.pipeline import PipelineDesc
 from repro.machine.presets import paper_simulation_machine
 from repro.machine.serialize import machine_from_dict, machine_to_dict
-from repro.sched.search import SearchOptions
+from repro.sched.search import ENGINES, SearchOptions
 from repro.service.fingerprint import CANON_VERSION, fingerprint_problem
 
 from .strategies import blocks, ident_renamings, machines, rename_block
@@ -114,12 +114,13 @@ class TestIsomorphismCollides:
 
     def test_vector_engine_shares_fast_keys(self, figure3_dag):
         # Regression for the canonical cache contract: a result computed
-        # under "fast" must be a hit for a "vector" or "native" request
-        # (and vice versa), so no engine may leak into the key.
+        # under "fast" must be a hit for a "native" request or one naming
+        # the removed "vector" engine (and vice versa), so no engine may
+        # leak into the key.
         machine = paper_simulation_machine()
         keys = {
             _key(figure3_dag, machine, SearchOptions(engine=engine))
-            for engine in ("fast", "vector", "native", "reference")
+            for engine in (*ENGINES, "vector")
         }
         assert len(keys) == 1
 

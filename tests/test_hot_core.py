@@ -1,25 +1,30 @@
 """The flattened hot core (`repro.sched.core`) against the reference engine.
 
-The fast, vector and native engines' contract is *bit-for-bit* equality
-with the recursive reference — every ``SearchResult`` field except wall
-time.  These tests pin that contract:
+The fast and native engines' contract is *bit-for-bit* equality with
+the recursive reference — every ``SearchResult`` field except wall time.
+These tests pin that contract:
 
 * differential fuzzing (hypothesis blocks x random + adversarial
   machines) over every engine pair, with each engine's schedule
   re-derived through the independent certificate checker;
 * the degradation paths: dominance-memo eviction under a tiny
   ``max_memo_entries``, curtail, and wall-clock deadlines (including the
-  ``BlockRecord.degraded`` path the experiments publish) — under all
-  four engines;
-* the vector engine's NumPy batch path (wide ready frontiers), its
-  carry-in (non-packable memo key) path, and its graceful fallback to
-  the fast engine when NumPy is missing;
+  ``BlockRecord.degraded`` path the experiments publish) — under every
+  engine;
+* wide ready frontiers, carry-in conditions and windowed splits of
+  large blocks;
 * the engine switch itself (options validation, per-call override, the
-  split scheduler's engine parameter).
+  split scheduler's engine parameter, the removed ``vector`` name).
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
+
+import repro
 
 import repro.sched.core as core
 from repro.experiments.runner import schedule_generated_block
@@ -28,21 +33,13 @@ from repro.ir.dag import DependenceDAG
 from repro.machine.presets import get_machine
 from repro.sched.multi import first_pipeline_assignment
 from repro.sched.nop_insertion import InitialConditions
-from repro.sched.search import SearchOptions, schedule_block
+from repro.sched.search import ENGINES, SearchOptions, schedule_block
 from repro.sched.splitting import schedule_block_split
 from repro.synth.population import PopulationSpec, sample_population
 from repro.telemetry import Telemetry
 from repro.verify.certificate import check_schedule
 
 from .strategies import any_machines, blocks
-
-#: The full engine lattice: every member must agree with every other in
-#: all ``SearchResult`` fields except ``elapsed_seconds``.  "vector" is
-#: exercised even without NumPy installed, and "native" even without a C
-#: compiler — each then runs its documented fallback to "fast", which
-#: must preserve the same contract.
-ENGINES = ("fast", "vector", "native", "reference")
-
 
 def _assignment_for(dag, machine):
     """Pin pipelines iff the machine is non-deterministic (matching how
@@ -77,14 +74,9 @@ def _run_all(dag, machine, options, assignment=None, **kwargs):
         for name in ENGINES
     }
     reference = _fields(results["reference"])
-    for name in ("fast", "vector", "native"):
+    for name in ENGINES:
         assert _fields(results[name]) == reference, f"{name} != reference"
     return results["fast"]
-
-
-# Backwards-compatible alias used throughout this module; now checks the
-# whole lattice, not just fast-vs-reference.
-_run_both = _run_all
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +89,7 @@ def test_fast_engine_matches_reference(block, machine):
     and a valid certificate for the fast engine's schedule."""
     dag = DependenceDAG(block)
     assignment = _assignment_for(dag, machine)
-    fast = _run_both(dag, machine, SearchOptions(), assignment=assignment)
+    fast = _run_all(dag, machine, SearchOptions(), assignment=assignment)
     cert = check_schedule(
         block,
         machine,
@@ -114,7 +106,7 @@ def test_fast_engine_matches_reference_paper_prunes(block, machine):
     """The published prune set (no dominance/lower-bound prunes, no
     heuristic seeding) exercises different engine paths — same contract."""
     dag = DependenceDAG(block)
-    _run_both(
+    _run_all(
         dag,
         machine,
         SearchOptions.paper(),
@@ -135,7 +127,7 @@ def test_split_engines_match():
     for gb in members:
         dag = DependenceDAG(gb.block)
         ref = schedule_block_split(dag, machine, window=5, engine="reference")
-        for name in ("fast", "vector", "native"):
+        for name in ("fast", "native"):
             got = schedule_block_split(dag, machine, window=5, engine=name)
             assert got.timing == ref.timing
             assert got.omega_calls == ref.omega_calls
@@ -162,10 +154,8 @@ def test_memo_eviction_degrades_gracefully():
             dag, machine, options, telemetry=telemetry, engine="fast"
         )
         ref = schedule_block(dag, machine, options, engine="reference")
-        vec = schedule_block(dag, machine, options, engine="vector")
         nat = schedule_block(dag, machine, options, engine="native")
         assert _fields(fast) == _fields(ref)
-        assert _fields(vec) == _fields(ref)
         assert _fields(nat) == _fields(ref)
         evicted_anywhere = evicted_anywhere or fast.memo_evicted > 0
         # A starved memo may only cost omega calls, never quality.
@@ -184,7 +174,7 @@ def test_memo_disabled_entirely():
     options = SearchOptions(max_memo_entries=0)
     for gb in members[:8]:
         dag = DependenceDAG(gb.block)
-        fast = _run_both(dag, machine, options)
+        fast = _run_all(dag, machine, options)
         assert fast.completed
 
 
@@ -198,7 +188,7 @@ def test_curtail_honored_by_fast_engine():
     saw_truncation = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = _run_both(dag, machine, options)
+        fast = _run_all(dag, machine, options)
         assert fast.omega_calls <= len(dag) * 3 + 1
         saw_truncation = saw_truncation or not fast.completed
     assert saw_truncation, "curtail=1 never truncated a search"
@@ -212,7 +202,7 @@ def test_time_limit_honored_by_fast_engine():
     saw_timeout = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = _run_both(dag, machine, options)
+        fast = _run_all(dag, machine, options)
         if fast.timed_out:
             saw_timeout = True
             assert not fast.completed
@@ -269,13 +259,11 @@ def test_engine_override_beats_options():
 
 
 # ----------------------------------------------------------------------
-# Vector engine specifics
+# Wide frontiers, carry-ins and large split blocks
 # ----------------------------------------------------------------------
-def test_vector_batch_path_on_wide_frontier(monkeypatch):
-    """A block whose root offers ~40 ready instructions drives the ready
-    frontier past ``VECTOR_MIN_FRONTIER``, so the vector engine takes the
-    fused NumPy scoring pass — and must still match both scalar engines
-    bit for bit."""
+def test_wide_frontier_matches_reference():
+    """A block whose root offers ~40 ready instructions: every engine
+    scores the whole frontier and must still match bit for bit."""
     builder = BlockBuilder("wide")
     refs = [builder.emit_load("a") for _ in range(40)]
     builder.emit_store("a", refs[-1])
@@ -284,24 +272,12 @@ def test_vector_batch_path_on_wide_frontier(monkeypatch):
     # No lower-bound prune: the homogeneous block would otherwise be
     # proven optimal at the root and never reach the DFS.
     options = SearchOptions(curtail=2_000, lower_bound_prune=False)
-    if core.numpy_available():
-        batch_calls = []
-        real = core._mask_indices
-        monkeypatch.setattr(
-            core,
-            "_mask_indices",
-            lambda mask, n: (batch_calls.append(1), real(mask, n))[1],
-        )
-        _run_all(dag, machine, options)
-        assert batch_calls, "wide frontier never hit the NumPy batch scorer"
-    else:
-        _run_all(dag, machine, options)
+    _run_all(dag, machine, options)
 
 
-def test_vector_engine_with_carry_in_conditions():
-    """Carry-in pipeline/variable state disables the packed memo keys
-    (the ``packable`` fast path); the tuple-key fallback inside the
-    vector engine must keep the lattice exact."""
+def test_carry_in_conditions_match_reference():
+    """Carry-in pipeline/variable state enters the dominance-memo keys
+    and the candidate η; the lattice must stay exact."""
     machine, members = _population(25, seed=17)
     pid = sorted(p.ident for p in machine.pipelines)[0]
     for gb in members[:10]:
@@ -316,9 +292,9 @@ def test_vector_engine_with_carry_in_conditions():
         _run_all(dag, machine, SearchOptions(), initial_conditions=init)
 
 
-def test_vector_split_matches_on_large_blocks():
+def test_split_matches_on_large_blocks():
     """Blocks well past the window size exercise the carry-across-window
-    state under the vector splitter."""
+    state of the fast and native splitters."""
     machine = get_machine("paper-simulation")
     spec = PopulationSpec(
         statement_shape=2.0, statement_scale=4.0, max_statements=25
@@ -328,29 +304,73 @@ def test_vector_split_matches_on_large_blocks():
             continue
         dag = DependenceDAG(gb.block)
         ref = schedule_block_split(dag, machine, window=6, engine="reference")
-        vec = schedule_block_split(dag, machine, window=6, engine="vector")
-        assert vec.timing == ref.timing
-        assert vec.omega_calls == ref.omega_calls
-        assert dict(vec.prune_counts) == dict(ref.prune_counts)
+        for name in ("fast", "native"):
+            got = schedule_block_split(dag, machine, window=6, engine=name)
+            assert got.timing == ref.timing
+            assert got.omega_calls == ref.omega_calls
+            assert dict(got.prune_counts) == dict(ref.prune_counts)
 
 
-def test_vector_engine_fallback_without_numpy(monkeypatch, capsys):
-    """With NumPy unavailable the vector engine must degrade to the fast
-    engine: one warning line per process, exit path identical, results
-    byte-for-byte the fast engine's."""
+def test_vector_alias_runs_fast(monkeypatch, capsys):
+    """The removed ``vector`` engine name still runs: it is the fast
+    engine field for field, with one stderr notice per process and a
+    ``search.engine_fallbacks`` count per call."""
     machine, members = _population(6, seed=21)
     dag = DependenceDAG(members[0].block)
     fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
     split_fast = schedule_block_split(dag, machine, window=4, engine="fast")
-    monkeypatch.setattr(core, "_np", None)
-    monkeypatch.setattr(core, "_vector_fallback_warned", False)
-    vec1 = schedule_block(dag, machine, SearchOptions(), engine="vector")
-    vec2 = schedule_block(dag, machine, SearchOptions(), engine="vector")
-    split_vec = schedule_block_split(dag, machine, window=4, engine="vector")
+    monkeypatch.setattr(core, "_removed_engine_warned", False)
+    telemetry = Telemetry()
+    vec1 = schedule_block(
+        dag, machine, SearchOptions(), engine="vector", telemetry=telemetry
+    )
+    vec2 = schedule_block(
+        dag, machine, SearchOptions(engine="vector"), telemetry=telemetry
+    )
+    split_vec = schedule_block_split(
+        dag, machine, window=4, engine="vector", telemetry=telemetry
+    )
     err = capsys.readouterr().err
-    assert err.count("falling back to 'fast'") == 1, err
+    assert err.count("engine 'vector' was removed; running 'fast'") == 1, err
+    assert telemetry.counters["search.engine_fallbacks"] == 3
     assert _fields(vec1) == _fields(fast)
     assert _fields(vec2) == _fields(fast)
     assert split_vec.timing == split_fast.timing
+    assert split_vec.windows == split_fast.windows
     assert split_vec.omega_calls == split_fast.omega_calls
+    assert split_vec.all_windows_completed == split_fast.all_windows_completed
     assert dict(split_vec.prune_counts) == dict(split_fast.prune_counts)
+
+
+#: Runs in a fresh interpreter: the cache layer plus one fast search and
+#: one windowed split, then reports whether numpy was ever imported.
+_NO_NUMPY_PROBE = """
+import sys
+import repro.service.cache
+from repro.ir.dag import DependenceDAG
+from repro.ir.textual import parse_block
+from repro.machine.presets import get_machine
+from repro.sched.search import schedule_block
+from repro.sched.splitting import schedule_block_split
+dag = DependenceDAG(parse_block(
+    "1: Load #a\\n2: Load #b\\n3: Mul 1, 2\\n4: Add 3, 1\\n5: Store #c, 4"
+))
+machine = get_machine("paper-simulation")
+schedule_block(dag, machine, engine="fast")
+schedule_block_split(dag, machine, window=2)
+print("numpy" in sys.modules)
+"""
+
+
+def test_search_path_imports_no_numpy():
+    """The block search is pure Python: scheduling through the cache
+    layer's imports never pulls numpy into the process."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE],
+        env=dict(os.environ, PYTHONPATH=src_dir),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False", out.stdout + out.stderr

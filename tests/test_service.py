@@ -128,8 +128,9 @@ class TestCacheTransparency:
 
     def test_fast_result_served_to_vector_request(self, figure3_dag):
         # The canonical key excludes the engine, so a result solved
-        # under "fast" must be a hit for a "vector" request — and
-        # indistinguishable from solving the block cold under vector.
+        # under "fast" must be a hit for a request naming the removed
+        # "vector" engine — and indistinguishable from solving the block
+        # cold under that name (which runs "fast").
         machine = get_machine("paper-simulation")
         fast_opts = dataclasses.replace(OPTIONS, engine="fast")
         vector_opts = dataclasses.replace(OPTIONS, engine="vector")
