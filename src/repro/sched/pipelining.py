@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..ir.dag import DependenceDAG
@@ -58,7 +59,8 @@ from .nop_insertion import (
 )
 from .search import ScheduleRequest, SearchOptions, schedule_block
 
-#: Placement attempts the modulo search may spend per candidate II.
+#: Placement attempts the modulo search may spend in one
+#: :func:`schedule_loop` call, shared by every candidate II it tries.
 DEFAULT_PLACEMENT_BUDGET = 50_000
 
 #: Fixpoint rounds before the steady-state iteration gives up and falls
@@ -105,37 +107,42 @@ class MiiReport:
         return f"MII {self.mii} (res {self.res_mii}, rec {self.rec_mii})"
 
 
-def _has_positive_cycle(
+#: "No path" in a longest-path matrix.
+_NO_PATH = float("-inf")
+
+
+def _longest_paths(
     idents: Sequence[int], edges: Sequence[_Edge], ii: int
-) -> bool:
-    """Floyd–Warshall positive-cycle test at weight ``lat - II*dist``."""
+) -> Optional[List[List[float]]]:
+    """All-pairs longest paths at weight ``lat - II*dist`` (Floyd–Warshall).
+
+    Entry ``[i][j]`` bounds ``offset(idents[j]) - offset(idents[i])``
+    from below in any modulo schedule at ``ii``; a finite diagonal entry
+    means the tuple lies on a dependence cycle.  Returns ``None`` as soon
+    as a diagonal entry turns positive: a positive cycle refutes ``ii``.
+    """
     index = {z: k for k, z in enumerate(idents)}
     n = len(idents)
-    neg = float("-inf")
-    dist = [[neg] * n for _ in range(n)]
+    dist = [[_NO_PATH] * n for _ in range(n)]
     for producer, consumer, lat, d in edges:
         w = lat - ii * d
         u, v = index[producer], index[consumer]
-        if u == v:
-            if w > 0:
-                return True
-            continue
         if w > dist[u][v]:
             dist[u][v] = w
     for k in range(n):
         row_k = dist[k]
         for i in range(n):
             d_ik = dist[i][k]
-            if d_ik == neg:
+            if d_ik == _NO_PATH:
                 continue
             row_i = dist[i]
             for j in range(n):
                 via = d_ik + row_k[j]
                 if via > row_i[j]:
                     row_i[j] = via
-        if any(dist[i][i] > 0 for i in range(n)):
-            return True
-    return any(dist[i][i] > 0 for i in range(n))
+            if row_i[i] > 0:
+                return None
+    return dist
 
 
 def min_initiation_interval(
@@ -173,10 +180,10 @@ def min_initiation_interval(
 
     edges = _distance_edges(dag, loop.carried, resolver)
     lo, hi = 1, max(1, sum(lat for _, _, lat, _ in edges))
-    if not _has_positive_cycle(dag.idents, edges, hi):
+    if _longest_paths(dag.idents, edges, hi) is not None:
         while lo < hi:
             mid = (lo + hi) // 2
-            if _has_positive_cycle(dag.idents, edges, mid):
+            if _longest_paths(dag.idents, edges, mid) is None:
                 lo = mid + 1
             else:
                 hi = mid
@@ -305,7 +312,7 @@ def steady_state_offsets(
 # The modulo placement search for one candidate II
 # ----------------------------------------------------------------------
 class _BudgetExhausted(Exception):
-    """Internal unwind: the per-II placement budget ran out."""
+    """Internal unwind: the call's shared placement budget ran out."""
 
 
 def _find_kernel(
@@ -326,84 +333,160 @@ def _find_kernel(
         stage(w) >= stage(z) + ceil((lat(z) - d*ii + slot(z) - slot(w)) / ii)
 
     which have a solution iff the constraint graph has no positive
-    cycle.  So the search enumerates *slots* depth-first in ``priority``
-    order (the block search's optimal order — high-priority instructions
-    claim early slots), pruning on slot/window conflicts and on a
-    positive cycle among the already-placed subgraph, and solves the
-    stages exactly (Bellman–Ford longest path) at each leaf.  Unlike a
-    direct search over offsets this terminates with a definitive answer:
-    ``None`` means *no* modulo schedule exists at ``ii`` — a refutation
-    ``schedule_loop`` turns into an optimality proof — and only
-    :class:`_BudgetExhausted` (past ``budget`` placement attempts)
+    cycle.  The search branches only where a slot choice can matter:
+
+    * **closure** — the all-pairs longest paths ``L`` at weight
+      ``lat - d*ii`` (:func:`_longest_paths`) refute ``ii`` outright on a
+      positive cycle;
+    * **constrained tuples** — those sharing a dependence cycle with
+      another tuple, or sharing a pipeline whose enqueue windows
+      (``enqueue >= 2``) can collide — are enumerated slot by slot in
+      ``priority`` order (the block search's optimal order), the first
+      one at slot 0 only (rotating every offset by a constant preserves
+      feasibility).  Each placement is checked against an incremental
+      longest-path matrix over the placed tuples at the closure weights
+      ``ceil((L[y][z] + slot(y) - slot(z)) / ii)``, which also sees
+      paths through tuples not yet placed, and then narrows the slot
+      domain of every unplaced constrained tuple to the slots still
+      compatible with it (forward checking): a placement that empties
+      a domain is abandoned before its subtree is entered;
+    * **free tuples** — every other one — take the leftover slots at
+      the leaf.  No stage cycle passes through a free tuple (its
+      self-recurrence, if any, is slot-independent and already on
+      ``L``'s diagonal) and its enqueue window cannot collide, so any
+      leftover slot is as good as any other; there are enough of them,
+      and room for every sole user's window, because ``ii >= MII``.
+
+    Stages are solved exactly (Bellman–Ford longest path over the direct
+    edges) at the leaf.  ``None`` means *no* modulo schedule exists at
+    ``ii`` — a refutation ``schedule_loop`` turns into an optimality
+    proof.  Every slot tried from a constrained tuple's domain costs one
+    placement on ``counter``, which ``schedule_loop`` shares across all its
+    candidate IIs; past ``budget`` placements :class:`_BudgetExhausted`
     leaves the candidate undecided.
     """
     order = list(priority)
-    diff_edges: List[Tuple[int, int, int, int]] = []  # (p, c, lat, d)
-    for producer, consumer, lat, d in edges:
-        if producer == consumer:
-            if d * ii < lat:  # self-recurrence refutes ii outright
-                return None
-            continue
-        diff_edges.append((producer, consumer, lat, d))
+    longest = _longest_paths(order, edges, ii)
+    if longest is None:
+        return None
+    n = len(order)
+    users: Dict[int, int] = {}
+    for z in order:
+        pid = resolver.sigma(z)
+        if pid is not None:
+            users[pid] = users.get(pid, 0) + 1
 
-    slots: Dict[int, int] = {}
-    used_slots: Set[int] = set()
-    pipe_busy: Dict[int, Set[int]] = {}
+    def pipe(z: int) -> Optional[int]:
+        """``z``'s pipeline when its enqueue windows can collide."""
+        pid = resolver.sigma(z)
+        if pid is None or resolver.enqueue_time(z) < 2 or users[pid] < 2:
+            return None
+        return pid
 
-    def stages() -> Optional[Dict[int, int]]:
-        """Longest-path stages over the placed subgraph; None on a
-        positive cycle (the difference constraints are infeasible)."""
-        stage = {z: 0 for z in slots}
+    picked = [
+        i for i in range(n)
+        if pipe(order[i]) is not None or any(
+            longest[i][j] != _NO_PATH and longest[j][i] != _NO_PATH
+            for j in range(n) if j != i
+        )
+    ]
+    chosen = [order[i] for i in picked]
+    free = [z for z in order if z not in chosen]
+    closure = [[longest[i][j] for j in picked] for i in picked]
+    pipes = [pipe(z) for z in chosen]
+    enqueue = [resolver.enqueue_time(z) for z in chosen]
+    slot_of = [0] * len(chosen)
+    #: paths[k]: longest paths among chosen[:k] at the closure weights
+    #: (diagonal 0: the empty path), one matrix per search depth.
+    paths: List[List[List[float]]] = [[]]
+
+    def compatible(a: int, sa: int, b: int, sb: int) -> bool:
+        """Can ``chosen[a]`` at slot ``sa`` and ``chosen[b]`` at slot
+        ``sb`` share a kernel?  Distinct slots, disjoint cyclic enqueue
+        windows (each arc shorter than ``ii``, so they meet iff one holds
+        the other's start), and no positive stage 2-cycle."""
+        if sa == sb:
+            return False
+        if pipes[a] is not None and pipes[a] == pipes[b] and (
+            (sb - sa) % ii < enqueue[a] or (sa - sb) % ii < enqueue[b]
+        ):
+            return False
+        ab, ba = closure[a][b], closure[b][a]
+        return (
+            ab == _NO_PATH
+            or ba == _NO_PATH
+            or -((sb - sa - ab) // ii) - ((sa - sb - ba) // ii) <= 0
+        )
+
+    def leaf() -> Optional[Dict[int, int]]:
+        slots = dict(zip(chosen, slot_of))
+        taken = set(slot_of)
+        slots.update(zip(free, (s for s in range(ii) if s not in taken)))
+        stage = {z: 0 for z in order}
         active = [
-            (p, c, -(-(lat - d * ii + slots[p] - slots[c]) // ii))
-            for p, c, lat, d in diff_edges
-            if p in slots and c in slots
+            (p, c, -((slots[c] - slots[p] - lat + d * ii) // ii))
+            for p, c, lat, d in edges
         ]
-        for _ in range(len(slots) + 1):
+        for _ in range(n + 1):
             changed = False
             for p, c, need in active:
                 if stage[p] + need > stage[c]:
                     stage[c] = stage[p] + need
                     changed = True
             if not changed:
-                return stage
-        return None  # positive cycle
+                lift = -min(stage.values())
+                return {z: (stage[z] + lift) * ii + slots[z] for z in order}
+        return None  # pragma: no cover - the closure check rules this out
 
-    def place(k: int) -> bool:
-        if k == len(order):
-            return True
-        z = order[k]
-        pid = resolver.sigma(z)
-        enqueue = resolver.enqueue_time(z)
-        busy = pipe_busy.setdefault(pid, set()) if pid is not None else None
-        for s in range(ii):
+    def place(k: int, domains: List[Set[int]]) -> Optional[Dict[int, int]]:
+        """Place ``chosen[k:]``; ``domains[j]`` holds the slots still
+        compatible with every placed tuple for ``chosen[k + j]``."""
+        if k == len(chosen):
+            return leaf()
+        prior = paths[k]
+        to_k = [row[k] for row in closure[:k]]
+        from_k = closure[k][:k]
+        for s in sorted(domains[0]):
             counter[0] += 1
             if counter[0] > budget:
                 raise _BudgetExhausted
-            if s in used_slots:
-                continue
-            if pid is not None:
-                window = {(s + j) % ii for j in range(enqueue)}
-                if len(window) < enqueue or window & busy:
-                    continue
-            slots[z] = s
-            used_slots.add(s)
-            if pid is not None:
-                busy.update(window)
-            if stages() is not None and place(k + 1):
-                return True
-            del slots[z]
-            used_slots.discard(s)
-            if pid is not None:
-                busy.difference_update(window)
-        return False
-
-    if not place(0):
+            # Closure stage bounds between chosen[k] at s and each placed
+            # tuple a: stage(k) - stage(a) >= ceil((L[a][k] + slot(a) - s)/ii).
+            into = [
+                _NO_PATH if w == _NO_PATH else -((s - slot_of[a] - w) // ii)
+                for a, w in enumerate(to_k)
+            ]
+            out = [
+                _NO_PATH if w == _NO_PATH else -((slot_of[a] - s - w) // ii)
+                for a, w in enumerate(from_k)
+            ]
+            reach_in = [max(map(add, row, into)) for row in prior]
+            reach_out = [max(map(add, out, col)) for col in zip(*prior)]
+            if any(o + i > 0 for o, i in zip(reach_out, into)):
+                continue  # a positive stage cycle through chosen[k]
+            rest = [
+                {t for t in dom if compatible(k, s, j, t)}
+                for j, dom in enumerate(domains[1:], k + 1)
+            ]
+            if not all(rest):
+                continue  # an unplaced tuple has no slot left
+            slot_of[k] = s
+            paths.append(
+                [
+                    [max(p, r_in + r_out) for p, r_out in zip(row, reach_out)]
+                    + [r_in]
+                    for row, r_in in zip(prior, reach_in)
+                ]
+                + [reach_out + [0]]
+            )
+            found = place(k + 1, rest)
+            if found is not None:
+                return found
+            paths.pop()
         return None
-    stage = stages()
-    assert stage is not None  # the leaf was pruned on feasibility
-    lift = -min(stage.values())
-    return {z: (stage[z] + lift) * ii + slots[z] for z in order}
+
+    # Rotation symmetry: the first constrained tuple sits at slot 0.
+    return place(0, [{0}] + [set(range(ii))] * (len(chosen) - 1))
 
 
 # ----------------------------------------------------------------------
@@ -646,9 +729,10 @@ def schedule_loop(
         incumbent_ii, incumbent_offsets = list_ii, list_offsets
 
     edges = _distance_edges(dag, loop.carried, resolver)
-    counter = [0]
+    counter = [0]  # placements, shared by every candidate II below
     searched = False
-    refuted_below = True  # every candidate below the answer fully refuted?
+    refuted = 0  # candidates proven infeasible
+    exhausted = False
     ii, offsets = incumbent_ii, incumbent_offsets
     for candidate in range(mii, incumbent_ii):
         try:
@@ -657,11 +741,12 @@ def schedule_loop(
                 placement_budget, counter,
             )
         except _BudgetExhausted:
-            refuted_below = False
+            exhausted = True
             break
         if found is not None:
             ii, offsets, searched = candidate, found, True
             break
+        refuted += 1
 
     if not modulo_feasible(
         loop, machine, offsets, ii, assignment=assignment, dag=dag
@@ -678,7 +763,7 @@ def schedule_loop(
         rec_mii=report.rec_mii,
         offsets=offsets,
         list_ii=list_ii,
-        completed=ii == mii or refuted_below,
+        completed=ii == mii or not exhausted,
         searched=searched,
         placements=counter[0],
         omega_calls=block_result.omega_calls,
@@ -687,4 +772,8 @@ def schedule_loop(
     )
     if telemetry is not None:
         telemetry.add_time("time.schedule_loop", result.elapsed_seconds)
+        telemetry.count("loop.placements", result.placements)
+        telemetry.count("loop.refuted", refuted)
+        telemetry.count("loop.budget_exhausted", int(exhausted))
+        telemetry.count("loop.proven", int(result.completed))
     return result

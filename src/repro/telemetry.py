@@ -38,6 +38,21 @@ entries dropped (FIFO) to honor ``max_memo_entries``; a non-zero count
 means the memo hit its cap and degraded gracefully instead of growing
 without bound.
 
+Loop taxonomy (``loop.<kind>``, added once per ``schedule_loop`` call by
+the modulo scheduler in ``repro.sched.pipelining``):
+
+``loop.placements``
+    Slot attempts spent by the modulo placement search, summed over the
+    candidate IIs of the call (they share one budget).
+``loop.refuted``
+    Candidate IIs below the answer that the search proved infeasible.
+``loop.budget_exhausted``
+    Calls whose placement budget ran out before a candidate was decided:
+    the returned II is the best known, not a proven optimum.
+``loop.proven``
+    Calls whose II is proven minimal (it meets MII, or every smaller
+    candidate was refuted).
+
 Verification taxonomy (``verify.<kind>``, filled in by the independent
 checker in ``repro.verify`` — the oracle, the fuzzer and the
 ``verify=True`` population hook):

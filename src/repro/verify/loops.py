@@ -132,7 +132,9 @@ def check_loop(
                 telemetry.count("verify.invariant_failures")
             discrepancies.append(Discrepancy(invariant, detail))
 
-    result = schedule_loop(loop, machine, options=options)
+    result = schedule_loop(
+        loop, machine, options=options, telemetry=telemetry
+    )
 
     # ------------------------------------------------------------------
     # Certificates: searched kernel, and the certificate's own bound.

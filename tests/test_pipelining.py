@@ -12,7 +12,7 @@ scheduler beats the steady state of the plain list schedule outright.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import lower_loop, parse_program
@@ -91,6 +91,34 @@ def test_kernels_scheduled_and_certified(kernel, machine_name):
         assignment=result.assignment,
     )
     assert certificate.ok, certificate.summary()
+    # Every kernel x preset pair is proven optimal within the budget.
+    assert result.completed, str(result)
+
+
+@pytest.mark.parametrize(
+    "name, ii", (("indexed-accumulate", 12), ("coupled-triple", 16))
+)
+def test_deep_memory_kernels_proven(name, ii):
+    # Both once ran out of placement budget (at II 19 and 17); branching
+    # only on constrained tuples, with closure pruning, settles them.
+    result = schedule_loop(
+        get_loop_kernel(name).lower(), get_machine("deep-memory")
+    )
+    assert result.ii == ii
+    assert result.completed
+
+
+def test_free_tuples_cost_no_placements():
+    # No tuple shares a dependence cycle with another (each Store only
+    # recurs on itself) and no enqueue window can collide on
+    # deep-memory, so every tuple is free: the kernel at MII is filled
+    # without a single placement attempt.
+    loop = _lower("for i in 0..8 { b = c + d; e = b * c; }")
+    result = schedule_loop(loop, get_machine("deep-memory"))
+    assert result.searched
+    assert result.ii == result.mii < result.list_ii
+    assert result.placements == 0
+    assert result.completed
 
 
 def test_strict_win_over_list_schedule():
@@ -241,6 +269,27 @@ def test_telemetry_records_loop_time():
     assert telemetry.timers.get("time.schedule_loop", 0) > 0
 
 
+def test_telemetry_explains_the_proof():
+    telemetry = Telemetry()
+    loop = get_loop_kernel("geo-sum").lower()
+    machine = get_machine("paper-example")
+    result = schedule_loop(loop, machine, telemetry=telemetry)
+    assert result.ii == result.mii + 1  # MII itself was refuted
+    counters = telemetry.counters
+    assert counters["loop.placements"] == result.placements > 0
+    assert counters["loop.refuted"] == 1
+    assert counters["loop.budget_exhausted"] == 0
+    assert counters["loop.proven"] == 1
+
+    telemetry = Telemetry()
+    result = schedule_loop(
+        loop, machine, telemetry=telemetry, placement_budget=1
+    )
+    assert not result.completed
+    assert telemetry.counters["loop.budget_exhausted"] == 1
+    assert telemetry.counters["loop.proven"] == 0
+
+
 # ---------------------------------------------------------------------------
 # The unified request form
 # ---------------------------------------------------------------------------
@@ -312,3 +361,26 @@ def test_fuzz_searched_never_loses_and_always_certifies(source, machine_name):
         assignment=result.assignment,
     )
     assert certificate.ok, f"{source}\n{certificate.summary()}"
+
+
+# ---------------------------------------------------------------------------
+# Differential against the complete brute-force enumeration
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    source=random_loops(),
+    machine_name=st.sampled_from(("paper-simulation", "deep-memory")),
+)
+def test_fuzz_search_matches_brute_force(source, machine_name):
+    loop = _lower(source)
+    assume(len(loop.body) <= 7)
+    machine = get_machine(machine_name)
+    result = schedule_loop(loop, machine)
+    brute = brute_force_min_ii(
+        loop.body, machine, assignment=result.assignment
+    )
+    assert result.ii >= brute.min_ii, source
+    if result.completed:
+        assert result.ii == brute.min_ii, source
