@@ -10,12 +10,12 @@ it out:
    :func:`repro.synth.population.sample_population_params`.
 2. The parameters are striped round-robin into chunks, so the cost of
    large blocks spreads evenly across workers.
-3. Each chunk runs in its own supervised worker process
-   (:func:`_chunk_worker`): the worker rebuilds its blocks with
-   :func:`generate_from_params`, schedules them through the same
-   :func:`schedule_generated_block` step the serial runner uses, sends a
-   heartbeat per finished block, and delivers its records plus its own
-   telemetry registry in one final message.
+3. Each chunk is one job of a :class:`repro.resilience.pool.WorkerPool`
+   (job function :func:`_run_chunk`): a worker rebuilds the chunk's
+   blocks with :func:`generate_from_params`, schedules them through the
+   same :func:`schedule_generated_block` step the serial runner uses,
+   sends a progress heartbeat per finished block, and delivers its
+   records plus its own telemetry registry in one final reply.
 4. The parent merges records back into deterministic block-index order
    and folds every worker's telemetry into the caller's registry.
 
@@ -24,15 +24,14 @@ the parameter stream reproduces the population bit for bit, the merged
 records are identical to ``run_population``'s (wall-clock fields aside —
 ``BlockRecord`` equality already excludes those).
 
-Fault tolerance (see :mod:`repro.resilience`): each worker owns exactly
-one chunk, so a crashed process (stale pipe + dead process object), a
-hung one (stale heartbeat), or one returning records that fail
-:func:`repro.resilience.supervisor.validate_records` blames exactly one
-chunk.  Failed chunks are requeued with capped exponential backoff; a
+Fault tolerance is the pool's (see :mod:`repro.resilience.pool`): a
+crashed or hung worker, or a reply that fails
+:func:`repro.resilience.supervisor.validate_records`, costs one attempt
+of one chunk, which is retried with capped exponential backoff.  A
 chunk that keeps failing is **poisoned** — the parent quarantines it and
 publishes its blocks' deterministic list-schedule seeds (the bottom rung
-of the degradation ladder) instead of aborting the run.  Only a clean
-``done`` message carries records, so a fault can never leak partial
+of the degradation ladder) instead of aborting the run.  Only a
+validated reply carries records, so a fault can never leak partial
 work.  :class:`VerificationError` is the one exception that must *not*
 be retried: a failed schedule certificate means the data is wrong, not
 the worker, so it aborts the run.
@@ -48,21 +47,17 @@ falls back to the serial runner, which produces the same records.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
-import time
-from multiprocessing import Pipe, Process
-from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..machine.machine import MachineDescription
 from ..machine.presets import paper_simulation_machine
 from ..resilience.budget import BudgetManager
 from ..resilience.faults import FaultPlan
-from ..resilience.supervisor import (
-    ChunkSupervisor,
-    SupervisorConfig,
-    validate_records,
-)
+from ..resilience.pool import JobAborted, JobHandle, PoolJob, WorkerPool
+from ..resilience.supervisor import SupervisorConfig, validate_records
 from ..sched.search import SearchOptions
 from ..synth.population import (
     BlockParams,
@@ -103,47 +98,28 @@ def _corrupt_records(records: List[BlockRecord]) -> List[BlockRecord]:
     return [first] + records[1:]
 
 
-def _chunk_worker(
-    conn,
-    chunk_id: int,
-    attempt: int,
-    params_chunk: Sequence[BlockParams],
-    machine: MachineDescription,
-    spec: PopulationSpec,
-    options: SearchOptions,
-    block_timeout: Optional[float],
-    verify: bool,
-    budget: Optional[BudgetManager],
-    fault_plan: Optional[FaultPlan],
-    cache=None,
-) -> None:
-    """Worker entry point: schedule one parameter chunk.
+def _run_chunk(context, args, job: JobHandle) -> List[BlockRecord]:
+    """Pool job function: schedule one parameter chunk in a worker.
 
-    Protocol (messages over ``conn``):
+    ``context`` is the run's ``(machine, spec, options, block_timeout,
+    verify, cache)``; ``args`` is ``(params_chunk, budget)``.  One
+    progress heartbeat per scheduled block — progress, not liveness: a
+    worker spinning uselessly inside one block goes as stale as a dead
+    one.  A failed schedule certificate aborts the job unretried: the
+    records, not the worker, are wrong.
 
-    * ``("hb", chunk_id, k)`` after each scheduled block — the progress
-      heartbeat the supervisor watches.  Progress, not liveness: a worker
-      spinning uselessly inside one block goes as stale as a dead one.
-    * ``("done", chunk_id, records, telemetry_dict)`` exactly once on
-      success — the *only* message that carries records, so partial work
-      from a faulted attempt can never be merged.
-    * ``("fatal", chunk_id, message)`` for a failed schedule certificate:
-      retrying would reproduce it (the records, not the worker, are
-      wrong), so the parent must abort, not requeue.
-
-    When a :class:`FaultPlan` schedules a fault for this ``(chunk_id,
-    attempt)``, it triggers at the chunk's midpoint — after real work has
-    been done — so recovery is exercised against partial state, not idle
-    workers.
+    A scheduled crash or hang triggers at the chunk's midpoint — after
+    real work has been done — so recovery is exercised against partial
+    state, not idle workers.
     """
-    fault = fault_plan.decide(chunk_id, attempt) if fault_plan is not None else None
+    machine, spec, options, block_timeout, verify, cache = context
+    params_chunk, budget = args
     fault_at = len(params_chunk) // 2
-    telemetry = Telemetry()
     records: List[BlockRecord] = []
     try:
         for k, params in enumerate(params_chunk):
-            if fault in ("crash", "hang") and k == fault_at:
-                fault_plan.inject(fault)
+            if k == fault_at:
+                job.inject()
             gb = generate_from_params(params, spec)
             records.append(
                 schedule_generated_block(
@@ -151,42 +127,19 @@ def _chunk_worker(
                     gb,
                     machine,
                     options,
-                    telemetry,
+                    job.telemetry,
                     block_timeout,
                     verify,
                     budget=budget,
                     cache=cache,
                 )
             )
-            conn.send(("hb", chunk_id, k))
-        if fault == "corrupt":
-            records = _corrupt_records(records)
-        conn.send(("done", chunk_id, records, telemetry.as_dict()))
+            job.progress()
     except VerificationError as exc:
-        conn.send(("fatal", chunk_id, str(exc)))
-    finally:
-        conn.close()
-
-
-class _Running:
-    """One live worker: its process, pipe, and freshest heartbeat."""
-
-    __slots__ = ("process", "conn", "last_beat")
-
-    def __init__(self, process, conn, now: float):
-        self.process = process
-        self.conn = conn
-        self.last_beat = now
-
-
-def _stop_worker(worker: _Running) -> None:
-    try:
-        worker.conn.close()
-    except OSError:
-        pass
-    if worker.process.is_alive():
-        worker.process.terminate()
-    worker.process.join(timeout=5.0)
+        raise JobAborted(str(exc)) from None
+    if job.fault == "corrupt":
+        records = _corrupt_records(records)
+    return records
 
 
 def run_population_parallel(
@@ -293,30 +246,36 @@ def run_population_parallel(
         # Round-robin striping: block cost is size-skewed and sizes drift
         # along the stream, so contiguous spans would load-balance poorly.
         chunks = [params[i::n_chunks] for i in range(n_chunks)]
+        pool = WorkerPool(
+            min(workers, n_chunks),
+            _run_chunk,
+            context=(machine, spec, options, block_timeout, verify, cache),
+            config=supervisor,
+            fault_plan=fault_plan,
+            queue_limit=n_chunks,
+        )
+        # The dispatcher thread counts pool events into ``telemetry``
+        # while this thread publishes seeds: one lock guards both.
+        lock = threading.Lock()
+        if telemetry is not None:
+            pool.attach_telemetry(telemetry, lock)
         try:
-            fresh = _run_supervised(
-                chunks,
-                machine,
-                spec,
-                options,
-                block_timeout,
-                verify,
-                workers,
-                telemetry,
-                on_records,
-                budget,
-                supervisor,
-                fault_plan,
-                cache,
-            )
-        except (OSError, PermissionError, RuntimeError):
+            pool.start()
+        except (OSError, RuntimeError):
             # Worker processes cannot be stood up (restricted sandbox,
             # missing /dev/shm, fork limits): the records are
             # deterministic, so redoing the run serially is always safe.
             if telemetry is not None:
                 telemetry.count("parallel.fallbacks")
             return serial()
-        records.extend(fresh)
+        try:
+            records.extend(
+                _run_chunks(
+                    pool, chunks, machine, spec, telemetry, lock, on_records, budget
+                )
+            )
+        finally:
+            pool.stop(drain_timeout=0.0)
         if telemetry is not None:
             telemetry.count("parallel.runs")
             telemetry.count("parallel.workers", workers)
@@ -333,179 +292,78 @@ def run_population_parallel(
     return records
 
 
-def _run_supervised(
+def _run_chunks(
+    pool: WorkerPool,
     chunks: List[List[BlockParams]],
     machine: MachineDescription,
     spec: PopulationSpec,
-    options: SearchOptions,
-    block_timeout: Optional[float],
-    verify: bool,
-    workers: int,
     telemetry: Optional[Telemetry],
+    lock: threading.Lock,
     on_records: Optional[Callable[[Sequence[BlockRecord]], None]],
     budget: Optional[BudgetManager],
-    config: SupervisorConfig,
-    fault_plan: Optional[FaultPlan],
-    cache=None,
 ) -> List[BlockRecord]:
-    """Drive the chunk fleet to completion under supervision.
+    """Run ``chunks`` as jobs of a started ``pool``; return their records.
 
-    The loop: launch ready chunks into free worker slots, wait briefly
-    for messages, accept validated results, detect crashed/hung workers,
-    requeue or poison their chunks.  Raises :class:`VerificationError`
-    on a worker's ``fatal`` message and lets process-spawn errors
-    propagate (the caller falls back to the serial runner).
+    Chunks are submitted in chunk order, so job seq == chunk id and a
+    :class:`FaultPlan` replays exactly, and at most ``pool.size`` at a
+    time, so the parent checks the run budget before every dispatch.
+    Chunks are accepted — or, once the pool degrades them, quarantined to
+    their deterministic list seeds — in completion order.  Raises
+    :class:`VerificationError` when a worker's certificate check fails.
     """
-    sup = ChunkSupervisor(len(chunks), config)
-    running: Dict[int, _Running] = {}
     records: List[BlockRecord] = []
 
-    def accept(cid: int, chunk_records: List[BlockRecord], stats: dict) -> None:
-        sup.note_success(cid)
-        records.extend(chunk_records)
-        if telemetry is not None:
-            telemetry.merge(stats)
-        if budget is not None:
-            budget.charge(sum(r.omega_calls for r in chunk_records))
+    def publish(batch: List[BlockRecord]) -> None:
+        records.extend(batch)
         if on_records is not None:
-            on_records(chunk_records)
+            on_records(batch)
 
-    def quarantine(cid: int) -> None:
-        """Poisoned chunk: publish deterministic list seeds, keep going."""
-        seeds = [
-            list_seed_record(
-                p.index, generate_from_params(p, spec), machine, telemetry
-            )
+    def seeds(cid: int, counter: str) -> List[BlockRecord]:
+        # Count locally, merge under the lock: the dispatcher thread is
+        # never kept waiting while seeds are built.
+        local = Telemetry()
+        batch = [
+            list_seed_record(p.index, generate_from_params(p, spec), machine, local)
             for p in chunks[cid]
         ]
-        records.extend(seeds)
+        local.count(counter, len(batch))
         if telemetry is not None:
-            telemetry.count("resilience.poison_chunks")
-            telemetry.count("resilience.poison_blocks", len(seeds))
-        if on_records is not None:
-            on_records(seeds)
+            with lock:
+                telemetry.merge(local)
+        return batch
 
-    def fail(cid: int, kind: str, counter: str, now: float) -> None:
-        if telemetry is not None:
-            telemetry.count(counter)
-        if sup.note_failure(cid, kind, now) == "poison":
-            quarantine(cid)
-        elif telemetry is not None:
-            telemetry.count("resilience.chunk_retries")
-
-    try:
-        while not sup.finished():
-            now = time.monotonic()
-            while len(running) < workers:
-                cid = sup.next_ready(now)
-                if cid is None:
-                    break
-                parent_conn, child_conn = Pipe(duplex=False)
-                proc = Process(
-                    target=_chunk_worker,
-                    args=(
-                        child_conn,
-                        cid,
-                        sup.attempts[cid],
-                        chunks[cid],
-                        machine,
-                        spec,
-                        options,
-                        block_timeout,
-                        verify,
-                        budget,
-                        fault_plan,
-                        cache,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                running[cid] = _Running(proc, parent_conn, now)
-
-            if running:
-                mp_connection.wait(
-                    [w.conn for w in running.values()],
-                    timeout=config.poll_interval,
-                )
-            elif not sup.finished():
-                time.sleep(max(config.poll_interval, sup.sleep_hint(now)))
-                continue
-
-            now = time.monotonic()
-            for cid in list(running):
-                worker = running[cid]
-                finished = False
-                failure: Optional[Tuple[str, str]] = None
-                try:
-                    while worker.conn.poll():
-                        msg = worker.conn.recv()
-                        if msg[0] == "hb":
-                            worker.last_beat = now
-                        elif msg[0] == "done":
-                            _, _, chunk_records, stats = msg
-                            reason = validate_records(
-                                chunk_records, [p.index for p in chunks[cid]]
-                            )
-                            if reason is None:
-                                accept(cid, chunk_records, stats)
-                            else:
-                                failure = (
-                                    f"invalid records: {reason}",
-                                    "resilience.corrupted_records",
-                                )
-                            finished = True
-                            break
-                        elif msg[0] == "fatal":
-                            for other in running.values():
-                                _stop_worker(other)
-                            raise VerificationError(msg[2])
-                except (EOFError, OSError):
-                    failure = ("connection lost", "resilience.crashes_detected")
-                    finished = True
-                if not finished:
-                    if not worker.process.is_alive():
-                        failure = (
-                            f"worker died (exit {worker.process.exitcode})",
-                            "resilience.crashes_detected",
-                        )
-                        finished = True
-                    elif now - worker.last_beat > config.hang_timeout:
-                        failure = (
-                            f"no heartbeat for {config.hang_timeout:g}s",
-                            "resilience.hangs_detected",
-                        )
-                        finished = True
-                if finished:
-                    _stop_worker(worker)
-                    del running[cid]
-                    if failure is not None:
-                        fail(cid, failure[0], failure[1], time.monotonic())
-
-            if budget is not None and budget.run_exhausted() is not None:
-                # Run budget gone: degrade every not-yet-started chunk to
-                # list seeds.  In-flight chunks finish under their own
-                # (worker-side) deadline checks.
-                for cid in sup.drain_pending():
-                    if telemetry is not None:
-                        telemetry.count(
-                            "resilience.run_budget_exhausted", len(chunks[cid])
-                        )
-                    sup.note_success(cid)
-                    seeds = [
-                        list_seed_record(
-                            p.index,
-                            generate_from_params(p, spec),
-                            machine,
-                            telemetry,
-                        )
-                        for p in chunks[cid]
-                    ]
-                    records.extend(seeds)
-                    if on_records is not None:
-                        on_records(seeds)
-    finally:
-        for worker in running.values():
-            _stop_worker(worker)
-
+    in_flight: Dict[PoolJob, int] = {}
+    next_cid = 0
+    while next_cid < len(chunks) or in_flight:
+        if budget is not None and budget.run_exhausted() is not None:
+            # Run budget gone: every chunk not yet dispatched degrades to
+            # list seeds.  In-flight chunks finish under their own
+            # (worker-side) deadline checks.
+            for cid in range(next_cid, len(chunks)):
+                publish(seeds(cid, "resilience.run_budget_exhausted"))
+            next_cid = len(chunks)
+        while next_cid < len(chunks) and len(in_flight) < pool.size:
+            chunk = chunks[next_cid]
+            job = PoolJob(
+                (chunk, budget),
+                validate=functools.partial(
+                    validate_records, expected_indexes=[p.index for p in chunk]
+                ),
+            )
+            pool.submit([job])
+            in_flight[job] = next_cid
+            next_cid += 1
+        if not in_flight:
+            break
+        job = next(pool.as_completed(in_flight))
+        cid = in_flight.pop(job)
+        if job.aborted:
+            raise VerificationError(job.failure)
+        if job.failure is None:
+            if budget is not None:
+                budget.charge(sum(r.omega_calls for r in job.result))
+            publish(job.result)
+        else:
+            # Poisoned chunk: publish deterministic list seeds, keep going.
+            publish(seeds(cid, "resilience.poison_blocks"))
     return records

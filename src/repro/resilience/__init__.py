@@ -1,17 +1,20 @@
-"""Fault tolerance for population runs.
+"""Fault tolerance for population runs and the scheduling daemon.
 
-Four pieces, composed by :mod:`repro.experiments.parallel` and the
-``repro experiments`` CLI:
+Five pieces, composed by :mod:`repro.experiments.parallel`, the
+``repro experiments`` CLI and the ``repro serve`` daemon:
 
 * :mod:`repro.resilience.budget` — unified wall-clock / Ω-call / memo
   budgets and the ``optimal-search → curtailed-search → split-windows →
   list-seed`` degradation ladder.
 * :mod:`repro.resilience.journal` — append-only, fsync'd checkpoint
   journal of completed block records; ``--resume`` replays it.
-* :mod:`repro.resilience.supervisor` — heartbeat-based worker
-  supervision policy: retry with capped backoff, then poison-quarantine.
+* :mod:`repro.resilience.pool` — the one supervised worker pool:
+  crash/hang/corrupt-reply detection, retry with capped backoff, then
+  degradation; population chunks and daemon requests are its jobs.
+* :mod:`repro.resilience.supervisor` — the pool's policy knobs
+  (:class:`SupervisorConfig`) and the reply validators.
 * :mod:`repro.resilience.faults` — deterministic (seeded) fault
-  injection used by the chaos suite and the ``--chaos`` CLI flag.
+  injection used by the chaos suites and the ``--chaos`` CLI flags.
 """
 
 from .budget import (
@@ -25,7 +28,7 @@ from .budget import (
 )
 from .faults import FaultPlan
 from .journal import Journal, JournalError, load_journal
-from .supervisor import ChunkSupervisor, SupervisorConfig, validate_records
+from .supervisor import SupervisorConfig, validate_records
 
 __all__ = [
     "LADDER",
@@ -39,7 +42,6 @@ __all__ = [
     "Journal",
     "JournalError",
     "load_journal",
-    "ChunkSupervisor",
     "SupervisorConfig",
     "validate_records",
 ]

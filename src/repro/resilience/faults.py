@@ -1,31 +1,28 @@
-"""Deterministic fault injection for the population workers.
+"""Deterministic fault injection for the supervised worker pool.
 
 Chaos testing a supervisor is only useful when the chaos replays: a CI
 failure must reproduce locally from the same seed.  A :class:`FaultPlan`
 is therefore a pure function of ``(seed, chunk_id, attempt)`` — no global
 RNG, no wall clock — that tells a worker to **crash** (hard ``os._exit``,
 simulating an OOM kill or segfault), **hang** (sleep far past the
-supervisor's heartbeat timeout, simulating a livelock), or **corrupt**
-its results (return records that fail the parent's validation,
-simulating memory corruption or a serialization bug) part-way through
-its chunk.
+supervisor's hang timeout, simulating a livelock), or **corrupt** its
+reply (one that fails the parent's validation, simulating memory
+corruption or a serialization bug).
 
-``max_faults_per_chunk`` bounds how many *attempts* of one chunk can
-fault, so a faulted run always converges: once a chunk has burned its
+``max_faults_per_chunk`` bounds how many *attempts* of one job can
+fault, so a faulted run always converges: once a job has burned its
 fault allowance, the next retry runs clean and produces exactly the
-records a fault-free run would — which is what lets the chaos suite
-assert byte-identical merged output.  (Set it above the supervisor's
-retry cap to exercise the poison-quarantine path instead.)
+reply a fault-free run would — which is what lets the chaos suites
+assert byte-identical output.  (Set it above the supervisor's retry cap
+to exercise the degrade/quarantine path instead.)
 
-The plan pickles through to worker processes; injection happens in
-:func:`repro.experiments.parallel._chunk_worker` at the chunk's midpoint,
-after some records are already built — so recovery must correctly
-*discard* partial work, not just restart idle workers.
-
-The same plan also drives the scheduling service's worker pool
-(:mod:`repro.service.pool`, ``repro serve --chaos`` / ``repro bench
---service --chaos``): there ``chunk_id`` is the pool job's sequence
-number, so a given request hits the same faults on every replay.
+The plan travels to the workers of :mod:`repro.resilience.pool`, where
+``chunk_id`` is the pool job's sequence number: a population chunk's id
+(``repro experiments --chaos``), or a daemon job's arrival rank
+(``repro serve --chaos`` / ``repro bench --service --chaos``).  Each job
+function decides where a crash or hang strikes — a population chunk at
+its midpoint, after some records are already built, so recovery must
+*discard* partial work; a daemon job after parsing its block.
 """
 
 from __future__ import annotations

@@ -41,12 +41,12 @@ from ..cliutil import common_flags
 from ..ioutil import atomic_write_json
 from ..resilience.budget import BudgetManager
 from ..resilience.faults import FaultPlan
+from ..resilience.pool import WorkerPool
 from ..resilience.supervisor import SupervisorConfig
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import ScheduleCache
-from .pool import POOL_HANG_TIMEOUT, WorkerPool
-from .server import SchedulingService, create_server
+from .server import SchedulingService, create_server, execute_job
 
 
 def build_parser(prog: str = "repro-serve") -> argparse.ArgumentParser:
@@ -95,9 +95,9 @@ def build_parser(prog: str = "repro-serve") -> argparse.ArgumentParser:
         "list seed (default 2)",
     )
     parser.add_argument(
-        "--hang-timeout", type=float, default=POOL_HANG_TIMEOUT, metavar="S",
+        "--hang-timeout", type=float, default=60.0, metavar="S",
         help="seconds without a worker reply (on top of the block's own "
-        f"time limit) before it is presumed hung (default {POOL_HANG_TIMEOUT:g})",
+        "time limit) before it is presumed hung (default 60)",
     )
     parser.add_argument(
         "--drain-timeout", type=float, default=20.0, metavar="S",
@@ -179,11 +179,11 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
         except ValueError as exc:
             parser.error(str(exc))
         pool = WorkerPool(
-            size=args.workers,
-            cache=cache,
+            args.workers,
+            execute_job,
+            context=cache,
             config=config,
             fault_plan=fault_plan,
-            hang_timeout=args.hang_timeout,
             on_event=lambda line: print(
                 f"[pool] {line}", file=sys.stderr, flush=True
             ),

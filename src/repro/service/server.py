@@ -5,7 +5,7 @@ a machine description over HTTP (localhost TCP or a unix-domain socket)
 and answers with schedules plus per-entry provenance.  The front-end
 owns the listening socket and never searches: scheduling runs either
 inline (``pool=None`` — tests, ``--workers 0``) or, in production mode,
-on a supervised pre-fork worker pool (:mod:`repro.service.pool`) so a
+on a supervised pre-fork worker pool (:mod:`repro.resilience.pool`) so a
 native-engine segfault, a hung solve, or an OOM kill costs one worker
 process — the request is retried on a fresh worker and, past the retry
 cap, degraded to the block's deterministic list-schedule seed with
@@ -66,6 +66,7 @@ shared store stays consistent no matter which worker dies when.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -82,6 +83,8 @@ from ..machine.machine import MachineDescription, MachineValidationError
 from ..machine.presets import get_machine
 from ..machine.serialize import machine_from_dict
 from ..resilience.budget import STEP_LIST_SEED, BudgetManager
+from ..resilience.pool import JobHandle, PoolJob, PoolSaturated, WorkerPool
+from ..resilience.supervisor import validate_entry
 from ..sched.core import resolve_engine
 from ..sched.list_scheduler import list_schedule
 from ..sched.nop_insertion import compute_timing
@@ -89,7 +92,6 @@ from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import BYPASS, HIT, MISS, ScheduleCache
 from .fingerprint import fingerprint_problem
-from .pool import PoolJob, PoolSaturated, WorkerPool
 
 __all__ = [
     "SCHEMA",
@@ -98,6 +100,7 @@ __all__ = [
     "ServiceDrainingError",
     "SchedulingService",
     "execute_block",
+    "execute_job",
     "seed_entry",
     "create_server",
 ]
@@ -222,14 +225,43 @@ def execute_block(
     }
 
 
+def execute_job(
+    cache: Optional[ScheduleCache], args, job: JobHandle
+) -> Dict[str, Any]:
+    """The daemon's pool job function: :func:`execute_block` in a worker.
+
+    ``cache`` is the pool context; ``args`` is ``(name, tuples,
+    machine_spec, options, budget)``.  The block is parsed in the worker,
+    then a scheduled crash or hang triggers "mid-request" — the job is
+    owned by this worker, so recovery must requeue it, not lose it — and
+    a scheduled ``corrupt`` fault mangles the reply so the parent's
+    :func:`validate_entry` must catch it.
+    """
+    name, tuples, machine_spec, options, budget = args
+    machine = (
+        get_machine(machine_spec)
+        if isinstance(machine_spec, str)
+        else machine_from_dict(machine_spec)
+    )
+    dag = DependenceDAG(parse_block(tuples, name=name))
+    job.inject()
+    entry = execute_block(
+        name, dag, machine, options, job.telemetry, cache=cache, budget=budget
+    )
+    if job.fault == "corrupt":
+        entry = dict(entry, total_nops=entry["seed_nops"] + 7)
+    return entry
+
+
 class SchedulingService:
     """The protocol logic, separated from HTTP plumbing for testing.
 
     ``pool=None`` schedules inline under one lock (the PR 5 behaviour —
     tests and ``--workers 0``); with a started
-    :class:`repro.service.pool.WorkerPool` the service becomes a pure
-    front-end: it validates, deduplicates, submits jobs, and assembles
-    replies, while workers own the searches and the cache writes.
+    :class:`repro.resilience.pool.WorkerPool` running :func:`execute_job`
+    the service becomes a pure front-end: it validates, deduplicates,
+    submits jobs, and assembles replies, while workers own the searches
+    and the cache writes.
     """
 
     def __init__(
@@ -461,8 +493,8 @@ class SchedulingService:
         req_budget: Optional[BudgetManager],
     ) -> List[Dict[str, Any]]:
         # slots[i] resolves blocks[i]: ("entry", dict) is already final,
-        # ("job", PoolJob, dag) awaits a worker, ("dup", j) copies the
-        # first occurrence of the same canonical form in this batch.
+        # ("job", PoolJob, name, dag) awaits a worker, ("dup", j) copies
+        # the first occurrence of the same canonical form in this batch.
         slots: List[Tuple[Any, ...]] = []
         jobs: List[PoolJob] = []
         dedup: Dict[str, int] = {}
@@ -497,17 +529,15 @@ class SchedulingService:
                 slots.append(("dup", dedup[key]))
                 continue
             job = PoolJob(
-                name,
-                text,
-                machine_spec,
-                block_options,
-                req_budget,
-                dag.idents,
-                hang_timeout=self.pool.hang_timeout,
+                (name, text, machine_spec, block_options, req_budget),
+                validate=functools.partial(
+                    validate_entry, expected_name=name, expected_idents=dag.idents
+                ),
+                grace=block_options.time_limit or 0.0,
             )
             if key is not None:
                 dedup[key] = len(slots)
-            slots.append(("job", job, dag))
+            slots.append(("job", job, name, dag))
             jobs.append(job)
 
         try:
@@ -517,8 +547,8 @@ class SchedulingService:
             raise ServiceOverloadError(
                 exc.retry_after, self.pool.queued_jobs()
             ) from None
-        for job in jobs:
-            self.pool.wait(job)
+        for _ in self.pool.as_completed(jobs):
+            pass
 
         entries: List[Dict[str, Any]] = []
         omega_spent = 0
@@ -535,9 +565,9 @@ class SchedulingService:
                 first["worker_retries"] = 0
                 entries.append(first)
                 continue
-            _, job, dag = slot
-            if job.entry is not None:
-                entry = dict(job.entry)
+            _, job, name, dag = slot
+            if job.failure is None:
+                entry = dict(job.result)
                 entry["worker_retries"] = job.attempts
                 omega_spent += entry["omega_calls"]
             else:
@@ -545,7 +575,7 @@ class SchedulingService:
                 # rung, with the failure trail in worker_retries.
                 with self._lock:
                     self.telemetry.count("service.pool.degraded_entries")
-                    entry = seed_entry(job.name, dag, machine, self.telemetry)
+                    entry = seed_entry(name, dag, machine, self.telemetry)
                 entry["worker_retries"] = job.attempts
             entries.append(entry)
         if self.budget is not None and omega_spent:

@@ -98,15 +98,28 @@ engine — see ``repro.resilience``):
 ``resilience.journal_blocks_skipped``
     Blocks recovered from a checkpoint journal on ``--resume`` instead
     of being re-scheduled.
-``resilience.crashes_detected`` / ``resilience.hangs_detected``
-    Worker processes the supervisor found dead / heartbeat-stale.
-``resilience.corrupted_records``
-    Worker result payloads rejected by record validation.
-``resilience.chunk_retries``
-    Chunk attempts requeued after a worker failure.
-``resilience.poison_chunks`` / ``resilience.poison_blocks``
-    Chunks quarantined after exhausting their retries, and the blocks
-    they degraded to list seeds.
+``resilience.poison_blocks``
+    Blocks of population chunks the worker pool degraded (retries
+    exhausted), published as list seeds.
+
+Worker-pool taxonomy (``pool.<kind>``, counted by the one supervised
+pool that population runs and the daemon share — see
+``repro.resilience.pool``):
+
+``pool.crashes`` / ``pool.hangs``
+    Job attempts lost to a worker found dead (pipe EOF, corpse) / past
+    its hang deadline without progress (killed); the worker is replaced.
+``pool.corrupt_replies`` / ``pool.worker_errors``
+    Replies rejected by the job's validator (the worker is recycled),
+    and clean in-worker exceptions (the worker is kept).
+``pool.retries`` / ``pool.degraded``
+    Failed attempts requeued with backoff, and jobs degraded after
+    exhausting their retries or force-resolved at shutdown.
+``pool.lost``
+    Jobs resolved because the dispatcher thread was gone (a pool bug).
+``pool.spawn_failures``
+    Worker spawns that failed (fork ``EAGAIN``); the fleet is topped
+    back up with backoff on later dispatcher ticks.
 
 Service taxonomy (``service.<kind>``, filled in by the result cache and
 the batch daemon — see ``repro.service``):
@@ -133,15 +146,9 @@ the batch daemon — see ``repro.service``):
     (Blocks shed by an exhausted request ``deadline`` reuse
     ``resilience.run_budget_exhausted`` — the deadline *is* a request-
     scoped run budget.)
-``service.pool.crashes`` / ``service.pool.hangs``
-    Worker processes the pool dispatcher found dead / past a job's hang
-    deadline (killed and respawned).
-``service.pool.corrupt_replies`` / ``service.pool.worker_errors``
-    Worker replies rejected by structural validation, and clean
-    in-worker error replies (both recycle the worker and retry).
-``service.pool.retries`` / ``service.pool.degraded``
-    Job attempts requeued after a worker failure, and jobs degraded to
-    the list-schedule seed after exhausting their retries.
+``service.pool.degraded_entries``
+    Reply entries published as the list-schedule seed because the
+    worker pool degraded their job (see ``pool.*`` above).
 ``service.http.bad_bodies`` / ``service.http.disconnects``
     Request bodies rejected before parsing (missing/invalid
     ``Content-Length``, oversized, truncated mid-body) and replies that

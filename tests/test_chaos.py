@@ -72,12 +72,12 @@ class TestChaosByteIdentity:
         records = _chaos_run(plan, telemetry=telemetry)
         assert records == BASELINE
         faults = (
-            telemetry.counters["resilience.crashes_detected"]
-            + telemetry.counters["resilience.hangs_detected"]
+            telemetry.counters["pool.crashes"]
+            + telemetry.counters["pool.hangs"]
         )
         assert faults > 0, "chaos plan injected no faults; raise the rates"
-        assert telemetry.counters["resilience.chunk_retries"] == faults
-        assert telemetry.counters.get("resilience.poison_chunks", 0) == 0
+        assert telemetry.counters["pool.retries"] == faults
+        assert telemetry.counters.get("pool.degraded", 0) == 0
 
     def test_every_fault_kind_with_high_rates(self):
         telemetry = Telemetry()
@@ -91,9 +91,9 @@ class TestChaosByteIdentity:
         )
         records = _chaos_run(plan, telemetry=telemetry)
         assert records == BASELINE
-        assert telemetry.counters["resilience.crashes_detected"] > 0
-        assert telemetry.counters["resilience.hangs_detected"] > 0
-        assert telemetry.counters["resilience.corrupted_records"] > 0
+        assert telemetry.counters["pool.crashes"] > 0
+        assert telemetry.counters["pool.hangs"] > 0
+        assert telemetry.counters["pool.corrupt_replies"] > 0
 
 
 class TestCorruptionDetection:
@@ -105,8 +105,8 @@ class TestCorruptionDetection:
         plan = FaultPlan(seed=0, corrupt_rate=1.0, max_faults_per_chunk=1)
         records = _chaos_run(plan, telemetry=telemetry)
         assert records == BASELINE
-        assert telemetry.counters["resilience.corrupted_records"] > 0
-        assert telemetry.counters.get("resilience.crashes_detected", 0) == 0
+        assert telemetry.counters["pool.corrupt_replies"] > 0
+        assert telemetry.counters.get("pool.crashes", 0) == 0
 
 
 class TestPoisonQuarantine:
@@ -127,7 +127,7 @@ class TestPoisonQuarantine:
             r.final_nops == b.seed_nops
             for r, b in zip(records, BASELINE)
         )
-        assert telemetry.counters["resilience.poison_chunks"] > 0
+        assert telemetry.counters["pool.degraded"] > 0
         assert telemetry.counters["resilience.poison_blocks"] == BLOCKS
 
 

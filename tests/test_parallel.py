@@ -12,11 +12,11 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.experiments import parallel
 from repro.experiments.parallel import default_workers, run_population_parallel
 from repro.experiments.runner import run_population, schedule_generated_block
 from repro.ir.textual import parse_block
 from repro.machine.presets import paper_simulation_machine
+from repro.resilience import pool
 from repro.sched.search import SearchOptions
 from repro.synth.generator import GeneratedBlock
 from repro.synth.population import sample_population_params
@@ -136,7 +136,7 @@ class TestFallback:
             def __init__(self, *args, **kwargs):
                 raise OSError("no process support in this sandbox")
 
-        monkeypatch.setattr(parallel, "Process", ExplodingProcess)
+        monkeypatch.setattr(pool, "Process", ExplodingProcess)
         telemetry = Telemetry()
         par = run_population_parallel(
             N_BLOCKS, curtail=CURTAIL, master_seed=SEED, workers=4,

@@ -8,19 +8,22 @@ ladder's per-rung record contract.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 
 import pytest
 
-from repro.ioutil import atomic_write_json, atomic_write_text
-from repro.machine.presets import paper_simulation_machine
+from repro.experiments.parallel import CHUNKS_PER_WORKER, run_population_parallel
 from repro.experiments.runner import (
     BlockRecord,
+    VerificationError,
     list_seed_record,
     run_population,
     schedule_generated_block,
 )
+from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.machine.presets import paper_simulation_machine
 from repro.resilience import (
     LADDER,
     STEP_CURTAILED,
@@ -29,7 +32,6 @@ from repro.resilience import (
     STEP_SPLIT,
     BlockBudget,
     BudgetManager,
-    ChunkSupervisor,
     FaultPlan,
     Journal,
     JournalError,
@@ -288,32 +290,6 @@ class TestSupervisorPolicy:
             0.25, 0.5, 1.0, 1.0,
         ]
 
-    def test_retry_then_poison(self):
-        sup = ChunkSupervisor(2, SupervisorConfig(max_retries=2, backoff_base=0.0))
-        assert sup.next_ready(0.0) == 0
-        assert sup.note_failure(0, "crash", 0.0) == "retry"
-        assert sup.note_failure(0, "crash", 0.0) == "retry"
-        assert sup.note_failure(0, "crash", 0.0) == "poison"
-        assert sup.poisoned == {0}
-        assert not sup.finished()
-        sup.note_success(1)
-        assert sup.finished()
-        assert len(sup.failures) == 3
-
-    def test_backoff_gates_requeue(self):
-        sup = ChunkSupervisor(1, SupervisorConfig(backoff_base=10.0))
-        sup.next_ready(0.0)
-        sup.note_failure(0, "hang", now=100.0)
-        assert sup.next_ready(100.0) is None  # still backing off
-        assert sup.sleep_hint(100.0) == pytest.approx(8.0)  # capped
-        assert sup.next_ready(110.0) == 0
-
-    def test_drain_pending(self):
-        sup = ChunkSupervisor(3, SupervisorConfig())
-        assert sup.next_ready(0.0) == 0
-        assert sorted(sup.drain_pending()) == [1, 2]
-        assert sup.next_ready(0.0) is None
-
     def test_validate_records(self):
         good = [_record(0), _record(1)]
         assert validate_records(good, [0, 1]) is None
@@ -453,3 +429,56 @@ class TestLadderIntegration:
         assert [r.index for r in fresh] == [4, 5]
         assert telemetry.counters["resilience.journal_blocks_skipped"] == 4
         assert telemetry.counters["blocks.scheduled"] == 2
+
+
+# ----------------------------------------------------------------------
+# Population runs on the supervised pool
+# ----------------------------------------------------------------------
+class TestPooledPopulation:
+    def test_run_omega_cap_drains_undispatched_chunks(self):
+        telemetry = Telemetry()
+        batches = []
+        records = run_population_parallel(
+            40, master_seed=SEED, workers=2, telemetry=telemetry,
+            budget=BudgetManager(run_omega_cap=1), on_records=batches.append,
+        )
+        assert [r.index for r in records] == list(range(40))
+        # One chunk in flight per worker: chunks 0 and 1 run, the first
+        # one accepted spends the cap, and chunks 2.. are never dispatched.
+        n_chunks = 2 * CHUNKS_PER_WORKER
+        drained = [r for r in records if r.index % n_chunks >= 2]
+        assert drained
+        assert all(
+            r.ladder == STEP_LIST_SEED and r.omega_calls == 0 for r in drained
+        )
+        # The counter covers every block that skipped its search: the
+        # drained chunks, plus blocks of the two running chunks that
+        # found their worker's copy of the cap already spent.
+        skipped = [
+            r for r in records
+            if r.ladder == STEP_LIST_SEED and r.omega_calls == 0
+        ]
+        assert len(skipped) < len(records)
+        assert telemetry.counters["resilience.run_budget_exhausted"] == len(
+            skipped
+        )
+        assert sorted(r.index for b in batches for r in b) == list(range(40))
+
+    def test_worker_certificate_failure_aborts_unretried(self, monkeypatch):
+        from repro.verify import certificate
+
+        real = certificate.check_schedule
+
+        def rejecting(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), ok=False)
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(certificate, "check_schedule", rejecting)
+        telemetry = Telemetry()
+        with pytest.raises(VerificationError, match="REJECTED"):
+            run_population_parallel(
+                20, master_seed=SEED, workers=2, verify=True,
+                telemetry=telemetry,
+            )
+        assert telemetry.counters.get("pool.retries", 0) == 0
+        assert multiprocessing.active_children() == []

@@ -36,8 +36,8 @@ from repro.service import (
     WorkerPool,
     create_server,
 )
-from repro.service.pool import PoolJob
-from repro.service.server import SCHEMA
+from repro.resilience.pool import PoolJob
+from repro.service.server import SCHEMA, execute_job
 from repro.telemetry import Telemetry
 from repro.verify.certificate import check_schedule
 
@@ -81,7 +81,8 @@ def _pooled_service(
 ):
     pool = WorkerPool(
         workers,
-        cache=cache,
+        execute_job,
+        context=cache,
         config=SupervisorConfig(
             hang_timeout=hang_timeout,
             max_retries=max_retries,
@@ -90,7 +91,6 @@ def _pooled_service(
         ),
         fault_plan=fault_plan,
         queue_limit=pool_queue_limit,
-        hang_timeout=hang_timeout,
     ).start()
     return SchedulingService(
         cache=cache, options=OPTIONS, pool=pool, queue_limit=queue_limit
@@ -141,9 +141,9 @@ class TestWorkerPool:
             _entry_core(e) for e in baseline_reply["entries"]
         ]
         assert all(e["worker_retries"] == 1 for e in reply["entries"])
-        assert service.telemetry.counters["service.pool.crashes"] == len(BLOCKS)
-        assert service.telemetry.counters["service.pool.retries"] == len(BLOCKS)
-        assert "service.pool.degraded" not in service.telemetry.counters
+        assert service.telemetry.counters["pool.crashes"] == len(BLOCKS)
+        assert service.telemetry.counters["pool.retries"] == len(BLOCKS)
+        assert "pool.degraded" not in service.telemetry.counters
 
     def test_corrupt_reply_detected_and_retried(self, baseline_reply):
         plan = FaultPlan(seed=11, corrupt_rate=1.0, max_faults_per_chunk=1)
@@ -153,7 +153,7 @@ class TestWorkerPool:
             _entry_core(e) for e in baseline_reply["entries"]
         ]
         assert (
-            service.telemetry.counters["service.pool.corrupt_replies"]
+            service.telemetry.counters["pool.corrupt_replies"]
             == len(BLOCKS)
         )
 
@@ -166,7 +166,7 @@ class TestWorkerPool:
         assert [_entry_core(e) for e in reply["entries"]] == [
             _entry_core(e) for e in baseline_reply["entries"]
         ]
-        assert service.telemetry.counters["service.pool.hangs"] == len(BLOCKS)
+        assert service.telemetry.counters["pool.hangs"] == len(BLOCKS)
 
     def test_persistent_crash_degrades_to_list_seed(self):
         # Every attempt crashes: past max_retries the entry degrades to
@@ -200,10 +200,9 @@ class TestWorkerPool:
             assert status == "hit"
 
     def test_pool_rejects_oversized_batch(self):
-        pool = WorkerPool(1, queue_limit=2)
+        pool = WorkerPool(1, execute_job, queue_limit=2)
         jobs = [
-            PoolJob("b", BLOCKS[0], "paper-simulation", OPTIONS, None,
-                    (1, 2, 3, 4, 5), hang_timeout=60.0)
+            PoolJob(("b", BLOCKS[0], "paper-simulation", OPTIONS, None))
             for _ in range(3)
         ]
         with pytest.raises(PoolSaturated) as exc:
