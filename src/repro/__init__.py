@@ -30,78 +30,50 @@ True
 >>> print(result.assembly)          # doctest: +SKIP
 """
 
-from .analysis import explain_schedule, render_timeline
-from .driver import (
-    CompilationResult,
-    ProgramCompilation,
-    VerificationError,
-    compile_program,
-    compile_source,
-    verify_compilation,
-    verify_program,
-)
-from .ir import (
-    BasicBlock,
-    BlockBuilder,
-    DependenceDAG,
-    IRTuple,
-    Opcode,
-    format_block,
-    parse_block,
-    run_block,
-)
-from .machine import (
-    MachineDescription,
-    PipelineDesc,
-    get_machine,
-    paper_example_machine,
-    paper_simulation_machine,
-)
-from .sched import (
-    InitialConditions,
-    SearchOptions,
-    SearchResult,
-    compute_timing,
-    list_schedule,
-    schedule_block,
-    schedule_block_multi,
-    schedule_block_split,
-    schedule_sequence,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompilationResult",
-    "ProgramCompilation",
-    "compile_program",
-    "verify_program",
-    "VerificationError",
-    "compile_source",
-    "verify_compilation",
-    "BasicBlock",
-    "BlockBuilder",
-    "DependenceDAG",
-    "IRTuple",
-    "Opcode",
-    "format_block",
-    "parse_block",
-    "run_block",
-    "MachineDescription",
-    "PipelineDesc",
-    "get_machine",
-    "paper_example_machine",
-    "paper_simulation_machine",
-    "InitialConditions",
-    "SearchOptions",
-    "SearchResult",
-    "schedule_sequence",
-    "explain_schedule",
-    "render_timeline",
-    "compute_timing",
-    "list_schedule",
-    "schedule_block",
-    "schedule_block_multi",
-    "schedule_block_split",
-    "__version__",
-]
+
+def _lazy_namespace(namespace, table):
+    """PEP 562 lazy namespace: return ``(__all__, __getattr__, __dir__)``
+    for the module whose globals are ``namespace``.
+
+    ``table`` maps a relative submodule path to the names it defines (the
+    key ``"."`` lists names that are submodules themselves).  A name is
+    imported on first access and cached in ``namespace``, so importing a
+    package costs only what its callers use.
+    """
+    owner = {name: sub for sub, names in table.items() for name in names}
+    module_name, anchor = namespace["__name__"], namespace["__package__"]
+
+    def __getattr__(name):
+        sub = owner.get(name)
+        if sub is None:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+        if sub == ".":
+            value = _import_module("." + name, anchor)
+        else:
+            value = getattr(_import_module(sub, anchor), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(owner))
+
+    return list(owner), __getattr__, __dir__
+
+
+_exports, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".driver": ("CompilationResult", "ProgramCompilation", "compile_program", "verify_program",
+        "VerificationError", "compile_source", "verify_compilation"),
+    ".ir": ("BasicBlock", "BlockBuilder", "DependenceDAG", "IRTuple", "Opcode", "format_block",
+        "parse_block", "run_block"),
+    ".machine": ("MachineDescription", "PipelineDesc", "get_machine", "paper_example_machine",
+        "paper_simulation_machine"),
+    ".sched": ("InitialConditions", "SearchOptions", "SearchResult", "schedule_sequence",
+        "compute_timing", "list_schedule", "schedule_block", "schedule_block_multi",
+        "schedule_block_split"),
+    ".analysis": ("explain_schedule", "render_timeline"),
+})
+__all__ = [*_exports, "__version__"]

@@ -60,136 +60,28 @@ Caching searches::
                             SearchOptions())
 """
 
-from __future__ import annotations
+from . import __version__, _lazy_namespace
 
-from . import __version__
-from .driver import (
-    CompilationResult,
-    LoopCompilation,
-    ProgramCompilation,
-    VerificationError,
-    compile_block,
-    compile_loop,
-    compile_program,
-    compile_source,
-    verify_compilation,
-    verify_program,
-)
-from .frontend import lower_loop
-from .ilp import IlpOptions, IlpSearchResult, schedule_block_ilp
-from .ir import (
-    BasicBlock,
-    DependenceDAG,
-    IRTuple,
-    LoopBlock,
-    Opcode,
-    format_block,
-    parse_block,
-    run_block,
-)
-from .machine import (
-    MachineDescription,
-    PipelineDesc,
-    get_machine,
-    paper_example_machine,
-    paper_simulation_machine,
-)
-from .machine.presets import PRESETS
-from .machine.serialize import (
-    load_machine,
-    machine_from_dict,
-    machine_to_dict,
-    save_machine,
-)
-from .sched import (
-    InitialConditions,
-    ModuloScheduleResult,
-    ScheduleOutcome,
-    ScheduleRequest,
-    SearchOptions,
-    SearchResult,
-    compute_timing,
-    list_schedule,
-    min_initiation_interval,
-    schedule_block,
-    schedule_loop,
-)
-from .service import (
-    CacheIntegrityError,
-    CanonicalForm,
-    ScheduleCache,
-    SchedulingService,
-    ServiceClient,
-    ServiceClientError,
-    ServiceError,
-    create_server,
-    fingerprint_problem,
-)
-from .telemetry import Telemetry
-from .verify.certificate import check_schedule, check_steady_state
-
-__all__ = [
-    # compiling
-    "CompilationResult",
-    "LoopCompilation",
-    "ProgramCompilation",
-    "VerificationError",
-    "compile_block",
-    "compile_loop",
-    "compile_program",
-    "compile_source",
-    "verify_compilation",
-    "verify_program",
-    # IR
-    "BasicBlock",
-    "DependenceDAG",
-    "IRTuple",
-    "LoopBlock",
-    "Opcode",
-    "format_block",
-    "lower_loop",
-    "parse_block",
-    "run_block",
-    # machines
-    "MachineDescription",
-    "PipelineDesc",
-    "PRESETS",
-    "get_machine",
-    "paper_example_machine",
-    "paper_simulation_machine",
-    "load_machine",
-    "save_machine",
-    "machine_from_dict",
-    "machine_to_dict",
-    # scheduling
-    "IlpOptions",
-    "IlpSearchResult",
-    "InitialConditions",
-    "ModuloScheduleResult",
-    "ScheduleOutcome",
-    "ScheduleRequest",
-    "SearchOptions",
-    "SearchResult",
-    "compute_timing",
-    "list_schedule",
-    "min_initiation_interval",
-    "schedule_block",
-    "schedule_block_ilp",
-    "schedule_loop",
-    # verification
-    "check_schedule",
-    "check_steady_state",
-    # service
-    "CacheIntegrityError",
-    "CanonicalForm",
-    "ScheduleCache",
-    "SchedulingService",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceError",
-    "create_server",
-    "fingerprint_problem",
-    # telemetry
-    "Telemetry",
-    "__version__",
-]
+_exports, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".driver": ("CompilationResult", "LoopCompilation", "ProgramCompilation",
+        "VerificationError", "compile_block", "compile_loop", "compile_program",
+        "compile_source", "verify_compilation", "verify_program"),
+    ".ir": ("BasicBlock", "DependenceDAG", "IRTuple", "LoopBlock", "Opcode", "format_block",
+        "parse_block", "run_block"),
+    ".frontend.lowering": ("lower_loop",),
+    ".machine": ("MachineDescription", "PipelineDesc", "get_machine", "paper_example_machine",
+        "paper_simulation_machine"),
+    ".machine.presets": ("PRESETS",),
+    ".machine.serialize": ("load_machine", "save_machine", "machine_from_dict",
+        "machine_to_dict"),
+    ".ilp": ("IlpOptions", "IlpSearchResult", "schedule_block_ilp"),
+    ".sched": ("InitialConditions", "ModuloScheduleResult", "ScheduleOutcome", "ScheduleRequest",
+        "SearchOptions", "SearchResult", "compute_timing", "list_schedule",
+        "min_initiation_interval", "schedule_block", "schedule_loop"),
+    ".verify.certificate": ("check_schedule", "check_steady_state"),
+    ".service": ("CacheIntegrityError", "CanonicalForm", "ScheduleCache", "SchedulingService",
+        "ServiceClient", "ServiceClientError", "ServiceError", "create_server",
+        "fingerprint_problem"),
+    ".telemetry": ("Telemetry",),
+})
+__all__ = [*_exports, "__version__"]

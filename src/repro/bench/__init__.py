@@ -15,6 +15,8 @@ and ``benchmarks/bench_hot_core.py`` (the pytest-benchmark view of the
 same measurement).
 """
 
-from .hot_core import SCHEMA, run_bench
+from .. import _lazy_namespace
 
-__all__ = ["SCHEMA", "run_bench"]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".hot_core": ("SCHEMA", "run_bench"),
+})

@@ -123,7 +123,7 @@ KERNEL_MACHINES = (
 
 def bench_environment() -> Dict:
     """The ``config.env`` record: everything a timing depends on."""
-    from ..native import compiler_info
+    from ..native.build import compiler_info
 
     return {
         "python": platform.python_version(),

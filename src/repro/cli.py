@@ -256,7 +256,7 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-compile") -> int:
     loop_input = False
     if not args.tuples:
         try:
-            from .frontend import parse_program
+            from .frontend.parser import parse_program
 
             loop_input = parse_program(source).has_loops
         except Exception:
@@ -353,7 +353,7 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-compile") -> int:
         )
         chunks.append(f"; schedule (ident@cycle): {pairs}")
     if "timeline" in show:
-        from .analysis import render_timeline
+        from .analysis.timeline import render_timeline
 
         chunks.append(
             render_timeline(
@@ -361,7 +361,7 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-compile") -> int:
             )
         )
     if "explain" in show:
-        from .analysis import explain_schedule
+        from .analysis.timeline import explain_schedule
 
         explanations = explain_schedule(
             result.block, machine, result.timing, dag=result.dag

@@ -16,8 +16,10 @@ Each subcommand delegates to the corresponding tool module
 (``--engine``, ``--seed``, ``--curtail``, ``--stats-json``, the budget
 and timeout knobs) come from one registry in :mod:`repro.cliutil`, so
 their names and defaults cannot drift between tools.  Subcommand
-modules are imported lazily so ``repro compile`` does not pay for the
-experiment suite's imports.
+modules are imported on dispatch, and the package namespaces are lazy,
+so ``repro --help`` loads only ``repro`` and this module, and ``repro
+compile`` loads neither the experiment suite nor the daemon (pinned by
+``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations

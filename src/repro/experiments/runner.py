@@ -33,6 +33,7 @@ from ..resilience.budget import (
     BudgetManager,
 )
 from ..sched.list_scheduler import list_schedule, program_order
+from ..sched.multi import first_pipeline_assignment
 from ..sched.nop_insertion import ScheduleTiming, compute_timing
 from ..sched.search import SearchOptions, SearchResult, schedule_block
 from ..sched.splitting import schedule_block_split
@@ -43,6 +44,7 @@ from ..synth.population import (
     sample_population_params,
 )
 from ..telemetry import Telemetry
+from ..verify import certificate
 
 #: The paper's population size.
 PAPER_BLOCKS = 16_000
@@ -340,11 +342,8 @@ def _verify_record(block, dag, machine, timing, final_nops, telemetry):
     list seed — because that is the schedule the record reports;
     verifying an abandoned incumbent would check a schedule nobody sees.
     """
-    from ..sched.multi import first_pipeline_assignment
-    from ..verify.certificate import check_schedule
-
     assignment = first_pipeline_assignment(dag, machine)
-    cert = check_schedule(
+    cert = certificate.check_schedule(
         block, machine, timing.order, timing.etas, assignment=assignment
     )
     if telemetry is not None:

@@ -12,23 +12,11 @@ Pure Python throughout; NumPy, when present, only accelerates the
 simplex pivots and changes no results.
 """
 
-from .backend import IlpSearchResult, run_ilp_search, schedule_block_ilp
-from .bnb import BnbOutcome, IlpOptions, branch_and_bound
-from .encoder import ModelTables, TimeIndexedModel
-from .simplex import INFEASIBLE, OPTIMAL, LinearProgram, LpSolution, solve
+from .. import _lazy_namespace
 
-__all__ = [
-    "INFEASIBLE",
-    "OPTIMAL",
-    "BnbOutcome",
-    "IlpOptions",
-    "IlpSearchResult",
-    "LinearProgram",
-    "LpSolution",
-    "ModelTables",
-    "TimeIndexedModel",
-    "branch_and_bound",
-    "run_ilp_search",
-    "schedule_block_ilp",
-    "solve",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".simplex": ("INFEASIBLE", "OPTIMAL", "LinearProgram", "LpSolution", "solve"),
+    ".bnb": ("BnbOutcome", "IlpOptions", "branch_and_bound"),
+    ".backend": ("IlpSearchResult", "run_ilp_search", "schedule_block_ilp"),
+    ".encoder": ("ModelTables", "TimeIndexedModel"),
+})

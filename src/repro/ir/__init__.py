@@ -1,76 +1,16 @@
 """Tuple intermediate form: instructions, blocks, dependence DAG,
 reference interpreter, and the paper's linear notation."""
 
-from .block import BasicBlock, BlockBuilder, BlockValidationError
-from .dag import COUNT_CAPPED, DependenceDAG, DependenceEdge
-from .interp import (
-    ExecutionResult,
-    UndefinedVariableError,
-    blocks_equivalent,
-    run_block,
-)
-from .loop import (
-    LoopBlock,
-    LoopCarriedDep,
-    concatenate_iterations,
-    derive_carried_dependences,
-    run_loop,
-)
-from .ops import BINARY_ARITHMETIC, VALUE_PRODUCING_OPCODES, Opcode, parse_opcode
-from .textual import TupleSyntaxError, format_block, format_tuple, parse_block
-from .tuples import (
-    ConstOperand,
-    IRTuple,
-    Operand,
-    RefOperand,
-    VarOperand,
-    add,
-    const,
-    copy,
-    div,
-    load,
-    mul,
-    neg,
-    store,
-    sub,
-)
+from .. import _lazy_namespace
 
-__all__ = [
-    "Opcode",
-    "parse_opcode",
-    "BINARY_ARITHMETIC",
-    "VALUE_PRODUCING_OPCODES",
-    "ConstOperand",
-    "IRTuple",
-    "Operand",
-    "RefOperand",
-    "VarOperand",
-    "add",
-    "const",
-    "copy",
-    "div",
-    "load",
-    "mul",
-    "neg",
-    "store",
-    "sub",
-    "BasicBlock",
-    "BlockBuilder",
-    "BlockValidationError",
-    "COUNT_CAPPED",
-    "DependenceDAG",
-    "DependenceEdge",
-    "ExecutionResult",
-    "UndefinedVariableError",
-    "blocks_equivalent",
-    "run_block",
-    "LoopBlock",
-    "LoopCarriedDep",
-    "concatenate_iterations",
-    "derive_carried_dependences",
-    "run_loop",
-    "TupleSyntaxError",
-    "format_block",
-    "format_tuple",
-    "parse_block",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".ops": ("Opcode", "parse_opcode", "BINARY_ARITHMETIC", "VALUE_PRODUCING_OPCODES"),
+    ".tuples": ("ConstOperand", "IRTuple", "Operand", "RefOperand", "VarOperand", "add", "const",
+        "copy", "div", "load", "mul", "neg", "store", "sub"),
+    ".block": ("BasicBlock", "BlockBuilder", "BlockValidationError"),
+    ".dag": ("COUNT_CAPPED", "DependenceDAG", "DependenceEdge"),
+    ".interp": ("ExecutionResult", "UndefinedVariableError", "blocks_equivalent", "run_block"),
+    ".loop": ("LoopBlock", "LoopCarriedDep", "concatenate_iterations",
+        "derive_carried_dependences", "run_loop"),
+    ".textual": ("TupleSyntaxError", "format_block", "format_tuple", "parse_block"),
+})

@@ -1,49 +1,13 @@
 """Target machine model: pipelines and operation mappings."""
 
-from .machine import (
-    UNPIPELINED_LATENCY,
-    MachineDescription,
-    MachineValidationError,
-)
-from .pipeline import PipelineDesc
-from .presets import (
-    PRESETS,
-    asymmetric_units_machine,
-    deep_memory_machine,
-    get_machine,
-    paper_example_machine,
-    paper_simulation_machine,
-    scalar_machine,
-    unpipelined_units_machine,
-)
-from .serialize import (
-    MachineSyntaxError,
-    format_machine,
-    load_machine,
-    machine_from_dict,
-    machine_to_dict,
-    parse_machine,
-    save_machine,
-)
+from .. import _lazy_namespace
 
-__all__ = [
-    "PipelineDesc",
-    "MachineDescription",
-    "MachineValidationError",
-    "UNPIPELINED_LATENCY",
-    "PRESETS",
-    "deep_memory_machine",
-    "get_machine",
-    "paper_example_machine",
-    "paper_simulation_machine",
-    "scalar_machine",
-    "unpipelined_units_machine",
-    "asymmetric_units_machine",
-    "MachineSyntaxError",
-    "format_machine",
-    "load_machine",
-    "machine_from_dict",
-    "machine_to_dict",
-    "parse_machine",
-    "save_machine",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".pipeline": ("PipelineDesc",),
+    ".machine": ("MachineDescription", "MachineValidationError", "UNPIPELINED_LATENCY"),
+    ".presets": ("PRESETS", "deep_memory_machine", "get_machine", "paper_example_machine",
+        "paper_simulation_machine", "scalar_machine", "unpipelined_units_machine",
+        "asymmetric_units_machine"),
+    ".serialize": ("MachineSyntaxError", "format_machine", "load_machine", "machine_from_dict",
+        "machine_to_dict", "parse_machine", "save_machine"),
+})

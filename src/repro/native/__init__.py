@@ -19,22 +19,10 @@ except wall time); without a C compiler the engine degrades to ``fast``
 with a one-line stderr notice.
 """
 
-from .bindings import (
-    load_kernel,
-    native_available,
-    native_dfs,
-    native_split,
-    unavailable_reason,
-)
-from .build import NativeBuildError, build_kernel, compiler_info
+from .. import _lazy_namespace
 
-__all__ = [
-    "NativeBuildError",
-    "build_kernel",
-    "compiler_info",
-    "load_kernel",
-    "native_available",
-    "native_dfs",
-    "native_split",
-    "unavailable_reason",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".build": ("NativeBuildError", "build_kernel", "compiler_info"),
+    ".bindings": ("load_kernel", "native_available", "native_dfs", "native_split",
+        "unavailable_reason"),
+})

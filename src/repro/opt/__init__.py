@@ -1,24 +1,12 @@
 """Traditional optimizations applied before scheduling (section 3.1):
 constant folding with value propagation, CSE, DCE, peephole."""
 
-from .cse import eliminate_common_subexpressions
-from .dce import eliminate_dead_code
-from .fold import fold_constants
-from .manager import (
-    OptimizationReport,
-    default_passes,
-    optimize,
-    optimize_block,
-)
-from .peephole import peephole_optimize
+from .. import _lazy_namespace
 
-__all__ = [
-    "fold_constants",
-    "eliminate_common_subexpressions",
-    "eliminate_dead_code",
-    "peephole_optimize",
-    "OptimizationReport",
-    "default_passes",
-    "optimize",
-    "optimize_block",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".fold": ("fold_constants",),
+    ".cse": ("eliminate_common_subexpressions",),
+    ".dce": ("eliminate_dead_code",),
+    ".peephole": ("peephole_optimize",),
+    ".manager": ("OptimizationReport", "default_passes", "optimize", "optimize_block"),
+})

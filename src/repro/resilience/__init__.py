@@ -17,31 +17,12 @@ Five pieces, composed by :mod:`repro.experiments.parallel`, the
   injection used by the chaos suites and the ``--chaos`` CLI flags.
 """
 
-from .budget import (
-    LADDER,
-    STEP_CURTAILED,
-    STEP_LIST_SEED,
-    STEP_OPTIMAL,
-    STEP_SPLIT,
-    BlockBudget,
-    BudgetManager,
-)
-from .faults import FaultPlan
-from .journal import Journal, JournalError, load_journal
-from .supervisor import SupervisorConfig, validate_records
+from .. import _lazy_namespace
 
-__all__ = [
-    "LADDER",
-    "STEP_CURTAILED",
-    "STEP_LIST_SEED",
-    "STEP_OPTIMAL",
-    "STEP_SPLIT",
-    "BlockBudget",
-    "BudgetManager",
-    "FaultPlan",
-    "Journal",
-    "JournalError",
-    "load_journal",
-    "SupervisorConfig",
-    "validate_records",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".budget": ("LADDER", "STEP_CURTAILED", "STEP_LIST_SEED", "STEP_OPTIMAL", "STEP_SPLIT",
+        "BlockBudget", "BudgetManager"),
+    ".faults": ("FaultPlan",),
+    ".journal": ("Journal", "JournalError", "load_journal"),
+    ".supervisor": ("SupervisorConfig", "validate_records"),
+})

@@ -112,7 +112,7 @@ def resolve_engine(engine: str, telemetry=None) -> str:
             telemetry.count("search.engine_fallbacks")
         return "fast"
     if engine == "native":
-        from ..native import native_available, unavailable_reason
+        from ..native.bindings import native_available, unavailable_reason
 
         if not native_available():
             warn_native_fallback(unavailable_reason())

@@ -20,34 +20,13 @@ Layers:
   fresh one and degrades honestly past the retry cap.
 """
 
-from ..resilience.pool import PoolSaturated, WorkerPool
-from .cache import CacheIntegrityError, ScheduleCache
-from .client import ServiceClient, ServiceClientError
-from .fingerprint import CanonicalForm, fingerprint_problem
-from .server import (
-    SchedulingService,
-    ServiceDrainingError,
-    ServiceError,
-    ServiceOverloadError,
-    create_server,
-    execute_block,
-    execute_job,
-)
+from .. import _lazy_namespace
 
-__all__ = [
-    "CanonicalForm",
-    "fingerprint_problem",
-    "ScheduleCache",
-    "CacheIntegrityError",
-    "SchedulingService",
-    "ServiceError",
-    "ServiceOverloadError",
-    "ServiceDrainingError",
-    "create_server",
-    "execute_block",
-    "execute_job",
-    "ServiceClient",
-    "ServiceClientError",
-    "WorkerPool",
-    "PoolSaturated",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".fingerprint": ("CanonicalForm", "fingerprint_problem"),
+    ".cache": ("ScheduleCache", "CacheIntegrityError"),
+    ".server": ("SchedulingService", "ServiceError", "ServiceOverloadError",
+        "ServiceDrainingError", "create_server", "execute_block", "execute_job"),
+    ".client": ("ServiceClient", "ServiceClientError"),
+    "..resilience.pool": ("WorkerPool", "PoolSaturated"),
+})

@@ -57,6 +57,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from ..ioutil import atomic_write_json
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
+from ..sched.multi import first_pipeline_assignment
 from ..sched.nop_insertion import (
     InitialConditions,
     PipelineAssignment,
@@ -64,6 +65,7 @@ from ..sched.nop_insertion import (
 )
 from ..sched.search import SearchOptions, SearchResult, schedule_block
 from ..telemetry import PRUNE_KINDS, Telemetry
+from ..verify import certificate
 from .fingerprint import CanonicalForm, fingerprint_problem
 
 __all__ = ["ScheduleCache", "CacheIntegrityError", "STORE_SCHEMA"]
@@ -270,14 +272,11 @@ class ScheduleCache:
         assignment: Optional[PipelineAssignment],
         initial_conditions: Optional[InitialConditions],
     ) -> None:
-        from ..sched.multi import first_pipeline_assignment
-        from ..verify.certificate import check_schedule
-
         if assignment is None:
             assignment = first_pipeline_assignment(dag, machine)
         initial = initial_conditions or InitialConditions()
         for label, timing in (("best", result.best), ("initial", result.initial)):
-            cert = check_schedule(
+            cert = certificate.check_schedule(
                 dag.block,
                 machine,
                 timing.order,

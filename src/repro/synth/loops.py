@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..frontend import ForLoop, lower_loop, parse_program
+from ..frontend.ast import ForLoop
+from ..frontend.lowering import lower_loop
+from ..frontend.parser import parse_program
 from ..ir.loop import LoopBlock
 
 

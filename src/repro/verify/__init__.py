@@ -25,41 +25,13 @@ package is the trust anchor that does not share that code:
   enumeration.
 """
 
-from .certificate import (
-    BruteForceIIResult,
-    BruteForceResult,
-    CertificateReport,
-    LoopCertificateReport,
-    Violation,
-    brute_force_min_ii,
-    brute_force_optimum,
-    check_schedule,
-    check_steady_state,
-    loop_ii_lower_bound,
-)
-from .fuzz import FuzzResult, adversarial_machines, run_fuzz
-from .loops import LoopOracleReport, check_loop, run_loop_suite
-from .oracle import Discrepancy, OracleReport, check_block, replay_report
+from .. import _lazy_namespace
 
-__all__ = [
-    "BruteForceIIResult",
-    "BruteForceResult",
-    "CertificateReport",
-    "Discrepancy",
-    "FuzzResult",
-    "LoopCertificateReport",
-    "LoopOracleReport",
-    "OracleReport",
-    "Violation",
-    "adversarial_machines",
-    "brute_force_min_ii",
-    "brute_force_optimum",
-    "check_block",
-    "check_loop",
-    "check_schedule",
-    "check_steady_state",
-    "loop_ii_lower_bound",
-    "replay_report",
-    "run_loop_suite",
-    "run_fuzz",
-]
+__all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
+    ".certificate": ("BruteForceIIResult", "BruteForceResult", "CertificateReport",
+        "LoopCertificateReport", "Violation", "brute_force_min_ii", "brute_force_optimum",
+        "check_schedule", "check_steady_state", "loop_ii_lower_bound"),
+    ".fuzz": ("FuzzResult", "adversarial_machines", "run_fuzz"),
+    ".loops": ("LoopOracleReport", "check_loop", "run_loop_suite"),
+    ".oracle": ("Discrepancy", "OracleReport", "check_block", "replay_report"),
+})

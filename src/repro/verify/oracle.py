@@ -236,7 +236,7 @@ def check_block(
     if optimality and options.max_live is not None:
         skipped.append("ilp")
     elif optimality:
-        from ..ilp import IlpOptions
+        from ..ilp.bnb import IlpOptions
 
         if ilp_options is None:
             ilp_options = IlpOptions(max_nodes=400, time_limit=10.0)

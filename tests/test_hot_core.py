@@ -17,14 +17,8 @@ These tests pin that contract:
   split scheduler's engine parameter, the removed ``vector`` name).
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
-
-import repro
 
 import repro.sched.core as core
 from repro.experiments.runner import schedule_generated_block
@@ -340,37 +334,3 @@ def test_vector_alias_runs_fast(monkeypatch, capsys):
     assert split_vec.omega_calls == split_fast.omega_calls
     assert split_vec.all_windows_completed == split_fast.all_windows_completed
     assert dict(split_vec.prune_counts) == dict(split_fast.prune_counts)
-
-
-#: Runs in a fresh interpreter: the cache layer plus one fast search and
-#: one windowed split, then reports whether numpy was ever imported.
-_NO_NUMPY_PROBE = """
-import sys
-import repro.service.cache
-from repro.ir.dag import DependenceDAG
-from repro.ir.textual import parse_block
-from repro.machine.presets import get_machine
-from repro.sched.search import schedule_block
-from repro.sched.splitting import schedule_block_split
-dag = DependenceDAG(parse_block(
-    "1: Load #a\\n2: Load #b\\n3: Mul 1, 2\\n4: Add 3, 1\\n5: Store #c, 4"
-))
-machine = get_machine("paper-simulation")
-schedule_block(dag, machine, engine="fast")
-schedule_block_split(dag, machine, window=2)
-print("numpy" in sys.modules)
-"""
-
-
-def test_search_path_imports_no_numpy():
-    """The block search is pure Python: scheduling through the cache
-    layer's imports never pulls numpy into the process."""
-    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_PROBE],
-        env=dict(os.environ, PYTHONPATH=src_dir),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False", out.stdout + out.stderr
