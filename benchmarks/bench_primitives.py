@@ -10,7 +10,7 @@ import pytest
 
 from repro.ir.dag import DependenceDAG
 from repro.machine.presets import paper_simulation_machine
-from repro.opt.manager import optimize_block
+from repro.opt import optimize_block
 from repro.regalloc.allocator import allocate_registers
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.nop_insertion import (

@@ -7,7 +7,8 @@ Public API tour
   dependence DAG, a reference interpreter, and the paper's linear
   notation (Figure 3).
 - :mod:`repro.frontend` — the example source language, lowered to tuples.
-- :mod:`repro.opt` — constant folding/propagation, CSE, DCE, peephole.
+- :mod:`repro.opt` — constant folding/propagation, CSE and peephole in one
+  forward value-numbering walk; DCE in one backward liveness walk.
 - :mod:`repro.machine` — pipeline description tables and presets
   (including the paper's Tables 2-5 machines).
 - :mod:`repro.sched` — NOP insertion (Ω), the list-scheduling seed, the

@@ -270,7 +270,7 @@ def bench_population(
 def _kernel_dag(source: str) -> DependenceDAG:
     from ..frontend.lowering import lower_program
     from ..frontend.parser import parse_program
-    from ..opt.manager import optimize_block
+    from ..opt import optimize_block
 
     block = optimize_block(lower_program(parse_program(source), "bench"))
     return DependenceDAG(block)

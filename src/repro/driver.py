@@ -19,7 +19,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from .codegen.assembly import (
@@ -34,12 +34,13 @@ from .frontend.parser import parse_program
 from .ir.block import BasicBlock
 from .ir.dag import DependenceDAG
 from .machine.machine import MachineDescription
-from .opt.manager import optimize_block
+from .opt import optimize_block
 from .regalloc.allocator import RegisterAllocation, allocate_registers
+from .regalloc.liveness import max_live
 from .regalloc.spill import insert_spill_code
 from .sched.heuristics import greedy_schedule, gross_schedule
 from .sched.list_scheduler import list_schedule, program_order
-from .sched.nop_insertion import ScheduleTiming, compute_timing
+from .sched.nop_insertion import InitialConditions, ScheduleTiming, compute_timing
 from .sched.search import SearchOptions, SearchResult, schedule_block
 from .simulator.core import PipelineSimulator
 from .telemetry import Telemetry
@@ -123,9 +124,7 @@ def compile_source(
         # the register file, then constrain the scheduler to stay within
         # it — post-scheduling allocation then never needs new spills.
         block = insert_spill_code(block, num_registers).block
-        import dataclasses
-
-        options = dataclasses.replace(options, max_live=num_registers)
+        options = replace(options, max_live=num_registers)
     dag = DependenceDAG(block)
 
     search: Optional[SearchResult] = None
@@ -137,6 +136,7 @@ def compile_source(
         )
         timing = search.best
     elif scheduler == "multi":
+        # Deferred: only the multi-pipeline scheduler needs this module.
         from .sched.multi import schedule_block_multi
 
         multi = schedule_block_multi(dag, machine, options, telemetry=telemetry)
@@ -153,8 +153,6 @@ def compile_source(
     else:
         timing = compute_timing(dag, program_order(dag), machine)
     if scheduler not in ("optimal", "ilp", "multi") and num_registers is not None:
-        from .regalloc.liveness import max_live
-
         if max_live(block, timing.order) > num_registers:
             # Heuristic orders are pressure-oblivious; program order is
             # the schedule the spill pre-pass guarantees to fit.
@@ -218,6 +216,7 @@ def verify_compilation(
         result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK
         and result.pipeline_assignment is None
     ):
+        # Deferred: only a verified compilation runs the register machine.
         from .simulator.register_machine import RegisterMachine
 
         register_trace = RegisterMachine(result.machine).run_text(
@@ -263,9 +262,7 @@ def compile_block(
     block_options = options
     if num_registers is not None:
         block = insert_spill_code(block, num_registers).block
-        import dataclasses
-
-        block_options = dataclasses.replace(options, max_live=num_registers)
+        block_options = replace(options, max_live=num_registers)
     dag = DependenceDAG(block)
 
     search: Optional[SearchResult] = None
@@ -277,6 +274,7 @@ def compile_block(
         )
         timing = search.best
     elif scheduler == "multi":
+        # Deferred: only the multi-pipeline scheduler needs this module.
         from .sched.multi import schedule_block_multi
 
         multi = schedule_block_multi(
@@ -293,8 +291,6 @@ def compile_block(
     else:
         timing = compute_timing(dag, program_order(dag), machine)
     if scheduler not in ("optimal", "ilp", "multi") and num_registers is not None:
-        from .regalloc.liveness import max_live
-
         if max_live(block, timing.order) > num_registers:
             timing = compute_timing(dag, program_order(dag), machine)
 
@@ -368,8 +364,8 @@ def compile_program(
     threading both memory and pipeline state — and compared against
     source semantics.
     """
+    # Deferred: straight-line compile_source never needs the carry-out model.
     from .sched.interblock import carry_out
-    from .sched.nop_insertion import InitialConditions
 
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
@@ -394,11 +390,7 @@ def compile_program(
         block_options = options
         if num_registers is not None:
             block = insert_spill_code(block, num_registers).block
-            import dataclasses
-
-            block_options = dataclasses.replace(
-                options, max_live=num_registers
-            )
+            block_options = replace(options, max_live=num_registers)
         dag = DependenceDAG(block)
 
         search: Optional[SearchResult] = None
@@ -425,8 +417,6 @@ def compile_program(
                 dag, program_order(dag), machine, initial=conditions
             )
         if scheduler not in ("optimal", "ilp") and num_registers is not None:
-            from .regalloc.liveness import max_live
-
             if max_live(block, timing.order) > num_registers:
                 timing = compute_timing(
                     dag, program_order(dag), machine, initial=conditions
@@ -459,15 +449,16 @@ def verify_program(
     compiled: ProgramCompilation, memory: Mapping[str, int]
 ) -> None:
     """Simulate the whole block sequence (threading memory *and* pipeline
-    state) and compare every written variable against source semantics."""
+    state) and compare every written variable against source semantics.
+    Each block's assembly text also runs on the register machine, which
+    must leave every variable the block stores as the simulator does."""
+    # Deferred: straight-line compile_source never needs the carry-out model.
     from .sched.interblock import carry_out
 
     expected = run_program(compiled.program, dict(memory))
     current = dict(memory)
     conditions = None
     for index, result in enumerate(compiled.blocks):
-        from .sched.nop_insertion import InitialConditions
-
         sim = PipelineSimulator(
             result.block,
             compiled.machine,
@@ -483,6 +474,7 @@ def verify_program(
             )
         # Text-level cross-check under the same carry-in conditions.
         if result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK:
+            # Deferred: only a verified compilation runs the register machine.
             from .simulator.register_machine import RegisterMachine
 
             register_trace = RegisterMachine(compiled.machine).run_text(
@@ -494,6 +486,13 @@ def verify_program(
                     f"{register_trace.total_cycles} cycles on the register "
                     f"machine, schedule says {span}"
                 )
+            for var in result.block.stored_variables:
+                got, want = register_trace.memory.get(var), trace.memory.get(var)
+                if got != want:
+                    raise VerificationError(
+                        f"block {index}: assembly text left {var!r} = {got} "
+                        f"on the register machine, the simulator {want}"
+                    )
         current = dict(trace.memory)
         conditions = carry_out(result.timing, result.dag, compiled.machine)
     for var in compiled.program.variables_written():
@@ -559,6 +558,7 @@ def compile_loop(
     semantics; ``trip_count`` overrides the loop bounds for that check
     (useful when a bound is symbolic).
     """
+    # Deferred: the loop pipeliner and its certificate load only for loops.
     from .frontend.ast import ForLoop
     from .frontend.lowering import lower_loop
     from .ir.interp import run_block

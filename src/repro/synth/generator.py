@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 from ..frontend.ast import Assignment, Binary, Constant, Expr, Program, Unary, VarRead
 from ..frontend.lowering import lower_program
 from ..ir.block import BasicBlock
-from ..opt.manager import optimize_block
+from ..opt import optimize_block
 from .stats import DEFAULT_PROFILE, GeneratorProfile
 
 

@@ -1,15 +1,18 @@
 """Tests for multi-block programs: barrier parsing, splitting, and the
 compile_program driver (footnote 1 made user-facing)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.driver import compile_program, compile_source
+from repro.driver import VerificationError, compile_program, compile_source
 from repro.frontend.ast import run_program
 from repro.frontend.lowering import lower_program
 from repro.frontend.parser import ParseError, parse_program
 from repro.ir.ops import Opcode
 from repro.machine.machine import MachineDescription
 from repro.machine.pipeline import PipelineDesc
+from repro.simulator.register_machine import RegisterMachine
 
 
 class TestBarrierParsing:
@@ -82,6 +85,25 @@ class TestCompileProgram:
         )
         expected = run_program(compiled.program, self.MEMORY)
         assert expected["c"] == 42
+
+    def test_register_machine_memory_checked_in_every_block(
+        self, sim_machine, monkeypatch
+    ):
+        # The simulator's memory is what threads between blocks, so a
+        # wrong register in block 1's assembly text surfaces only if the
+        # register machine's own stores are compared.
+        run_text = RegisterMachine.run_text
+
+        def wrong_b(self, text, memory=None, **kwargs):
+            trace = run_text(self, text, memory, **kwargs)
+            if "b" in trace.memory:
+                wrong = {**trace.memory, "b": trace.memory["b"] + 1}
+                trace = replace(trace, memory=wrong)
+            return trace
+
+        monkeypatch.setattr(RegisterMachine, "run_text", wrong_b)
+        with pytest.raises(VerificationError, match="block 1: .*'b'"):
+            compile_program(self.SOURCE, sim_machine, verify_memory=self.MEMORY)
 
     def test_barrier_free_source_is_single_block(self, sim_machine):
         compiled = compile_program("a = x * y;", sim_machine)
