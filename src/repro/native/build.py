@@ -31,6 +31,15 @@ fresh compile instead of serving a stale object.  Installs are atomic
 (temp file + ``os.replace`` in the cache dir, the ``repro.ioutil``
 pattern), so concurrent first-use races collapse to one winner and a
 reader never observes a torn shared object.
+
+Sanitized builds
+----------------
+``REPRO_NATIVE_SANITIZE=1`` appends :data:`SANITIZE_FLAGS`
+(AddressSanitizer, UBSan, asserts on) to the flags.  The flags are part
+of the digest, so a sanitized object never serves a plain build or the
+reverse.  The CI job ``native-sanitize`` runs the native test modules
+and ``repro verify --kernels`` this way, with the ASan runtime preloaded
+into the uninstrumented interpreter.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from typing import List, Optional, Tuple
 
 __all__ = [
     "NativeBuildError",
+    "cflags",
     "find_compiler",
     "compiler_info",
     "build_kernel",
@@ -59,7 +69,23 @@ ABI_VERSION = 1
 #: Compilation flags (order matters: they are part of the cache key).
 CFLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-shared", "-std=c99", "-DNDEBUG")
 
+#: Added by ``REPRO_NATIVE_SANITIZE=1``: AddressSanitizer and UBSan with
+#: asserts on.  CPython is not instrumented, so loading such a kernel
+#: needs the ASan runtime preloaded
+#: (``LD_PRELOAD=$(cc -print-file-name=libasan.so)``).
+SANITIZE_FLAGS: Tuple[str, ...] = (
+    "-fsanitize=address,undefined", "-fno-omit-frame-pointer", "-UNDEBUG",
+)
+
 _CANDIDATES = ("cc", "gcc", "clang")
+
+
+def cflags() -> Tuple[str, ...]:
+    """The flags this process compiles with: :data:`CFLAGS`, plus
+    :data:`SANITIZE_FLAGS` when ``REPRO_NATIVE_SANITIZE=1``."""
+    if os.environ.get("REPRO_NATIVE_SANITIZE") == "1":
+        return CFLAGS + SANITIZE_FLAGS
+    return CFLAGS
 
 
 class NativeBuildError(RuntimeError):
@@ -136,7 +162,7 @@ def _cache_key(source: bytes, cc: str, version: str) -> str:
         source,
         cc.encode(),
         version.encode(),
-        " ".join(CFLAGS).encode(),
+        " ".join(cflags()).encode(),
         str(ABI_VERSION).encode(),
     ):
         h.update(part)
@@ -177,7 +203,7 @@ def build_kernel(force: bool = False) -> str:
     )
     os.close(fd)
     try:
-        cmd: List[str] = [cc, *CFLAGS, "-o", tmp, src]
+        cmd: List[str] = [cc, *cflags(), "-o", tmp, src]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=300, check=False
         )
@@ -205,7 +231,7 @@ def build_kernel(force: bool = False) -> str:
             "abi": ABI_VERSION,
             "compiler": cc,
             "compiler_version": version,
-            "cflags": list(CFLAGS),
+            "cflags": list(cflags()),
             "source_sha256": hashlib.sha256(source).hexdigest(),
         },
     )

@@ -35,6 +35,7 @@
 #define _POSIX_C_SOURCE 199309L
 #endif
 
+#include <assert.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -187,6 +188,178 @@ static int frame_push(Stack *s, i64 start, i64 count, i64 idx) {
     s->frames[s->frames_len].idx = idx;
     s->frames_len++;
     return OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* Release-deadline bound (mirror of repro.sched.core.deadline_lateness */
+/* and its two EDF sweeps).  Only the prune decision has to match the  */
+/* Python engines, and each sweep computes an exact optimum of its     */
+/* relaxation, so tie orders inside qsort and the heap are free.       */
+/* ------------------------------------------------------------------ */
+
+#define NO_LATENESS (-((i64)1 << 62))
+
+/* A task: (release r, deadline d) under a sort/heap key. */
+typedef struct {
+    i64 key, r, d;
+} Task;
+
+static int task_cmp(const void *x, const void *y) {
+    const Task *a = (const Task *)x, *b = (const Task *)y;
+    if (a->key != b->key) return a->key < b->key ? -1 : 1;
+    if (a->r != b->r) return a->r < b->r ? -1 : 1;
+    if (a->d != b->d) return a->d < b->d ? -1 : 1;
+    return 0;
+}
+
+/* Min-heap on .key with room for `cap` entries. */
+static void heap_push(Task *h, i64 *len, i64 cap, Task x) {
+    assert(*len < cap);
+    (void)cap;
+    i64 i = (*len)++;
+    while (i > 0) {
+        i64 up = (i - 1) / 2;
+        if (h[up].key <= x.key) break;
+        h[i] = h[up];
+        i = up;
+    }
+    h[i] = x;
+}
+
+static Task heap_pop(Task *h, i64 *len) {
+    assert(*len > 0);
+    Task top = h[0];
+    i64 m = --(*len);
+    if (m > 0) {
+        Task x = h[m];
+        i64 i = 0;
+        while (1) {
+            i64 c = 2 * i + 1;
+            if (c >= m) break;
+            if (c + 1 < m && h[c + 1].key < h[c].key) c++;
+            if (h[c].key >= x.key) break;
+            h[i] = h[c];
+            i = c;
+        }
+        h[i] = x;
+    }
+    return top;
+}
+
+/* EDF over unit tasks sorted by release: the largest issue - deadline. */
+static i64 unit_edf_lateness(const Task *t, i64 m, Task *heap) {
+    i64 hl = 0, i = 0, now = t[0].r, worst = NO_LATENESS;
+    while (i < m || hl > 0) {
+        if (hl == 0 && t[i].r > now) now = t[i].r;
+        while (i < m && t[i].r <= now) {
+            Task x = {t[i].d, 0, 0};
+            heap_push(heap, &hl, m, x);
+            i++;
+        }
+        Task top = heap_pop(heap, &hl);
+        if (now - top.key > worst) worst = now - top.key;
+        now++;
+    }
+    return worst;
+}
+
+/* Preemptive EDF over one pipeline's users sorted by release, each
+ * holding the enqueue slot `e` cycles and due at deadline + e.  Heap
+ * entries carry the due time as key and the work left in .r. */
+static i64 pipe_edf_lateness(const Task *t, i64 m, i64 e, Task *heap) {
+    i64 hl = 0, i = 0, now = t[0].r, worst = NO_LATENESS;
+    while (i < m || hl > 0) {
+        if (hl == 0 && t[i].r > now) now = t[i].r;
+        while (i < m && t[i].r <= now) {
+            Task x = {t[i].d + e, e, 0};
+            heap_push(heap, &hl, m, x);
+            i++;
+        }
+        if (i < m && now + heap[0].r > t[i].r) {
+            heap[0].r -= t[i].r - now; /* preempted; key unchanged */
+            now = t[i].r;
+            continue;
+        }
+        Task top = heap_pop(heap, &hl);
+        now += top.r;
+        if (now - top.key > worst) worst = now - top.key;
+    }
+    return worst;
+}
+
+/* Static tables and n-entry scratch arrays of the bound. */
+typedef struct {
+    i64 n;
+    const i64 *lat, *enq, *sig, *pred_off, *pred_lst, *var_bound;
+    const i64 *pipe_enq, *chain;
+    int has_vb;
+    Task *tasks, *piped, *heap;
+} Relax;
+
+/* Largest relaxed lateness of the instructions outside `mask` after a
+ * prefix whose last issue is `tl`; stops once it exceeds `limit`.
+ * Writes each unscheduled instruction's release into issue[k]. */
+static i64 deadline_lateness(const Relax *x, const u64 *mask, i64 tl,
+                             i64 remaining, i64 *issue,
+                             const i64 *pipe_last, i64 limit) {
+    const i64 base = tl + 1, t_last = tl + remaining;
+    i64 worst = NO_LATENESS, m = 0, mp = 0;
+    for (i64 k = 0; k < x->n; k++) {
+        if (bs_test(mask, k)) continue;
+        i64 r = base;
+        i64 p = x->sig[k];
+        if (p >= 0) {
+            i64 pl = pipe_last[p];
+            if (pl != NONE) {
+                i64 v = pl + x->enq[k];
+                if (v > r) r = v;
+            }
+        }
+        if (x->has_vb) {
+            i64 v = x->var_bound[k];
+            if (v != NONE && v > r) r = v;
+        }
+        for (i64 j = x->pred_off[k]; j < x->pred_off[k + 1]; j++) {
+            i64 d = x->pred_lst[j];
+            i64 v = issue[d] + x->lat[d];
+            if (v > r) r = v;
+        }
+        issue[k] = r;
+        i64 dl = t_last - x->chain[k];
+        if (r - dl > worst) {
+            worst = r - dl;
+            if (worst > limit) return worst;
+        }
+        Task tk = {0, r, dl};
+        x->tasks[m++] = tk;
+        if (p >= 0 && x->pipe_enq[p] > 1) {
+            Task tp = {p, r, dl};
+            x->piped[mp++] = tp;
+        }
+    }
+    assert(m == remaining);
+    qsort(x->tasks, (size_t)m, sizeof(Task), task_cmp);
+    i64 late = unit_edf_lateness(x->tasks, m, x->heap);
+    if (late > worst) {
+        worst = late;
+        if (worst > limit) return worst;
+    }
+    /* Grouped by pipeline; a lone user's lateness is counted above. */
+    qsort(x->piped, (size_t)mp, sizeof(Task), task_cmp);
+    for (i64 s = 0; s < mp;) {
+        i64 e = s + 1;
+        while (e < mp && x->piped[e].key == x->piped[s].key) e++;
+        if (e - s > 1) {
+            late = pipe_edf_lateness(x->piped + s, e - s,
+                                     x->pipe_enq[x->piped[s].key], x->heap);
+            if (late > worst) {
+                worst = late;
+                if (worst > limit) return worst;
+            }
+        }
+        s = e;
+    }
+    return worst;
 }
 
 /* ------------------------------------------------------------------ */
@@ -419,6 +592,7 @@ EXPORT i64 repro_dfs(
     u64 *ready = NULL, *mask = NULL, *succ_bits = NULL;
     unsigned char *trivial = NULL;
     i64 *key_buf = NULL, *dang_k = NULL, *dang_s = NULL, *seen = NULL;
+    Task *tasks = NULL, *piped = NULL, *heap = NULL;
     Stack st = {0};
     Memo memo = {0};
     int memo_live = 0, stack_live = 0;
@@ -439,12 +613,16 @@ EXPORT i64 repro_dfs(
     dang_k = (i64 *)malloc((size_t)(max_latency + 2) * sizeof(i64));
     dang_s = (i64 *)malloc((size_t)(max_latency + 2) * sizeof(i64));
     seen = (i64 *)malloc((size_t)n * sizeof(i64));
+    tasks = (Task *)malloc((size_t)n * sizeof(Task));
+    piped = (Task *)malloc((size_t)n * sizeof(Task));
+    heap = (Task *)malloc((size_t)n * sizeof(Task));
     /* Worst-case key: mask words + three length-prefixed segments. */
     key_buf = (i64 *)malloc(
         (size_t)(W + 3 + 2 * P + 2 * (max_latency + 2) + 2 * n) * sizeof(i64));
     if (!order || !etas || !issue || !saved_p || !saved_v || !indeg ||
         !pipe_last || !users || !used_pipes || !ready || !mask ||
-        !succ_bits || !trivial || !dang_k || !dang_s || !seen || !key_buf)
+        !succ_bits || !trivial || !dang_k || !dang_s || !seen || !key_buf ||
+        !tasks || !piped || !heap)
         goto cleanup;
     if (budget >= 0) {
         consumers_left = (i64 *)calloc((size_t)n, sizeof(i64));
@@ -479,6 +657,12 @@ EXPORT i64 repro_dfs(
         if (trivial[k]) any_trivial = 1;
     }
     any_trivial = equivalence && any_trivial;
+    const Relax relax = {
+        .n = n, .lat = lat, .enq = enq, .sig = sig, .pred_off = pred_off,
+        .pred_lst = pred_lst, .var_bound = var_bound, .pipe_enq = pipe_enq,
+        .chain = chain, .has_vb = has_vb,
+        .tasks = tasks, .piped = piped, .heap = heap,
+    };
 
     /* ---- mutable search state ---- */
     i64 olen = 0, total_nops = 0, last_iss = -1, live_count = 0;
@@ -566,6 +750,12 @@ EXPORT i64 repro_dfs(
                             if (gap > lb) lb = gap;
                         }
                     }
+                    /* The release-deadline bound only where the cheap
+                     * gaps leave the node open. */
+                    if (mu + lb < best_nops)
+                        lb = deadline_lateness(&relax, mask, tl, remaining,
+                                               issue, pipe_last,
+                                               best_nops - 1 - mu);
                     if (mu + lb >= best_nops) {
                         n_bounds++;
                         pruned = 1;
@@ -847,6 +1037,9 @@ cleanup:
     free(dang_k);
     free(dang_s);
     free(seen);
+    free(tasks);
+    free(piped);
+    free(heap);
     return rc;
 }
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -62,6 +63,11 @@ from .nop_insertion import (
 
 __all__ = [
     "FastOutcome",
+    "deadline_lateness",
+    "downstream_chains",
+    "pipe_edf_lateness",
+    "root_bound",
+    "unit_edf_lateness",
     "run_fast_search",
     "run_fast_split",
     "run_native_search",
@@ -334,6 +340,198 @@ def _flat_greedy(
     )
 
 
+#: "No lateness yet" / "never stop early" sentinels of the deadline bound.
+_NO_LATENESS = -(1 << 62)
+_NO_LIMIT = 1 << 62
+
+
+def unit_edf_lateness(tasks: List[Tuple[int, int]]) -> int:
+    """Smallest uniform deadline shift that makes ``(release, deadline)``
+    unit tasks feasible on one issue slot per cycle.
+
+    Earliest-deadline-first over integer releases minimizes the maximum
+    lateness of unit tasks, so the EDF sweep's largest ``issue -
+    deadline`` is that shift.  Sorts ``tasks`` in place.
+    """
+    tasks.sort()
+    heap: List[int] = []
+    worst = _NO_LATENESS
+    t = tasks[0][0]
+    for r, d in tasks:
+        # Fill the slots before this release with the tasks already out.
+        while heap and t < r:
+            late = t - heappop(heap)
+            if late > worst:
+                worst = late
+            t += 1
+        if t < r:
+            t = r
+        heappush(heap, d)
+    heap.sort()
+    for d in heap:
+        if t - d > worst:
+            worst = t - d
+        t += 1
+    return worst
+
+
+def pipe_edf_lateness(tasks: List[Tuple[int, int]], enqueue: int) -> int:
+    """Maximum lateness of one pipeline's users as preemptive tasks.
+
+    Each ``(release, deadline)`` user holds the pipeline's enqueue slot
+    for ``enqueue`` cycles and must finish by ``deadline + enqueue``;
+    preemptive EDF minimizes the maximum lateness of such tasks.  Sorts
+    ``tasks`` in place.
+    """
+    tasks.sort()
+    heap: List[List[int]] = []  # [due, work left]
+    worst = _NO_LATENESS
+    m = len(tasks)
+    i = 0
+    t = tasks[0][0]
+    while i < m or heap:
+        if not heap and tasks[i][0] > t:
+            t = tasks[i][0]
+        while i < m and tasks[i][0] <= t:
+            heappush(heap, [tasks[i][1] + enqueue, enqueue])
+            i += 1
+        top = heap[0]
+        if i < m and t + top[1] > tasks[i][0]:
+            # Preempted by the next release; shrinking the top's work
+            # keeps the heap ordered.
+            top[1] -= tasks[i][0] - t
+            t = tasks[i][0]
+            continue
+        heappop(heap)
+        t += top[1]
+        if t - top[0] > worst:
+            worst = t - top[0]
+    return worst
+
+
+def deadline_lateness(
+    flat: _Flat,
+    chain: List[int],
+    pending: int,
+    tl: int,
+    remaining: int,
+    issue: List[int],
+    pipe_last: List[Optional[int]],
+    limit: int = _NO_LIMIT,
+) -> int:
+    """The release-deadline lower bound on the NOPs a completion adds.
+
+    ``pending`` is the mask of the ``remaining`` unscheduled instructions
+    after a prefix whose last issue is at ``tl`` (``-1`` at the root);
+    ``issue`` holds the prefix's issue times and ``pipe_last`` its
+    per-pipeline last issues.  With no NOPs left to spend, the last
+    instruction issues at ``tl + remaining``, so each unscheduled ``k``
+    has deadline ``tl + remaining - chain[k]``; its release is the
+    earliest issue its predecessors (scheduled, or at their own
+    release), its pipeline and its carry-in bound allow.  The result is
+    the largest of three relaxed latenesses: any single release past its
+    deadline, the unit-task EDF sweep over the issue slots, and a
+    preemptive EDF sweep per pipeline with enqueue time above one.  Each
+    ignores precedence among the unscheduled and the register budget, so
+    a completion adding fewer NOPs than the result does not exist.
+
+    Stops early, returning a value above ``limit``, as soon as one check
+    exceeds it.  Overwrites ``issue[k]`` of unscheduled ``k`` with its
+    release (the search rewrites it on push before reading it).
+    """
+    lat = flat.lat
+    enq = flat.enq
+    sig = flat.sig
+    preds = flat.preds
+    var_bound = flat.var_bound
+    has_vb = flat.has_vb
+    pipe_enq = flat.pipe_enq
+    base = tl + 1
+    t_last = tl + remaining
+    worst = _NO_LATENESS
+    tasks: List[Tuple[int, int]] = []
+    piped: Dict[int, List[Tuple[int, int]]] = {}
+    rm = pending
+    while rm:
+        low = rm & -rm
+        rm -= low
+        k = low.bit_length() - 1
+        r = base
+        p = sig[k]
+        if p >= 0:
+            pl = pipe_last[p]
+            if pl is not None:
+                v = pl + enq[k]
+                if v > r:
+                    r = v
+        if has_vb:
+            v = var_bound[k]
+            if v is not None and v > r:
+                r = v
+        for d in preds[k]:
+            v = issue[d] + lat[d]
+            if v > r:
+                r = v
+        issue[k] = r
+        dl = t_last - chain[k]
+        if r - dl > worst:
+            worst = r - dl
+            if worst > limit:
+                return worst
+        tasks.append((r, dl))
+        if p >= 0 and pipe_enq[p] > 1:
+            piped.setdefault(p, []).append((r, dl))
+    late = unit_edf_lateness(tasks)
+    if late > worst:
+        worst = late
+        if worst > limit:
+            return worst
+    # A lone user's pipeline lateness is its own release-deadline gap,
+    # already counted above.
+    for p, users in piped.items():
+        if len(users) > 1:
+            late = pipe_edf_lateness(users, pipe_enq[p])
+            if late > worst:
+                worst = late
+                if worst > limit:
+                    return worst
+    return worst
+
+
+def downstream_chains(flat: _Flat) -> List[int]:
+    """Dense latency-weighted downstream chains: any consumer chain below
+    ``k`` forces the last issue to trail ``k``'s issue by ``chain[k]``.
+
+    Dense indices are program order and dependences point forward, so a
+    reverse scan sees successors first.
+    """
+    lat = flat.lat
+    succs = flat.succs
+    chain = [0] * flat.n
+    for k in range(flat.n - 1, -1, -1):
+        sk = succs[k]
+        if sk:
+            lk = lat[k]
+            chain[k] = max(lk + chain[s] for s in sk)
+    return chain
+
+
+def root_bound(flat: _Flat, chain: List[int], limit: int = _NO_LIMIT) -> int:
+    """Admissible lower bound on the NOPs of any schedule of the block:
+    :func:`deadline_lateness` at the empty prefix, clamped at zero.
+
+    Like that function, stops early with a value above ``limit`` once
+    the bound is sure to exceed it (a negative ``limit`` needs no work).
+    """
+    n = flat.n
+    if n == 0 or limit < 0:
+        return 0
+    late = deadline_lateness(
+        flat, chain, (1 << n) - 1, -1, n, [0] * n, flat.pipe_last, limit
+    )
+    return max(0, late)
+
+
 def run_fast_search(
     dag: DependenceDAG,
     machine: MachineDescription,
@@ -404,43 +602,29 @@ def run_fast_search(
             prune_counts=prune_counts(),
         )
 
-    # Dense latency-weighted downstream chains: idents are program order
-    # and dependences point forward, so a reverse scan sees successors
-    # first (same recurrence as chain_below in the reference preamble).
-    lat = flat.lat
-    succs = flat.succs
-    chain = [0] * n
-    for k in range(n - 1, -1, -1):
-        sk = succs[k]
-        if sk:
-            lk = lat[k]
-            chain[k] = max(lk + chain[s] for s in sk)
+    # Root lower bound: can the incumbent already be proven optimal?
+    chain = downstream_chains(flat)
+    best_nops = best.total_nops
+    if options.lower_bound_prune and best_nops <= root_bound(
+        flat, chain, best_nops - 1
+    ):
+        return SearchResult(
+            best,
+            seed_timing,
+            omega_calls,
+            True,
+            perf_counter() - start,
+            improvements,
+            proved_by_bound=True,
+            prune_counts=prune_counts(bounds=1),
+        )
+
     sig = flat.sig
     users = [0] * flat.P
     for k in range(n):
         if sig[k] >= 0:
             users[sig[k]] += 1
     max_latency = max((p.latency for p in machine.pipelines), default=1)
-
-    # Root lower bound: can the incumbent already be proven optimal?
-    if options.lower_bound_prune:
-        root_lb = max(0, max(1 + c for c in chain) - n)
-        pipe_enq = flat.pipe_enq
-        for p in range(flat.P):
-            ku = users[p]
-            if ku:
-                root_lb = max(root_lb, ((ku - 1) * pipe_enq[p] + 1) - n)
-        if best.total_nops <= root_lb:
-            return SearchResult(
-                best,
-                seed_timing,
-                omega_calls,
-                True,
-                perf_counter() - start,
-                improvements,
-                proved_by_bound=True,
-                prune_counts=prune_counts(bounds=1),
-            )
 
     out = (dfs or _run_fast_dfs)(
         flat, dag, options, seed, best, omega_calls, improvements,
@@ -568,6 +752,7 @@ def _run_fast_dfs(
         seed_at[index_of[ident]] = pos
 
     used_pipes = tuple(p for p in range(flat.P) if users[p])
+    full = (1 << n) - 1
 
     budget = options.max_live
     if budget is not None:
@@ -711,6 +896,13 @@ def _run_fast_dfs(
                             gap = (first + (ku - 1) * pe) - (tl + remaining)
                             if gap > lb:
                                 lb = gap
+                    # The release-deadline bound only where the cheap
+                    # gaps leave the node open.
+                    if mu + lb < best_nops:
+                        lb = deadline_lateness(
+                            flat, chain, full & ~mask, tl, remaining,
+                            issue, pipe_last, best_nops - 1 - mu,
+                        )
                     if mu + lb >= best_nops:
                         n_bounds += 1
                         pruned = True

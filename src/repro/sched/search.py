@@ -33,13 +33,31 @@ experiments:
   pipeline-aware Gross/greedy baselines are priced and the cheapest
   becomes the starting incumbent — a tighter α-β bound from the start.
 * **Admissible lower bounds**: a node is abandoned when
-  ``mu(Φ) + LB ≥ mu(pi)`` for two cheap bounds on the NOPs any
-  completion must still add: the latency-weighted critical path of the
-  unscheduled region (each ready candidate's earliest issue plus its
-  downstream chain, against the remaining issue slots), and per-pipeline
-  enqueue capacity (k pending users of a pipeline cannot issue closer
-  than its enqueue time).  Evaluated at the root, these sometimes prove
-  the incumbent optimal before any search ("instant proof").
+  ``mu(Φ) + LB ≥ mu(pi)`` for a bound LB on the NOPs any completion
+  must still add.  Two cheap gaps run first: the latency-weighted
+  critical path of the unscheduled region (each ready candidate's
+  earliest issue plus its downstream chain, against the remaining issue
+  slots), and per-pipeline enqueue capacity (k pending users of a
+  pipeline cannot issue closer than its enqueue time).  Where neither
+  prunes, the *release-deadline* bound runs.  With no NOPs to spare,
+  the last instruction issues at ``tl + remaining``, where ``tl`` is
+  the prefix's last issue.  Every unscheduled instruction, in program
+  (topological) order, gets a release: the latest of ``tl + 1``, each
+  predecessor's issue or release plus its latency, its pipeline's last
+  enqueue plus the enqueue time (carry-in included) and its carry-in
+  variable bound.  Its deadline is ``tl + remaining`` less its
+  downstream chain.  LB is the largest lateness of three relaxations:
+  a single release past its deadline; the instructions as unit tasks on
+  one issue slot per cycle, swept earliest-deadline-first; and, per
+  pipeline with enqueue time ``e > 1``, its users as tasks holding the
+  enqueue slot for ``e`` cycles, swept by preemptive EDF.  EDF
+  minimizes maximum lateness in both sweeps, so each lateness is the
+  fewest extra NOPs its relaxation needs.  All three ignore precedence
+  among the unscheduled and the register budget, so LB stays admissible
+  under carry-in conditions, ``max_live`` and pinned assignments.
+  Evaluated at the root (:func:`root_lower_bound`), the same bound
+  sometimes proves the incumbent optimal before any search ("instant
+  proof").
 * **Dominance memoization**: two partial schedules with the same
   scheduled *set* and the same timing interface — relative pipeline
   busy times plus the clamped ready-time contributions of recently
@@ -358,40 +376,25 @@ def root_lower_bound(
     dag: DependenceDAG,
     machine: MachineDescription,
     assignment: Optional[Mapping[int, Optional[int]]] = None,
+    initial_conditions: Optional[InitialConditions] = None,
 ) -> int:
     """Admissible lower bound on any schedule's NOP count (the "root"
-    bound the search tests its first incumbent against).
+    bound every engine tests its first incumbent against).
 
-    The larger of the latency-weighted critical path (the longest
-    ``1 + latency``-chain must fit in ``n`` issue slots plus stalls) and
-    per-pipeline enqueue capacity (``k`` users of a pipeline cannot
-    issue closer than its enqueue time).  Both ignore carry-in
-    conditions, which can only raise the true optimum, so the bound
-    stays admissible for every block.  Exposed so the verify oracle can
-    record the bound that was active when a search was curtailed.
+    The release-deadline bound of the module docstring at the empty
+    prefix: the fewest NOPs for which every instruction's earliest issue
+    fits before its latest one, the unit-task EDF sweep over the issue
+    slots succeeds, and each pipeline's users fit its enqueue windows.
+    Carry-in ``initial_conditions`` only delay releases.  Exposed so the
+    verify oracle can record the bound that was active when a search was
+    curtailed; it is :func:`repro.sched.core.root_bound`, the one
+    implementation all three engines call.
     """
-    n = len(dag)
-    if n == 0:
-        return 0
+    from .core import _Flat, downstream_chains, root_bound
+
     resolver = SigmaResolver(dag, machine, assignment)
-    chain_below: Dict[int, int] = {}
-    for t in reversed(dag.block.tuples):
-        succ = tuple(dag.successors(t.ident))
-        chain_below[t.ident] = (
-            0
-            if not succ
-            else max(resolver.latency(t.ident) + chain_below[s] for s in succ)
-        )
-    bound = max(0, max(1 + chain_below[i] for i in dag.idents) - n)
-    enqueue_of = {p.ident: p.enqueue_time for p in machine.pipelines}
-    pipe_users: Dict[int, int] = {}
-    for i in dag.idents:
-        pid = resolver.sigma(i)
-        if pid is not None:
-            pipe_users[pid] = pipe_users.get(pid, 0) + 1
-    for pid, k in pipe_users.items():
-        bound = max(bound, ((k - 1) * enqueue_of[pid] + 1) - n)
-    return bound
+    flat = _Flat(dag, machine, resolver, initial_conditions)
+    return root_bound(flat, downstream_chains(flat))
 
 
 class _Curtailed(Exception):
@@ -653,10 +656,7 @@ def schedule_block(
     # Root lower bound: can the incumbent already be proven optimal?
     # ------------------------------------------------------------------
     if options.lower_bound_prune:
-        root_lb = max(0, max(1 + chain_below[i] for i in idents) - n)
-        for pid, k in pipe_users.items():
-            root_lb = max(root_lb, ((k - 1) * enqueue_of[pid] + 1) - n)
-        if best.total_nops <= root_lb:
+        if best.total_nops <= root_lower_bound(dag, machine, assignment, initial):
             return _done(
                 SearchResult(
                     best,
@@ -673,6 +673,8 @@ def schedule_block(
     # ------------------------------------------------------------------
     # DFS state (reference engine).
     # ------------------------------------------------------------------
+    from .core import pipe_edf_lateness, unit_edf_lateness
+
     seed_pos = {ident: pos for pos, ident in enumerate(seed)}
     state = IncrementalTimingState(dag, resolver, initial)
     indegree = {i: len(dag.rho(i)) for i in idents}
@@ -774,6 +776,42 @@ def schedule_block(
             )
         return (mask, pipes, tuple(dangling), residual_vars)
 
+    def deadline_lateness(remaining: int, mask: int) -> int:
+        """The release-deadline bound (module docstring) at this node.
+
+        With no NOPs to spare the last instruction issues at
+        ``tl + remaining``; each unscheduled instruction must issue
+        between its release and that time less its downstream chain.
+        """
+        tl = issue_of[state._order[-1]]
+        t_last = tl + remaining
+        release: Dict[int, int] = {}
+        tasks: List[Tuple[int, int]] = []
+        pipe_tasks: Dict[int, List[Tuple[int, int]]] = {}
+        for t in dag.block.tuples:  # program order is topological
+            i = t.ident
+            if mask & bit[i]:
+                continue
+            ready_at = [tl + 1]
+            pid = resolver.sigma(i)
+            if pid is not None and pid in pipe_last:
+                ready_at.append(pipe_last[pid] + enqueue_of[pid])
+            if i in var_bounds:
+                ready_at.append(var_bounds[i])
+            for d in dag.rho(i):
+                when = release[d] if d in release else issue_of[d]
+                ready_at.append(when + resolver.latency(d))
+            release[i] = r = max(ready_at)
+            due = t_last - chain_below[i]
+            tasks.append((r, due))
+            if pid is not None and enqueue_of[pid] > 1:
+                pipe_tasks.setdefault(pid, []).append((r, due))
+        worst = max(r - due for r, due in tasks)
+        worst = max(worst, unit_edf_lateness(tasks))
+        for pid, users in pipe_tasks.items():
+            worst = max(worst, pipe_edf_lateness(users, enqueue_of[pid]))
+        return worst
+
     def rec(remaining: int, mask: int) -> None:
         nonlocal best_nops, best_timing, improvements, omega_calls, live_count
         nonlocal n_legality, n_bounds, n_equivalence, n_alpha_beta
@@ -804,6 +842,8 @@ def schedule_block(
                         gap = (base + (k - 1) * enqueue_of[pid]) - (tl + remaining)
                         if gap > lb:
                             lb = gap
+                if mu + lb < best_nops:
+                    lb = deadline_lateness(remaining, mask)
                 if mu + lb >= best_nops:
                     n_bounds += 1
                     return

@@ -71,8 +71,13 @@ from .fingerprint import CanonicalForm, fingerprint_problem
 __all__ = ["ScheduleCache", "CacheIntegrityError", "STORE_SCHEMA"]
 
 #: Version tag of one on-disk entry.  Entries with any other tag are
-#: treated as misses (forward/backward compatible by re-solving).
-STORE_SCHEMA = "repro-cache/1"
+#: treated as misses (forward/backward compatible by re-solving) and
+#: overwritten by the re-solved entry.  Version 2 came with the
+#: release-deadline search bound, which changes the Omega calls, prune
+#: counts and curtailed incumbents an entry stores: a version-1 entry
+#: would replay a search that no longer runs, so a hit would differ
+#: from a cold search.
+STORE_SCHEMA = "repro-cache/2"
 
 #: Lookup outcomes (the provenance the server reports per entry).
 HIT, MISS, BYPASS = "hit", "miss", "bypass"

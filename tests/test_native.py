@@ -269,8 +269,21 @@ def test_build_cache_writes_provenance(fresh_cache):
         meta = json.load(fh)
     assert meta["abi"] == build.ABI_VERSION
     assert meta["compiler"] == build.find_compiler()
-    assert meta["cflags"] == list(build.CFLAGS)
+    assert meta["cflags"] == list(build.cflags())
     assert len(meta["source_sha256"]) == 64
+
+
+def test_sanitize_flags_are_opt_in_and_keyed(monkeypatch):
+    """``REPRO_NATIVE_SANITIZE=1`` adds ASan/UBSan with asserts on, and
+    the flags feed the cache key, so the two builds never share an
+    object."""
+    monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
+    assert build.cflags() == build.CFLAGS
+    plain = build._cache_key(b"src", "cc", "v")
+    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
+    assert build.cflags() == build.CFLAGS + build.SANITIZE_FLAGS
+    assert "-UNDEBUG" in build.cflags()
+    assert build._cache_key(b"src", "cc", "v") != plain
 
 
 @needs_cc

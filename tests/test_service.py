@@ -191,7 +191,7 @@ class TestCacheTiers:
         assert status == "miss"  # re-solved, not crashed
         assert _strip(result) == _strip(schedule_block(figure3_dag, machine, OPTIONS))
         # ... and the store healed itself.
-        assert json.loads(entries[0].read_text())["schema"] == "repro-cache/1"
+        assert json.loads(entries[0].read_text())["schema"] == "repro-cache/2"
 
     def test_wrong_schema_entry_degrades_to_miss(self, tmp_path, figure3_dag):
         machine = get_machine("paper-simulation")
@@ -206,6 +206,37 @@ class TestCacheTiers:
             figure3_dag, machine, OPTIONS
         )
         assert status == "miss"
+
+    def test_version_1_entry_is_a_miss_and_gets_replaced(
+        self, tmp_path, figure3_dag
+    ):
+        """Entries from before the release-deadline bound carry another
+        search's counters: a plain miss (never quarantined), overwritten
+        by the re-solved entry, which then hits like a cold search."""
+        machine = get_machine("paper-simulation")
+        store = tmp_path / "store"
+        ScheduleCache(path=str(store)).schedule(figure3_dag, machine, OPTIONS)
+        entry = next(iter(store.rglob("*.json")))
+        data = json.loads(entry.read_text())
+        data["schema"] = "repro-cache/1"
+        data["omega_calls"] = data["omega_calls"] + 1000
+        entry.write_text(json.dumps(data), encoding="utf-8")
+
+        telemetry = Telemetry()
+        result, status = ScheduleCache(path=str(store)).schedule_with_status(
+            figure3_dag, machine, OPTIONS, telemetry=telemetry
+        )
+        assert status == "miss"
+        assert telemetry.counters.get("service.cache.quarantined", 0) == 0
+        assert not (store / "quarantine").exists()
+        assert json.loads(entry.read_text())["schema"] == "repro-cache/2"
+        cold = schedule_block(figure3_dag, machine, OPTIONS)
+        assert _strip(result) == _strip(cold)
+        hit, status = ScheduleCache(path=str(store)).schedule_with_status(
+            figure3_dag, machine, OPTIONS
+        )
+        assert status == "hit"
+        assert _strip(hit) == _strip(cold)
 
 
 class TestCacheSafety:
