@@ -189,18 +189,24 @@ def ladder_schedule(
     telemetry: Optional[Telemetry] = None,
     budget: Optional[BudgetManager] = None,
     cache=None,
+    hit: Optional[SearchResult] = None,
 ) -> LadderOutcome:
     """Search one block and walk the degradation ladder on a timeout.
 
     The shared per-block step behind :func:`schedule_generated_block`
-    and the batch scheduling daemon (:mod:`repro.service.server`): run
+    and the batch scheduling daemon (:mod:`repro.service.jobs`): run
     the branch-and-bound (through ``cache`` when given — a
     :class:`repro.service.cache.ScheduleCache` — so solved canonical
     forms are served instead of recomputed), and degrade a
     deadline-truncated search to the split-windows schedule (when
     ``budget`` enables it and it beats the seed) or the list seed.
+    ``hit`` is a result the caller already read from a cache
+    (:meth:`repro.service.cache.ScheduleCache.lookup`); it is published
+    as a cache hit without searching.
     """
-    if cache is not None:
+    if hit is not None:
+        result, cache_status = hit, "hit"
+    elif cache is not None:
         result, cache_status = cache.schedule_with_status(
             dag, machine, options, telemetry=telemetry
         )

@@ -23,6 +23,9 @@ Tiers
   ``<store>/quarantine/<key>.json`` with a ``.reason`` sidecar and count
   ``service.cache.quarantined``, so corruption is observable instead of
   an invisible miss.
+* The daemon's pool workers hold a :class:`StoreOnlyCache`: the disk
+  tier and the insert check, no memory tier (the front end's serves
+  every hit).
 
 Safety
 ------
@@ -68,7 +71,7 @@ from ..telemetry import PRUNE_KINDS, Telemetry
 from ..verify import certificate
 from .fingerprint import CanonicalForm, fingerprint_problem
 
-__all__ = ["ScheduleCache", "CacheIntegrityError", "STORE_SCHEMA"]
+__all__ = ["ScheduleCache", "StoreOnlyCache", "CacheIntegrityError", "STORE_SCHEMA"]
 
 #: Version tag of one on-disk entry.  Entries with any other tag are
 #: treated as misses (forward/backward compatible by re-solving) and
@@ -134,6 +137,10 @@ class ScheduleCache:
         self.verify_on_insert = state["verify_on_insert"]
         self._mem = OrderedDict()
         self._lock = threading.Lock()
+
+    def store_only(self) -> "StoreOnlyCache":
+        """This cache as the daemon's pool workers hold it."""
+        return StoreOnlyCache(self.path, verify_on_insert=self.verify_on_insert)
 
     # -- tiers ---------------------------------------------------------
     def _entry_path(self, key: str) -> str:
@@ -230,6 +237,26 @@ class ScheduleCache:
             self._mem_put(key, entry)
         return entry
 
+    def reject(
+        self, key: str, reason: str, telemetry: Optional[Telemetry] = None
+    ) -> None:
+        """Drop a stored entry that proved corrupt after it was read.
+
+        The memory tier forgets it and, with a disk store, the file is
+        quarantined like one that failed to parse, so the next lookup
+        misses and the next search rewrites the slot.
+        """
+        with self._lock:
+            self._mem.pop(key, None)
+        if self.path is not None:
+            self._quarantine(key, reason, telemetry)
+        elif telemetry is not None:
+            telemetry.count("service.cache.quarantined")
+
+    def adopt(self, entry: Dict[str, Any]) -> None:
+        """Put an entry another process stored into the memory tier."""
+        self._mem_put(entry["key"], entry)
+
     # -- (de)hydration -------------------------------------------------
     def _entry_from_result(
         self, form: CanonicalForm, result: SearchResult
@@ -297,6 +324,36 @@ class ScheduleCache:
                 )
 
     # -- the public surface --------------------------------------------
+    def lookup(
+        self, form: CanonicalForm, telemetry: Optional[Telemetry] = None
+    ) -> Optional[SearchResult]:
+        """The stored result of an already-fingerprinted problem, or None.
+
+        The read half of :meth:`schedule_with_status`, for a caller that
+        fingerprinted the problem itself (the daemon's front end, which
+        needs the key to deduplicate a batch anyway).  A hit counts
+        ``service.cache.hits``; a miss counts nothing, since the search
+        that follows counts it.  An entry too malformed to hydrate is
+        quarantined and reads as a miss.
+        """
+        start = time.perf_counter()
+        entry = self._lookup(form.key, telemetry=telemetry)
+        if entry is None or entry.get("n") != form.n:
+            return None
+        try:
+            result = self._result_from_entry(
+                entry, form.idents, time.perf_counter() - start
+            )
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            self.reject(form.key, f"malformed entry: {exc!r}", telemetry)
+            return None
+        if telemetry is not None:
+            telemetry.count("service.cache.hits")
+            # Replayed searches keep the search/prune aggregates
+            # consistent with what a cold run would report.
+            telemetry.record_search(result)
+        return result
+
     def schedule(
         self,
         dag: DependenceDAG,
@@ -353,20 +410,11 @@ class ScheduleCache:
             )
             return result, BYPASS
 
-        start = time.perf_counter()
         form = fingerprint_problem(
             dag, machine, options, assignment, seed, initial_conditions
         )
-        entry = self._lookup(form.key, telemetry=telemetry)
-        if entry is not None and entry.get("n") == form.n:
-            result = self._result_from_entry(
-                entry, form.idents, time.perf_counter() - start
-            )
-            if telemetry is not None:
-                telemetry.count("service.cache.hits")
-                # Replayed searches keep the search/prune aggregates
-                # consistent with what a cold run would report.
-                telemetry.record_search(result)
+        result = self.lookup(form, telemetry=telemetry)
+        if result is not None:
             return result, HIT
 
         result = schedule_block(
@@ -388,3 +436,27 @@ class ScheduleCache:
             self._mem_put(form.key, entry)
             self._disk_put(form.key, entry)
         return result, MISS
+
+
+class StoreOnlyCache(ScheduleCache):
+    """The daemon's cache as a pool worker holds it: no memory tier.
+
+    The front end's :class:`ScheduleCache` serves every hit, so a worker
+    only sees problems the front end missed; an LRU of its own would be
+    a second copy of the front end's.  Inserts are still certified and
+    written to the shared disk store, where the front end's next lookup
+    finds them.  Without a disk store, the entry a job stored waits in
+    :attr:`stored` until the job's reply carries it to the front end
+    (:meth:`ScheduleCache.adopt`), the only way a solved block can
+    become a hit there.
+    """
+
+    #: The entry the current job stored, when there is no disk store.
+    stored: Optional[Dict[str, Any]] = None
+
+    def _mem_get(self, key: str) -> Optional[Dict[str, Any]]:
+        return None
+
+    def _mem_put(self, key: str, entry: Dict[str, Any]) -> None:
+        if self.path is None:
+            self.stored = entry

@@ -12,14 +12,16 @@ Examples::
 
 The daemon answers ``POST /v1/schedule`` batches and the
 ``GET /v1/health`` family (schema ``repro-service/2``; see
-docs/file-formats.md).  Scheduling runs on a supervised pre-fork worker
-pool (``--workers``, default 2): a worker crash/hang is detected, the
-request retried on a fresh worker and, past ``--max-retries``, degraded
-to the list seed — never a 500.  ``--workers 0`` schedules inline in
-the daemon process (the PR 5 behaviour).  ``--cache DIR`` makes the
-canonical-form result store durable and shareable with ``repro
-experiments --cache DIR``; without it the cache is in-process only;
-``--no-cache`` disables memoization entirely.
+docs/file-formats.md).  The daemon process serves cache hits itself;
+searches run on a supervised pre-fork worker pool (``--workers``,
+default 2), forked before the HTTP front end loads: a worker crash/hang
+is detected, the request retried on a fresh worker and, past
+``--max-retries``, degraded to the list seed — never a 500.
+``--workers 0`` schedules inline in the daemon process (one process,
+no pool).  ``--cache DIR`` makes the canonical-form result store
+durable and shareable with ``repro experiments --cache DIR``; without
+it the cache is in-process only; ``--no-cache`` disables memoization
+entirely.
 
 SIGTERM drains gracefully: the daemon stops accepting (503), resolves
 in-flight requests (completing or degrading them), flushes
@@ -46,7 +48,7 @@ from ..resilience.supervisor import SupervisorConfig
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import ScheduleCache
-from .server import SchedulingService, create_server, execute_job
+from .jobs import execute_job
 
 
 def build_parser(prog: str = "repro-serve") -> argparse.ArgumentParser:
@@ -120,7 +122,8 @@ def build_parser(prog: str = "repro-serve") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--memory-entries", type=int, default=4096, metavar="N",
-        help="in-process LRU capacity (default 4096)",
+        help="capacity of the front end's in-process LRU, which serves "
+        "every cache hit; workers keep none (default 4096)",
     )
     parser.add_argument(
         "--no-insert-verify", action="store_true",
@@ -181,7 +184,7 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
         pool = WorkerPool(
             args.workers,
             execute_job,
-            context=cache,
+            context=cache.store_only() if cache is not None else None,
             config=config,
             fault_plan=fault_plan,
             on_event=lambda line: print(
@@ -198,6 +201,10 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
                 flush=True,
             )
             pool = None
+    # Imported only now: the workers above are forked without the HTTP
+    # stack (http, email, ssl, socketserver), which they never use.
+    from .server import SchedulingService, create_server
+
     service = SchedulingService(
         cache=cache,
         options=SearchOptions(curtail=args.curtail, engine=args.engine),

@@ -2,14 +2,17 @@
 
 A long-lived front-end process that accepts batches of basic blocks plus
 a machine description over HTTP (localhost TCP or a unix-domain socket)
-and answers with schedules plus per-entry provenance.  The front-end
-owns the listening socket and never searches: scheduling runs either
-inline (``pool=None`` — tests, ``--workers 0``) or, in production mode,
-on a supervised pre-fork worker pool (:mod:`repro.resilience.pool`) so a
-native-engine segfault, a hung solve, or an OOM kill costs one worker
-process — the request is retried on a fresh worker and, past the retry
-cap, degraded to the block's deterministic list-schedule seed with
-explicit provenance.  Never a silent 500.
+and answers with schedules plus per-entry provenance.  Scheduling runs
+either inline (``pool=None`` — tests, ``--workers 0``) or, in
+production mode, split between the front end and a supervised pre-fork
+worker pool (:mod:`repro.resilience.pool`).  The front end owns the
+listening socket and the cache's memory tier and serves cache hits
+itself; it never searches.  Misses, bypasses and stored entries that
+fail validation run on the workers, so a native-engine segfault, a hung
+solve, or an OOM kill costs one worker process — the request is retried
+on a fresh worker and, past the retry cap, degraded to the block's
+deterministic list-schedule seed with explicit provenance.  Never a
+silent 500.
 
 Wire protocol (versioned ``repro-service/2``; see docs/file-formats.md —
 ``repro-service/1`` requests are still accepted, replies are always /2):
@@ -59,39 +62,43 @@ not a pure function of the problem).
 Batches are deduplicated *through* the cache: the first occurrence of a
 canonical form is scheduled and stored, every later occurrence — in the
 same batch, a later batch, or a population run sharing the same disk
-store — is a hit.  In pool mode only workers write through the
-certificate-verified :class:`repro.service.cache.ScheduleCache`, so the
-shared store stays consistent no matter which worker dies when.
+store — is a hit.  In pool mode the front end fingerprints each block
+once, for deduplication and lookup together; a hit is built by the same
+:func:`repro.service.jobs.execute_block` a worker runs and checked with
+:func:`validate_entry` before it is published.  Only workers search and
+write the certificate-verified disk store (their cache keeps no memory
+tier); without a disk store, a reply hands the entry its worker stored
+to the front end's memory tier instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
 import os
 import socket
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..experiments.runner import ladder_schedule
 from ..ir.dag import DependenceDAG
 from ..ir.textual import TupleSyntaxError, parse_block
 from ..machine.machine import MachineDescription, MachineValidationError
 from ..machine.presets import get_machine
 from ..machine.serialize import machine_from_dict
-from ..resilience.budget import STEP_LIST_SEED, BudgetManager
-from ..resilience.pool import JobHandle, PoolJob, PoolSaturated, WorkerPool
+from ..resilience.budget import BudgetManager
+from ..resilience.pool import PoolJob, PoolSaturated, WorkerPool
 from ..resilience.supervisor import validate_entry
 from ..sched.core import resolve_engine
-from ..sched.list_scheduler import list_schedule
-from ..sched.nop_insertion import compute_timing
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import BYPASS, HIT, MISS, ScheduleCache
-from .fingerprint import fingerprint_problem
+from .fingerprint import CanonicalForm, fingerprint_problem
+from .jobs import execute_block, seed_entry
 
 __all__ = [
     "SCHEMA",
@@ -99,9 +106,6 @@ __all__ = [
     "ServiceOverloadError",
     "ServiceDrainingError",
     "SchedulingService",
-    "execute_block",
-    "execute_job",
-    "seed_entry",
     "create_server",
 ]
 
@@ -143,125 +147,16 @@ class ServiceDrainingError(RuntimeError):
         super().__init__("service is draining; not accepting new work")
 
 
-def seed_entry(
-    name: str,
-    dag: DependenceDAG,
-    machine: MachineDescription,
-    telemetry: Telemetry,
-    shed: bool = False,
-) -> Dict[str, Any]:
-    """The bottom-rung wire entry: the deterministic list-schedule seed.
-
-    Published when searching is off the table — the run budget is spent
-    before the block starts (``shed=True``), or the block burned through
-    its worker retries / the drain deadline (``shed=False``).  Honest by
-    construction: ``omega_calls=0``, ``degraded=True``.
-    """
-    timing = compute_timing(dag, list_schedule(dag), machine)
-    telemetry.count(f"resilience.ladder.{STEP_LIST_SEED}")
-    return {
-        "name": name,
-        "order": list(timing.order),
-        "etas": list(timing.etas),
-        "issue_times": list(timing.issue_times),
-        "total_nops": timing.total_nops,
-        "seed_nops": timing.total_nops,
-        "omega_calls": 0,
-        "completed": False,
-        "degraded": True,
-        "ladder": STEP_LIST_SEED,
-        "cache": BYPASS,
-        "shed": shed,
-        "worker_retries": 0,
-    }
-
-
-def execute_block(
-    name: str,
-    dag: DependenceDAG,
-    machine: MachineDescription,
-    options: SearchOptions,
-    telemetry: Telemetry,
-    cache: Optional[ScheduleCache] = None,
-    budget: Optional[BudgetManager] = None,
-) -> Dict[str, Any]:
-    """Schedule one block and build its wire entry (sans ``index``).
-
-    The single per-block step shared by the inline path and the pool
-    workers — what makes a pooled reply bit-identical to an inline one.
-    ``budget`` (when given) clamps the block's options to the remaining
-    request/run budget, enables the split-windows fallback, and is
-    charged for the Ω spent; once exhausted, blocks publish shed seed
-    entries without searching.
-    """
-    if budget is not None:
-        if budget.run_exhausted() is not None:
-            telemetry.count("resilience.run_budget_exhausted")
-            return seed_entry(name, dag, machine, telemetry, shed=True)
-        options = budget.options_for_block(options)
-    out = ladder_schedule(
-        dag, machine, options, telemetry=telemetry, budget=budget, cache=cache
-    )
-    if budget is not None:
-        budget.charge(out.omega_calls)
-    telemetry.count(f"resilience.ladder.{out.ladder}")
-    status = out.cache_status if out.cache_status is not None else BYPASS
-    if out.cache_status is None:
-        telemetry.count("service.cache.bypass")
-    return {
-        "name": name,
-        "order": list(out.timing.order),
-        "etas": list(out.timing.etas),
-        "issue_times": list(out.timing.issue_times),
-        "total_nops": out.final_nops,
-        "seed_nops": out.result.initial_nops,
-        "omega_calls": out.omega_calls,
-        "completed": out.result.completed and not out.degraded,
-        "degraded": out.degraded,
-        "ladder": out.ladder,
-        "cache": status,
-        "shed": False,
-        "worker_retries": 0,
-    }
-
-
-def execute_job(
-    cache: Optional[ScheduleCache], args, job: JobHandle
-) -> Dict[str, Any]:
-    """The daemon's pool job function: :func:`execute_block` in a worker.
-
-    ``cache`` is the pool context; ``args`` is ``(name, tuples,
-    machine_spec, options, budget)``.  The block is parsed in the worker,
-    then a scheduled crash or hang triggers "mid-request" — the job is
-    owned by this worker, so recovery must requeue it, not lose it — and
-    a scheduled ``corrupt`` fault mangles the reply so the parent's
-    :func:`validate_entry` must catch it.
-    """
-    name, tuples, machine_spec, options, budget = args
-    machine = (
-        get_machine(machine_spec)
-        if isinstance(machine_spec, str)
-        else machine_from_dict(machine_spec)
-    )
-    dag = DependenceDAG(parse_block(tuples, name=name))
-    job.inject()
-    entry = execute_block(
-        name, dag, machine, options, job.telemetry, cache=cache, budget=budget
-    )
-    if job.fault == "corrupt":
-        entry = dict(entry, total_nops=entry["seed_nops"] + 7)
-    return entry
-
-
 class SchedulingService:
     """The protocol logic, separated from HTTP plumbing for testing.
 
     ``pool=None`` schedules inline under one lock (the PR 5 behaviour —
     tests and ``--workers 0``); with a started
-    :class:`repro.resilience.pool.WorkerPool` running :func:`execute_job`
-    the service becomes a pure front-end: it validates, deduplicates,
-    submits jobs, and assembles replies, while workers own the searches
-    and the cache writes.
+    :class:`repro.resilience.pool.WorkerPool` running
+    :func:`repro.service.jobs.execute_job` the service becomes a front
+    end: it validates, deduplicates, serves cache hits, submits the rest
+    as jobs, and assembles replies, while workers own the searches and
+    the store writes.
     """
 
     def __init__(
@@ -350,8 +245,6 @@ class SchedulingService:
                 f"unknown options: {', '.join(unknown)} "
                 f"(requests may set {', '.join(_REQUEST_OPTIONS)})"
             )
-        import dataclasses
-
         try:
             return dataclasses.replace(self.options, **overrides)
         except (ValueError, TypeError) as exc:
@@ -399,8 +292,6 @@ class SchedulingService:
         req_budget = self._resolve_deadline(payload.get("deadline"))
         blocks = self._parse_blocks(payload.get("blocks"))
         if self.block_timeout is not None:
-            import dataclasses
-
             options = dataclasses.replace(options, time_limit=self.block_timeout)
 
         self._admit()
@@ -492,9 +383,10 @@ class SchedulingService:
         blocks: List[Tuple[str, str, Any]],
         req_budget: Optional[BudgetManager],
     ) -> List[Dict[str, Any]]:
-        # slots[i] resolves blocks[i]: ("entry", dict) is already final,
-        # ("job", PoolJob, name, dag) awaits a worker, ("dup", j) copies
-        # the first occurrence of the same canonical form in this batch.
+        # slots[i] resolves blocks[i]: ("entry", dict) is already final
+        # (a shed seed or a cache hit served here), ("job", PoolJob,
+        # name, dag, key) awaits a worker, ("dup", j) copies the first
+        # occurrence of the same canonical form in this batch.
         slots: List[Tuple[Any, ...]] = []
         jobs: List[PoolJob] = []
         dedup: Dict[str, int] = {}
@@ -515,19 +407,26 @@ class SchedulingService:
                     if self.budget is not None
                     else options
                 )
-            key: Optional[str] = None
+            form: Optional[CanonicalForm] = None
             if (
                 self.cache is not None
                 and req_budget is None
                 and block_options.time_limit is None
             ):
                 try:
-                    key = fingerprint_problem(dag, machine, block_options).key
+                    form = fingerprint_problem(dag, machine, block_options)
                 except Exception:  # noqa: BLE001 - dedup is best-effort
-                    key = None
+                    form = None
+            key = form.key if form is not None else None
             if key is not None and key in dedup:
                 slots.append(("dup", dedup[key]))
                 continue
+            if key is not None:
+                dedup[key] = len(slots)
+                entry = self._serve_hit(name, dag, machine, block_options, form)
+                if entry is not None:
+                    slots.append(("entry", entry))
+                    continue
             job = PoolJob(
                 (name, text, machine_spec, block_options, req_budget),
                 validate=functools.partial(
@@ -535,26 +434,26 @@ class SchedulingService:
                 ),
                 grace=block_options.time_limit or 0.0,
             )
-            if key is not None:
-                dedup[key] = len(slots)
-            slots.append(("job", job, name, dag))
+            slots.append(("job", job, name, dag, key))
             jobs.append(job)
 
-        try:
-            self.pool.submit(jobs)
-        except PoolSaturated as exc:
-            self._count("service.shed_requests")
-            raise ServiceOverloadError(
-                exc.retry_after, self.pool.queued_jobs()
-            ) from None
-        for _ in self.pool.as_completed(jobs):
-            pass
+        if jobs:
+            try:
+                self.pool.submit(jobs)
+            except PoolSaturated as exc:
+                self._count("service.shed_requests")
+                raise ServiceOverloadError(
+                    exc.retry_after, self.pool.queued_jobs()
+                ) from None
+            for _ in self.pool.as_completed(jobs):
+                pass
 
         entries: List[Dict[str, Any]] = []
         omega_spent = 0
         for slot in slots:
             if slot[0] == "entry":
                 entries.append(slot[1])
+                omega_spent += slot[1]["omega_calls"]  # 0 for a shed seed
                 continue
             if slot[0] == "dup":
                 first = dict(entries[slot[1]])
@@ -565,9 +464,12 @@ class SchedulingService:
                 first["worker_retries"] = 0
                 entries.append(first)
                 continue
-            _, job, name, dag = slot
+            _, job, name, dag, key = slot
             if job.failure is None:
                 entry = dict(job.result)
+                stored = entry.pop("stored", None)
+                if stored is not None and stored.get("key") == key:
+                    self.cache.adopt(stored)
                 entry["worker_retries"] = job.attempts
                 omega_spent += entry["omega_calls"]
             else:
@@ -582,6 +484,44 @@ class SchedulingService:
             with self._lock:
                 self.budget.charge(omega_spent)
         return entries
+
+    def _serve_hit(
+        self,
+        name: str,
+        dag: DependenceDAG,
+        machine: MachineDescription,
+        options: SearchOptions,
+        form: CanonicalForm,
+    ) -> Optional[Dict[str, Any]]:
+        """A stored block's entry, built here instead of on a worker.
+
+        The same :func:`execute_block` a worker runs, on the result
+        :meth:`ScheduleCache.lookup` read, so the entry and the counters
+        are the ones a worker's hit would produce.  An entry that fails
+        :func:`validate_entry` is rejected from the cache (quarantined)
+        and ``None`` sends the block to a worker, which searches it
+        afresh; counters of a rejected hit are dropped with it.
+        """
+        local = Telemetry()
+        result = self.cache.lookup(form, telemetry=local)
+        entry = None
+        if result is not None:
+            try:
+                entry = execute_block(
+                    name, dag, machine, options, local, hit=result
+                )
+                reason = validate_entry(
+                    entry, expected_name=name, expected_idents=dag.idents
+                )
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                reason = repr(exc)
+            if reason is not None:
+                local = Telemetry()
+                self.cache.reject(form.key, f"stored entry fails: {reason}", local)
+                entry = None
+        with self._lock:
+            self.telemetry.merge(local)
+        return entry
 
     # -- health & lifecycle --------------------------------------------
     def readiness(self) -> Tuple[bool, Dict[str, Any]]:
@@ -598,12 +538,16 @@ class SchedulingService:
     def _store_writable(self) -> bool:
         if self.cache is None or self.cache.path is None:
             return True
-        probe = os.path.join(self.cache.path, ".ready-probe")
+        # A probe file of its own per call: concurrent probes sharing
+        # one name unlink each other's file and read as "not writable".
         try:
             os.makedirs(self.cache.path, exist_ok=True)
-            with open(probe, "w", encoding="utf-8") as fh:
-                fh.write("ok")
-            os.unlink(probe)
+            fd, probe = tempfile.mkstemp(prefix=".ready-probe-", dir=self.cache.path)
+            try:
+                os.write(fd, b"ok")
+            finally:
+                os.close(fd)
+                os.unlink(probe)
             return True
         except OSError:
             return False

@@ -54,6 +54,17 @@ _POPULATION_PAYLOAD = json.dumps(
                     "name": "b0", "machine": "paper-simulation"}]
 )
 
+#: One job of the daemon's worker pool, run as a worker runs it.
+_WORKER_JOB = """
+from repro.resilience.pool import JobHandle
+from repro.sched.search import SearchOptions
+from repro.service.cache import ScheduleCache
+from repro.service.jobs import execute_job
+args = ("b0", "1: Load #a\\n2: Load #b\\n3: Mul 1, 2\\n4: Store #c, 3",
+        "paper-simulation", SearchOptions(), None)
+execute_job(ScheduleCache().store_only(), args, JobHandle(None, 0, 0, None))
+"""
+
 #: id -> (script, stdin, forbidden patterns, allowed exceptions)
 BUDGETS = {
     # The block search is pure Python: the cache layer plus one fast
@@ -74,6 +85,11 @@ BUDGETS = {
         "import repro.console\nrepro.console.main(['compile', '-e', 'b = 15; a = b * a;'])", "",
         ("repro.experiments", "repro.service", "multiprocessing", "repro.sched.pipelining",
          "repro.analysis"), (),
+    ),
+    # ``repro serve`` forks its workers before it loads the HTTP front
+    # end; the job they run must not pull that stack back in.
+    "service-worker-job": (
+        _WORKER_JOB, "", ("http", "email", "ssl", "socketserver"), (),
     ),
     "population-first-call": (
         _perf_first_call(), _POPULATION_PAYLOAD,

@@ -23,6 +23,7 @@ import pytest
 from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
 from repro.machine.presets import get_machine
+from repro.resilience.budget import BudgetManager
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import SupervisorConfig
 from repro.sched.multi import first_pipeline_assignment
@@ -37,7 +38,8 @@ from repro.service import (
     create_server,
 )
 from repro.resilience.pool import PoolJob
-from repro.service.server import SCHEMA, execute_job
+from repro.service.jobs import execute_job
+from repro.service.server import SCHEMA
 from repro.telemetry import Telemetry
 from repro.verify.certificate import check_schedule
 
@@ -78,11 +80,12 @@ def _pooled_service(
     max_retries=2,
     queue_limit=32,
     pool_queue_limit=256,
+    budget=None,
 ):
     pool = WorkerPool(
         workers,
         execute_job,
-        context=cache,
+        context=cache.store_only() if cache is not None else None,
         config=SupervisorConfig(
             hang_timeout=hang_timeout,
             max_retries=max_retries,
@@ -93,7 +96,8 @@ def _pooled_service(
         queue_limit=pool_queue_limit,
     ).start()
     return SchedulingService(
-        cache=cache, options=OPTIONS, pool=pool, queue_limit=queue_limit
+        cache=cache, options=OPTIONS, pool=pool, queue_limit=queue_limit,
+        budget=budget,
     )
 
 
@@ -208,6 +212,175 @@ class TestWorkerPool:
         with pytest.raises(PoolSaturated) as exc:
             pool.submit(jobs)
         assert exc.value.retry_after >= 1.0
+
+
+def _primed_store(tmp_path, blocks=BLOCKS):
+    """A disk store holding every block of ``blocks``, solved inline."""
+    store = str(tmp_path / "store")
+    SchedulingService(cache=ScheduleCache(path=store), options=OPTIONS).schedule_batch(
+        {"schema": SCHEMA, "machine": "paper-simulation",
+         "blocks": [{"tuples": t} for t in blocks]}
+    )
+    return store
+
+
+def _inline_reply(store, budget=None):
+    """The ``--workers 0`` answer to the standard batch over ``store``."""
+    service = SchedulingService(
+        cache=ScheduleCache(path=store), options=OPTIONS, budget=budget
+    )
+    return service.schedule_batch(
+        {"schema": SCHEMA, "machine": "paper-simulation",
+         "blocks": [{"tuples": t} for t in BLOCKS]}
+    )
+
+
+def _spy_submissions(service):
+    """Record every job the service submits to its pool."""
+    submitted = []
+    submit = service.pool.submit
+
+    def spy(jobs):
+        submitted.extend(jobs)
+        return submit(jobs)
+
+    service.pool.submit = spy
+    return submitted
+
+
+class TestFrontEndHits:
+    """Stored blocks are answered by the front end, never by a worker."""
+
+    def test_all_hit_batch_submits_no_pool_job(self, tmp_path):
+        service = _pooled_service(cache=ScheduleCache(path=_primed_store(tmp_path)))
+        submitted = _spy_submissions(service)
+        reply = _run_batch(service)
+        assert submitted == []
+        assert [e["cache"] for e in reply["entries"]] == ["hit"] * len(BLOCKS)
+
+    def test_hit_reply_equals_inline_reply_field_for_field(self, tmp_path):
+        store = _primed_store(tmp_path)
+        reply = _run_batch(_pooled_service(cache=ScheduleCache(path=store)))
+        # Every field, provenance included: cache, omega_calls, ladder,
+        # worker_retries, index and the batch stats.
+        assert reply == _inline_reply(store)
+
+    def test_store_less_daemon_hits_after_a_worker_miss(self, baseline_reply):
+        # No disk store: the worker's reply hands its new entry to the
+        # front end's memory tier, so the next request hits there.
+        service = _pooled_service(cache=ScheduleCache())
+        payload = {"schema": SCHEMA, "machine": "paper-simulation",
+                   "blocks": [{"tuples": t} for t in BLOCKS]}
+        try:
+            first = service.schedule_batch(payload)
+            submitted = _spy_submissions(service)
+            second = service.schedule_batch(payload)
+        finally:
+            service.pool.stop(drain_timeout=5.0)
+        assert [e["cache"] for e in first["entries"]] == ["miss"] * len(BLOCKS)
+        assert submitted == []
+        assert [e["cache"] for e in second["entries"]] == ["hit"] * len(BLOCKS)
+        assert [_entry_core(e) for e in second["entries"]] == [
+            _entry_core(e) for e in baseline_reply["entries"]
+        ]
+        assert all("stored" not in e for e in first["entries"])
+
+    @pytest.mark.parametrize("tamper", ["key", "order", "etas"])
+    def test_tampered_entry_is_quarantined_and_searched_by_a_worker(
+        self, tmp_path, tamper
+    ):
+        store = _primed_store(tmp_path, BLOCKS[:1])
+        (path,) = [
+            os.path.join(root, f)
+            for root, _, files in os.walk(store)
+            for f in files
+            if f.endswith(".json")
+        ]
+        entry = json.loads(open(path).read())
+        key = entry["key"]
+        n = len(entry["best"]["order"])
+        if tamper == "key":
+            entry["key"] = "0" * 64
+        elif tamper == "order":
+            entry["best"]["order"] = [0] * n  # not a permutation
+        else:
+            entry["best"]["etas"] = ["x"] * n  # not NOP counts
+        with open(path, "w") as fh:
+            fh.write(json.dumps(entry))
+
+        service = _pooled_service(cache=ScheduleCache(path=store))
+        submitted = _spy_submissions(service)
+        reply = _run_batch(service, blocks=[{"tuples": BLOCKS[0]}])
+        (got,) = reply["entries"]
+        assert len(submitted) == 1
+        assert got["cache"] == "miss"
+        assert got["completed"] is True and got["degraded"] is False
+        assert got["worker_retries"] == 0
+        _certify_entry(BLOCKS[0], get_machine("paper-simulation"), got)
+        assert service.telemetry.counters["service.cache.quarantined"] == 1
+        assert "service.cache.hits" not in service.telemetry.counters
+        assert os.path.exists(os.path.join(store, "quarantine", key + ".json"))
+        # The worker rewrote the slot: a fresh cache serves it again.
+        _, status = ScheduleCache(path=store).schedule_with_status(
+            DependenceDAG(parse_block(BLOCKS[0])),
+            get_machine("paper-simulation"),
+            OPTIONS,
+        )
+        assert status == "hit"
+
+    def test_all_hit_batch_survives_crashing_workers(self, tmp_path):
+        # Every worker attempt crashes; hits never reach a worker, so
+        # the batch still answers in full, undegraded.
+        store = _primed_store(tmp_path)
+        plan = FaultPlan(seed=5, crash_rate=1.0, max_faults_per_chunk=99)
+        service = _pooled_service(
+            fault_plan=plan, cache=ScheduleCache(path=store), max_retries=1
+        )
+        reply = _run_batch(service)
+        assert reply == _inline_reply(store)
+        assert all(not e["degraded"] for e in reply["entries"])
+        assert "pool.crashes" not in service.telemetry.counters
+
+    def test_concurrent_hits_lose_no_count(self, tmp_path):
+        # HTTP threads serve hits side by side: every reply is the
+        # inline one and every hit reaches the shared registry.
+        store = _primed_store(tmp_path)
+        expected = _inline_reply(store)
+        service = _pooled_service(cache=ScheduleCache(path=store))
+        payload = {"schema": SCHEMA, "machine": "paper-simulation",
+                   "blocks": [{"tuples": t} for t in BLOCKS]}
+        replies = []
+
+        def client():
+            for _ in range(5):
+                replies.append(service.schedule_batch(payload))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.pool.stop(drain_timeout=5.0)
+        assert not any(t.is_alive() for t in threads)
+        assert replies == [expected] * 20
+        assert service.telemetry.counters["service.cache.hits"] == 20 * len(BLOCKS)
+        assert service.telemetry.counters["service.requests"] == 20
+
+    def test_hit_charges_the_daemon_budget_the_cached_omega(self, tmp_path):
+        store = _primed_store(tmp_path)
+        budget = BudgetManager(run_omega_cap=10**9)
+        service = _pooled_service(cache=ScheduleCache(path=store), budget=budget)
+        reply = _run_batch(service)
+        inline_budget = BudgetManager(run_omega_cap=10**9)
+        _inline_reply(store, budget=inline_budget)
+        spent = sum(e["omega_calls"] for e in reply["entries"])
+        assert spent > 0
+        assert budget.omega_spent == spent == inline_budget.omega_spent
 
 
 class TestAdmissionControl:
@@ -396,6 +569,34 @@ class TestHealthEndpoints:
             server.server_close()
             service.pool.stop(drain_timeout=5.0)
             thread.join(timeout=5)
+
+
+    def test_concurrent_readiness_probes_never_flap(self, tmp_path):
+        # Concurrent store probes must not unlink each other's file and
+        # read a healthy store as "not writable" (a 503 flap).
+        service = SchedulingService(
+            cache=ScheduleCache(path=str(tmp_path / "store")), options=OPTIONS
+        )
+        failures = []
+
+        def probe():
+            for _ in range(1000):
+                if not service._store_writable():
+                    failures.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=probe) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert os.listdir(tmp_path / "store") == []
 
 
 class TestCacheQuarantine:
