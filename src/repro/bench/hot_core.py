@@ -92,13 +92,12 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
-from ..machine.machine import MachineDescription
+from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..machine.presets import (
     deep_memory_machine,
     paper_simulation_machine,
     scalar_machine,
 )
-from ..sched.multi import first_pipeline_assignment
 from ..sched.nop_insertion import PipelineAssignment
 from ..sched.search import ENGINES, SearchOptions, SearchResult, schedule_block
 from ..experiments.runner import DEFAULT_CURTAIL, population_size

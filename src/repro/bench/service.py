@@ -224,7 +224,7 @@ def _certify_pass(
 ) -> Tuple[Dict[str, int], List[str]]:
     """Client-side verification of every entry in every reply."""
     from ..ir.dag import DependenceDAG
-    from ..sched.multi import first_pipeline_assignment
+    from ..machine.machine import first_pipeline_assignment
     from ..verify.certificate import check_schedule
 
     counts = {"certified": 0, "degraded": 0, "shed": 0, "entries": 0}

@@ -28,7 +28,7 @@ from .codegen.assembly import (
     generate_assembly,
     padded_stream,
 )
-from .frontend.ast import Program, run_program
+from .frontend.ast import ForLoop, Program, run_program
 from .frontend.lowering import lower_program
 from .frontend.parser import parse_program
 from .ir.block import BasicBlock
@@ -43,6 +43,7 @@ from .sched.list_scheduler import list_schedule, program_order
 from .sched.nop_insertion import InitialConditions, ScheduleTiming, compute_timing
 from .sched.search import SearchOptions, SearchResult, schedule_block
 from .simulator.core import PipelineSimulator
+from .simulator.register_machine import RegisterMachine
 from .telemetry import Telemetry
 
 #: Scheduler selection for :func:`compile_source`.  "multi" is the
@@ -136,7 +137,7 @@ def compile_source(
         )
         timing = search.best
     elif scheduler == "multi":
-        # Deferred: only the multi-pipeline scheduler needs this module.
+        # The multi-pipeline scheduler only.
         from .sched.multi import schedule_block_multi
 
         multi = schedule_block_multi(dag, machine, options, telemetry=telemetry)
@@ -216,9 +217,6 @@ def verify_compilation(
         result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK
         and result.pipeline_assignment is None
     ):
-        # Deferred: only a verified compilation runs the register machine.
-        from .simulator.register_machine import RegisterMachine
-
         register_trace = RegisterMachine(result.machine).run_text(
             str(result.assembly), memory
         )
@@ -274,7 +272,7 @@ def compile_block(
         )
         timing = search.best
     elif scheduler == "multi":
-        # Deferred: only the multi-pipeline scheduler needs this module.
+        # The multi-pipeline scheduler only.
         from .sched.multi import schedule_block_multi
 
         multi = schedule_block_multi(
@@ -364,7 +362,7 @@ def compile_program(
     threading both memory and pipeline state — and compared against
     source semantics.
     """
-    # Deferred: straight-line compile_source never needs the carry-out model.
+    # Multi-block programs only: compile_source never needs carry-out.
     from .sched.interblock import carry_out
 
     if scheduler not in SCHEDULERS:
@@ -452,7 +450,7 @@ def verify_program(
     state) and compare every written variable against source semantics.
     Each block's assembly text also runs on the register machine, which
     must leave every variable the block stores as the simulator does."""
-    # Deferred: straight-line compile_source never needs the carry-out model.
+    # Multi-block programs only: compile_source never needs carry-out.
     from .sched.interblock import carry_out
 
     expected = run_program(compiled.program, dict(memory))
@@ -474,9 +472,6 @@ def verify_program(
             )
         # Text-level cross-check under the same carry-in conditions.
         if result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK:
-            # Deferred: only a verified compilation runs the register machine.
-            from .simulator.register_machine import RegisterMachine
-
             register_trace = RegisterMachine(compiled.machine).run_text(
                 str(result.assembly), current, initial=conditions
             )
@@ -558,8 +553,8 @@ def compile_loop(
     semantics; ``trip_count`` overrides the loop bounds for that check
     (useful when a bound is symbolic).
     """
-    # Deferred: the loop pipeliner and its certificate load only for loops.
-    from .frontend.ast import ForLoop
+    # Loops only, and looked up in their own modules, where a traced
+    # run wraps them.
     from .frontend.lowering import lower_loop
     from .ir.interp import run_block
     from .ir.loop import run_loop

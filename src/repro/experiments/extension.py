@@ -21,13 +21,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
-from ..machine.machine import MachineDescription
+from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..machine.presets import paper_example_machine, paper_simulation_machine
-from ..sched.multi import (
-    first_pipeline_assignment,
-    round_robin_assignment,
-    schedule_block_multi,
-)
+from ..sched.multi import round_robin_assignment, schedule_block_multi
 from ..sched.search import SearchOptions, schedule_block
 from ..sched.splitting import schedule_block_split
 from ..synth.population import PopulationSpec, sample_population

@@ -20,10 +20,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Mapping, Optional
 
 from ..ir.dag import DependenceDAG
-from ..machine.machine import MachineDescription
+from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..machine.presets import paper_simulation_machine
 from ..resilience.budget import (
     STEP_CURTAILED,
@@ -33,18 +33,14 @@ from ..resilience.budget import (
     BudgetManager,
 )
 from ..sched.list_scheduler import list_schedule, program_order
-from ..sched.multi import first_pipeline_assignment
 from ..sched.nop_insertion import ScheduleTiming, compute_timing
 from ..sched.search import SearchOptions, SearchResult, schedule_block
-from ..sched.splitting import schedule_block_split
 from ..synth.generator import GeneratedBlock
-from ..synth.population import (
-    PopulationSpec,
-    generate_from_params,
-    sample_population_params,
-)
 from ..telemetry import Telemetry
 from ..verify import certificate
+
+if TYPE_CHECKING:
+    from ..synth.population import PopulationSpec
 
 #: The paper's population size.
 PAPER_BLOCKS = 16_000
@@ -226,6 +222,9 @@ def ladder_schedule(
         timing = result.initial
         final_nops = result.initial_nops
         if budget is not None and budget.split_fallback and len(dag) > 1:
+            # Timed-out blocks only: the split rung loads on first use.
+            from ..sched.splitting import schedule_block_split
+
             split = schedule_block_split(
                 dag,
                 machine,
@@ -375,7 +374,7 @@ def run_population(
     curtail: int = DEFAULT_CURTAIL,
     master_seed: int = 1990,
     machine: Optional[MachineDescription] = None,
-    spec: PopulationSpec = PopulationSpec(),
+    spec: Optional[PopulationSpec] = None,
     options: Optional[SearchOptions] = None,
     telemetry: Optional[Telemetry] = None,
     block_timeout: Optional[float] = None,
@@ -387,9 +386,10 @@ def run_population(
 ) -> List[BlockRecord]:
     """Schedule ``n_blocks`` synthetic blocks; one record per block.
 
-    ``initial_nops`` is the NOP count of the block *as emitted* (program
-    order) — the quantity Figure 4 shows growing linearly with block size;
-    ``seed_nops`` is the list schedule's count (the search's incumbent).
+    ``spec`` defaults to ``PopulationSpec()``.  ``initial_nops`` is the
+    NOP count of the block *as emitted* (program order) — the quantity
+    Figure 4 shows growing linearly with block size; ``seed_nops`` is the
+    list schedule's count (the search's incumbent).
     With ``verify=True`` every published schedule is certified through
     the independent checker (see :func:`schedule_generated_block`).
 
@@ -410,6 +410,16 @@ def run_population(
       whose canonical form is already in the (possibly shared, possibly
       disk-backed) store are served from it instead of re-searched.
     """
+    # Whole-population runs only: one block's schedule never loads the
+    # sampler, the generator's front end or the optimizer.
+    from ..synth.population import (
+        PopulationSpec,
+        generate_from_params,
+        sample_population_params,
+    )
+
+    if spec is None:
+        spec = PopulationSpec()
     if machine is None:
         machine = paper_simulation_machine()
     if options is None:

@@ -22,10 +22,9 @@ dependence-heavy code.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from ..ir.block import BasicBlock, BlockBuilder
-from ..ir.loop import LoopBlock, derive_carried_dependences
 from ..ir.ops import Opcode
 from .ast import (
     Binary,
@@ -36,6 +35,9 @@ from .ast import (
     Unary,
     VarRead,
 )
+
+if TYPE_CHECKING:
+    from ..ir.loop import LoopBlock
 
 
 def lower_program(
@@ -106,6 +108,9 @@ def lower_loop(
     update ``var = var + 1`` and executing the loop requires seeding
     ``var`` with ``start``; otherwise the counter is dead and omitted.
     """
+    # Loops only: straight-line lowering never loads the loop IR.
+    from ..ir.loop import LoopBlock, derive_carried_dependences
+
     statements = list(loop.body)
     loop_var = None
     if loop.reads_var:

@@ -4,7 +4,8 @@ from .. import _lazy_namespace
 
 __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".pipeline": ("PipelineDesc",),
-    ".machine": ("MachineDescription", "MachineValidationError", "UNPIPELINED_LATENCY"),
+    ".machine": ("MachineDescription", "MachineValidationError", "UNPIPELINED_LATENCY",
+        "first_pipeline_assignment"),
     ".presets": ("PRESETS", "deep_memory_machine", "get_machine", "paper_example_machine",
         "paper_simulation_machine", "scalar_machine", "unpipelined_units_machine",
         "asymmetric_units_machine"),

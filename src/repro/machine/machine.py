@@ -24,10 +24,13 @@ over the assignment instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..ir.ops import Opcode
 from .pipeline import PipelineDesc
+
+if TYPE_CHECKING:
+    from ..ir.dag import DependenceDAG
 
 #: Effective latency of operations that use no pipeline: the result is
 #: available on the next clock tick.
@@ -203,3 +206,15 @@ class MachineDescription:
 
     def __str__(self) -> str:
         return f"MachineDescription({self.name!r}, {len(self.pipelines)} pipelines)"
+
+
+def first_pipeline_assignment(
+    dag: DependenceDAG, machine: MachineDescription
+) -> Dict[int, Optional[int]]:
+    """Pin every tuple to the lowest-numbered viable pipeline (the
+    per-tuple form of :meth:`MachineDescription.fixed_assignment`)."""
+    out: Dict[int, Optional[int]] = {}
+    for t in dag.block:
+        pids = machine.pipelines_for(t.op)
+        out[t.ident] = min(pids) if pids else None
+    return out

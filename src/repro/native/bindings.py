@@ -328,7 +328,7 @@ def native_dfs(
 
 
 # ---------------------------------------------------------------------
-# The windowed splitter (C core of run_native_split)
+# The windowed splitter (C core of repro.sched.splitting.run_native_split)
 # ---------------------------------------------------------------------
 
 
@@ -336,7 +336,7 @@ def native_split(flat, seed: Tuple[int, ...], window: int, curtail_per_window: i
     """Run the C windowed search over ``flat``.
 
     Returns ``(timing, omega_calls, all_completed, totals)``; the caller
-    (``repro.sched.core.run_native_split``) adds the window tuples and
+    (``repro.sched.splitting.run_native_split``) adds the window tuples and
     wraps the ``SplitScheduleResult``.
     """
     from ..sched.nop_insertion import ScheduleTiming

@@ -15,8 +15,7 @@ __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
         "SearchResult", "schedule_block", "unsupported_backend_option"),
     ".pipelining": ("DEFAULT_PLACEMENT_BUDGET", "MiiReport", "ModuloScheduleResult",
         "min_initiation_interval", "modulo_feasible", "schedule_loop", "steady_state_offsets"),
-    ".multi": ("MultiScheduleResult", "first_pipeline_assignment", "round_robin_assignment",
-        "schedule_block_multi"),
+    ".multi": ("MultiScheduleResult", "round_robin_assignment", "schedule_block_multi"),
     ".splitting": ("DEFAULT_WINDOW", "SplitScheduleResult", "schedule_block_split"),
     ".interblock": ("ScheduledSequence", "carry_out", "schedule_sequence"),
 })

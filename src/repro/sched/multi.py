@@ -6,9 +6,10 @@ presented in section 4.2 does not support this feature" — it needs every
 instruction pinned to one pipeline.  This module supplies both halves of
 that story:
 
-* :func:`round_robin_assignment` / :func:`first_pipeline_assignment` —
-  static pinning policies that produce a :data:`PipelineAssignment` for
-  the core scheduler (the paper's implicit behaviour, and the baseline);
+* :func:`round_robin_assignment` and
+  :func:`repro.machine.machine.first_pipeline_assignment` — static
+  pinning policies that produce a :data:`PipelineAssignment` for the
+  core scheduler (the paper's implicit behaviour, and the baseline);
 * :func:`schedule_block_multi` — a branch-and-bound that searches over
   instruction order *and* pipeline choice simultaneously, with the same
   alpha-beta bound and curtail point.  Pipeline choices are explored
@@ -33,7 +34,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.dag import DependenceDAG
-from ..machine.machine import UNPIPELINED_LATENCY, MachineDescription
+from ..machine.machine import (
+    UNPIPELINED_LATENCY,
+    MachineDescription,
+    first_pipeline_assignment,
+)
 from ..telemetry import Telemetry, prune_counts
 from .list_scheduler import list_schedule
 from .search import SearchOptions, _Curtailed
@@ -42,17 +47,6 @@ from .search import SearchOptions, _Curtailed
 # ----------------------------------------------------------------------
 # Static assignment policies (baselines usable with the core scheduler)
 # ----------------------------------------------------------------------
-def first_pipeline_assignment(
-    dag: DependenceDAG, machine: MachineDescription
-) -> Dict[int, Optional[int]]:
-    """Pin every tuple to the lowest-numbered viable pipeline."""
-    out: Dict[int, Optional[int]] = {}
-    for t in dag.block:
-        pids = machine.pipelines_for(t.op)
-        out[t.ident] = min(pids) if pids else None
-    return out
-
-
 def round_robin_assignment(
     dag: DependenceDAG, machine: MachineDescription
 ) -> Dict[int, Optional[int]]:

@@ -47,7 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..ir.dag import DependenceDAG
 from ..ir.loop import LoopBlock, LoopCarriedDep
-from ..machine.machine import MachineDescription
+from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..telemetry import Telemetry
 from .list_scheduler import list_schedule
 from .nop_insertion import (
@@ -203,8 +203,6 @@ def _pin_assignment(
     baseline policy) unless the caller already chose."""
     if assignment is not None or machine.is_deterministic:
         return assignment
-    from .multi import first_pipeline_assignment
-
     return first_pipeline_assignment(dag, machine)
 
 

@@ -85,6 +85,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     List,
@@ -99,7 +100,6 @@ from typing import (
 
 from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
-from ..ir.loop import LoopBlock
 from ..machine.machine import MachineDescription
 from ..telemetry import Telemetry, prune_counts
 from .heuristics import greedy_schedule, gross_schedule
@@ -112,6 +112,9 @@ from .nop_insertion import (
     SigmaResolver,
     compute_timing,
 )
+
+if TYPE_CHECKING:
+    from ..ir.loop import LoopBlock
 
 #: Default curtail point; the paper found λ on the order of 1,000
 #: sufficient for the vast majority of blocks and used values "always
@@ -253,13 +256,15 @@ class ScheduleRequest:
     ilp_options: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(
-            self.problem, (DependenceDAG, BasicBlock, LoopBlock)
-        ):
-            raise TypeError(
-                "problem must be a DependenceDAG, BasicBlock or LoopBlock, "
-                f"not {type(self.problem).__name__}"
-            )
+        if self.is_loop:
+            # Loop requests only: block requests never load the loop IR.
+            from ..ir.loop import LoopBlock
+
+            if not isinstance(self.problem, LoopBlock):
+                raise TypeError(
+                    "problem must be a DependenceDAG, BasicBlock or LoopBlock, "
+                    f"not {type(self.problem).__name__}"
+                )
         if self.backend not in ("search", "ilp"):
             raise ValueError(
                 f"unknown scheduling backend {self.backend!r} "
@@ -272,7 +277,7 @@ class ScheduleRequest:
 
     @property
     def is_loop(self) -> bool:
-        return isinstance(self.problem, LoopBlock)
+        return not isinstance(self.problem, (DependenceDAG, BasicBlock))
 
     @cached_property
     def dag(self) -> DependenceDAG:
@@ -280,13 +285,13 @@ class ScheduleRequest:
         a loop request exposes its *body* DAG)."""
         if isinstance(self.problem, DependenceDAG):
             return self.problem
-        if isinstance(self.problem, LoopBlock):
+        if self.is_loop:
             return DependenceDAG(self.problem.body)
         return DependenceDAG(self.problem)
 
     @property
     def loop(self) -> LoopBlock:
-        if not isinstance(self.problem, LoopBlock):
+        if not self.is_loop:
             raise TypeError("this request's problem is not a LoopBlock")
         return self.problem
 

@@ -59,8 +59,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..ioutil import atomic_write_json
 from ..ir.dag import DependenceDAG
-from ..machine.machine import MachineDescription
-from ..sched.multi import first_pipeline_assignment
+from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..sched.nop_insertion import (
     InitialConditions,
     PipelineAssignment,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from ..frontend.ast import Assignment, Binary, Constant, Expr, Program, Unary, VarRead
-from ..frontend.lowering import lower_program
 from ..ir.block import BasicBlock
-from ..opt import optimize_block
-from .stats import DEFAULT_PROFILE, GeneratorProfile
+
+if TYPE_CHECKING:
+    from ..frontend.ast import Expr, Program
+    from .stats import GeneratorProfile
 
 
 def _weighted_choice(
@@ -48,14 +48,22 @@ def generate_program(
     variables: int,
     constants: int,
     seed: int,
-    profile: GeneratorProfile = DEFAULT_PROFILE,
+    profile: Optional[GeneratorProfile] = None,
 ) -> Program:
     """Generate a random straight-line program.
 
     Parameters mirror the paper's generator inputs: the number of
     assignment statements, the size of the variable pool, and the number
-    of distinct constants available to the program.
+    of distinct constants available to the program.  ``profile``
+    defaults to :data:`repro.synth.stats.DEFAULT_PROFILE`.
     """
+    # Generation only: a caller that just holds GeneratedBlock records
+    # never loads the front end or the statement mix.
+    from ..frontend.ast import Assignment, Binary, Constant, Program, Unary, VarRead
+    from .stats import DEFAULT_PROFILE
+
+    if profile is None:
+        profile = DEFAULT_PROFILE
     if statements < 1:
         raise ValueError("need at least one statement")
     if constants < 1:
@@ -125,7 +133,7 @@ def generate_block(
     variables: int,
     constants: int,
     seed: int,
-    profile: GeneratorProfile = DEFAULT_PROFILE,
+    profile: Optional[GeneratorProfile] = None,
     optimize: bool = True,
     name: Optional[str] = None,
 ) -> GeneratedBlock:
@@ -136,6 +144,10 @@ def generate_block(
     general effect is that finding good schedules becomes more
     difficult", which is why the paper applies them before measuring.
     """
+    # Generation only, as in generate_program.
+    from ..frontend.lowering import lower_program
+    from ..opt import optimize_block
+
     program = generate_program(statements, variables, constants, seed, profile)
     label = name or f"synth-s{statements}-v{variables}-c{constants}-r{seed}"
     block = lower_program(program, label)

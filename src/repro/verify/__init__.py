@@ -11,6 +11,9 @@ package is the trust anchor that does not share that code:
   dependences from the raw tuples, re-resolves pipeline assignments from
   the machine tables, and recomputes every NOP count positionally; it
   imports nothing from ``repro.sched``.
+* :mod:`repro.verify.brute` — complete enumerations built on the
+  certificate's rules: the minimum NOP count of a small block and the
+  minimum initiation interval of a tiny loop body.
 * :mod:`repro.verify.oracle` — runs the list scheduler, the
   branch-and-bound search, the multi-pipeline search, the splitting
   scheduler and (small blocks) brute-force enumeration on one block,
@@ -28,9 +31,10 @@ package is the trust anchor that does not share that code:
 from .. import _lazy_namespace
 
 __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
-    ".certificate": ("BruteForceIIResult", "BruteForceResult", "CertificateReport",
-        "LoopCertificateReport", "Violation", "brute_force_min_ii", "brute_force_optimum",
-        "check_schedule", "check_steady_state", "loop_ii_lower_bound"),
+    ".brute": ("BruteForceIIResult", "BruteForceResult", "brute_force_min_ii",
+        "brute_force_optimum"),
+    ".certificate": ("CertificateReport", "LoopCertificateReport", "Violation", "check_schedule",
+        "check_steady_state", "loop_ii_lower_bound"),
     ".fuzz": ("FuzzResult", "adversarial_machines", "run_fuzz"),
     ".loops": ("LoopOracleReport", "check_loop", "run_loop_suite"),
     ".oracle": ("Discrepancy", "OracleReport", "check_block", "replay_report"),

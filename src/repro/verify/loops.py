@@ -25,7 +25,7 @@ re-prices the plain list schedule's steady state, and cross-checks:
   ``results/discrepancies/`` in the same ``repro-discrepancy/1`` schema
   as the straight-line oracle.
 
-The brute-force layer (:func:`repro.verify.certificate.brute_force_min_ii`)
+The brute-force layer (:func:`repro.verify.brute.brute_force_min_ii`)
 is complete — slot enumeration plus exact stage feasibility — so on
 bodies small enough to afford it, the searched II is checked against
 ground truth, not just against bounds.
@@ -46,7 +46,8 @@ from ..machine.serialize import machine_to_dict
 from ..sched.pipelining import ModuloScheduleResult, schedule_loop
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
-from .certificate import brute_force_min_ii, check_steady_state
+from .brute import brute_force_min_ii
+from .certificate import check_steady_state
 from .oracle import DEFAULT_REPORT_DIR, Discrepancy
 
 #: Bodies larger than this skip the brute-force ground-truth layer.

@@ -53,11 +53,11 @@ from ..ir.dag import COUNT_CAPPED, DependenceDAG
 from ..ir.interp import UndefinedVariableError
 from ..ir.textual import format_block, parse_block
 from ..ioutil import atomic_write_json, atomic_write_text
-from ..machine.machine import MachineDescription
+from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..machine.serialize import machine_from_dict, machine_to_dict
 from ..sched.exhaustive import legal_only_search
 from ..sched.list_scheduler import list_schedule
-from ..sched.multi import first_pipeline_assignment, schedule_block_multi
+from ..sched.multi import schedule_block_multi
 from ..sched.nop_insertion import compute_timing
 from ..sched.search import (
     ENGINES,
@@ -68,7 +68,8 @@ from ..sched.search import (
 from ..sched.splitting import schedule_block_split
 from ..simulator.core import HazardError, PipelineSimulator, simulate_schedule
 from ..telemetry import Telemetry
-from .certificate import brute_force_optimum, check_schedule
+from .brute import brute_force_optimum
+from .certificate import check_schedule
 
 #: Blocks whose legal-order count exceeds this skip the exhaustive layer.
 DEFAULT_BRUTE_CAP = 20_000

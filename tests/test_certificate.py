@@ -17,11 +17,8 @@ from repro.machine.pipeline import PipelineDesc
 from repro.sched.list_scheduler import program_order
 from repro.sched.nop_insertion import compute_timing
 from repro.sched.search import schedule_block
-from repro.verify.certificate import (
-    brute_force_optimum,
-    check_schedule,
-    derive_dependences,
-)
+from repro.verify.brute import brute_force_optimum
+from repro.verify.certificate import check_schedule, derive_dependences
 
 from .strategies import blocks, machines
 

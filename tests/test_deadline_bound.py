@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.dag import DependenceDAG
+from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import PRESETS, get_machine
-from repro.sched.multi import first_pipeline_assignment
 from repro.sched.nop_insertion import InitialConditions, compute_timing
 from repro.sched.search import (
     ENGINES,
@@ -28,7 +28,8 @@ from repro.sched.search import (
     root_lower_bound,
     schedule_block,
 )
-from repro.verify.certificate import brute_force_optimum, check_schedule
+from repro.verify.brute import brute_force_optimum
+from repro.verify.certificate import check_schedule
 
 from .strategies import VARIABLES, any_machines, blocks
 from .test_differential import kernel_blocks

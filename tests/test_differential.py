@@ -27,9 +27,9 @@ from repro.experiments.runner import (
 )
 from repro.ilp import IlpOptions
 from repro.ir.dag import COUNT_CAPPED, DependenceDAG
+from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import get_machine, paper_simulation_machine
 from repro.sched.exhaustive import legal_only_search
-from repro.sched.multi import first_pipeline_assignment
 from repro.sched.nop_insertion import SigmaResolver
 from repro.sched.search import SearchOptions, root_lower_bound, schedule_block
 from repro.synth.kernels import KERNELS

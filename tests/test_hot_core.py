@@ -24,8 +24,8 @@ import repro.sched.core as core
 from repro.experiments.runner import schedule_generated_block
 from repro.ir.block import BlockBuilder
 from repro.ir.dag import DependenceDAG
+from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import get_machine
-from repro.sched.multi import first_pipeline_assignment
 from repro.sched.nop_insertion import InitialConditions
 from repro.sched.search import ENGINES, SearchOptions, schedule_block
 from repro.sched.splitting import schedule_block_split

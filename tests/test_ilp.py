@@ -33,7 +33,8 @@ from repro.ir.dag import COUNT_CAPPED, DependenceDAG
 from repro.sched.core import _Flat
 from repro.sched.nop_insertion import SigmaResolver
 from repro.sched.search import SearchOptions, schedule_block
-from repro.verify.certificate import brute_force_optimum, check_schedule
+from repro.verify.brute import brute_force_optimum
+from repro.verify.certificate import check_schedule
 
 from .strategies import any_machines, blocks
 

@@ -8,14 +8,10 @@ from hypothesis import given, settings
 from repro.ir.dag import DependenceDAG
 from repro.ir.ops import Opcode
 from repro.ir.textual import parse_block
-from repro.machine.machine import MachineDescription
+from repro.machine.machine import MachineDescription, first_pipeline_assignment
 from repro.machine.pipeline import PipelineDesc
 from repro.machine.presets import asymmetric_units_machine
-from repro.sched.multi import (
-    first_pipeline_assignment,
-    round_robin_assignment,
-    schedule_block_multi,
-)
+from repro.sched.multi import round_robin_assignment, schedule_block_multi
 from repro.sched.nop_insertion import compute_timing
 from repro.sched.search import SearchOptions, schedule_block
 

@@ -30,9 +30,9 @@ import repro.native.bindings as bindings
 import repro.native.build as build
 import repro.sched.core as core
 from repro.ir.dag import DependenceDAG
+from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import get_machine
 from repro.native import NativeBuildError, build_kernel, compiler_info
-from repro.sched.multi import first_pipeline_assignment
 from repro.sched.search import SearchOptions, schedule_block
 from repro.sched.splitting import schedule_block_split
 from repro.synth.population import PopulationSpec, sample_population

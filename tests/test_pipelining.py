@@ -27,7 +27,8 @@ from repro.sched.pipelining import (
 from repro.sched.search import ScheduleRequest, SearchOptions
 from repro.synth.loops import LOOP_KERNELS, get_loop_kernel
 from repro.telemetry import Telemetry
-from repro.verify.certificate import brute_force_min_ii, check_steady_state
+from repro.verify.brute import brute_force_min_ii
+from repro.verify.certificate import check_steady_state
 
 MACHINE_NAMES = tuple(sorted(PRESETS))
 

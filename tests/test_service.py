@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from repro.driver import compile_source
 from repro.ir.dag import DependenceDAG
 from repro.ir.textual import format_block, parse_block
+from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import get_machine
-from repro.sched.multi import first_pipeline_assignment
 from repro.sched.search import SearchOptions, schedule_block
 from repro.service import (
     CacheIntegrityError,

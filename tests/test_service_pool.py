@@ -22,11 +22,11 @@ import pytest
 
 from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
+from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import get_machine
 from repro.resilience.budget import BudgetManager
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import SupervisorConfig
-from repro.sched.multi import first_pipeline_assignment
 from repro.sched.search import SearchOptions
 from repro.service import (
     PoolSaturated,
