@@ -33,23 +33,15 @@ cycle-accurate simulator, which is how tests close the loop.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.ops import Opcode
 from ..ir.tuples import ConstOperand, RefOperand
+from ..machine.machine import DelayDiscipline
 from ..regalloc.allocator import RegisterAllocation
 from ..sched.nop_insertion import ScheduleTiming
-
-
-class DelayDiscipline(enum.Enum):
-    """Section 2.2's three architectural delay mechanisms."""
-
-    NOP_PADDED = "nop-padded"
-    EXPLICIT_INTERLOCK = "explicit-interlock"
-    IMPLICIT_INTERLOCK = "implicit-interlock"
 
 
 _MNEMONICS = {

@@ -23,6 +23,7 @@ over the assignment instead.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -35,6 +36,15 @@ if TYPE_CHECKING:
 #: Effective latency of operations that use no pipeline: the result is
 #: available on the next clock tick.
 UNPIPELINED_LATENCY = 1
+
+
+class DelayDiscipline(enum.Enum):
+    """Section 2.2's three architectural delay mechanisms (how the
+    target waits out a hazard; :mod:`repro.codegen` emits each)."""
+
+    NOP_PADDED = "nop-padded"
+    EXPLICIT_INTERLOCK = "explicit-interlock"
+    IMPLICIT_INTERLOCK = "implicit-interlock"
 
 
 class MachineValidationError(ValueError):

@@ -204,6 +204,7 @@ def native_dfs(
     chain: List[int],
     users: List[int],
     max_latency: int,
+    stop_at: int,
 ):
     """Run the C DFS; same signature and contract as ``_run_fast_dfs``.
 
@@ -264,6 +265,7 @@ def native_dfs(
             best.total_nops,
             omega_calls,
             improvements,
+            stop_at,
         ]
     )
     pred_off, pred_lst = _csr(flat.preds)

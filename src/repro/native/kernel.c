@@ -41,7 +41,7 @@
 #include <string.h>
 #include <time.h>
 
-#define NATIVE_ABI_VERSION 1
+#define NATIVE_ABI_VERSION 2
 
 /* None sentinel for pipe_last / var_bound / saved values. */
 #define NONE INT64_MIN
@@ -191,10 +191,11 @@ static int frame_push(Stack *s, i64 start, i64 count, i64 idx) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Release-deadline bound (mirror of repro.sched.core.deadline_lateness */
-/* and its two EDF sweeps).  Only the prune decision has to match the  */
-/* Python engines, and each sweep computes an exact optimum of its     */
-/* relaxation, so tie orders inside qsort and the heap are free.       */
+/* Release-deadline bound (mirror of deadline_lateness and its        */
+/* two EDF sweeps in repro.sched.bounds).  Only the prune             */
+/* decision has to match the Python engines, and each sweep           */
+/* computes an exact optimum of its relaxation, so tie orders         */
+/* inside qsort and the heap are free.                                */
 /* ------------------------------------------------------------------ */
 
 #define NO_LATENESS (-((i64)1 << 62))
@@ -524,6 +525,7 @@ enum {
     CFG_BEST_NOPS,
     CFG_OMEGA_CALLS,
     CFG_IMPROVEMENTS,
+    CFG_STOP_AT, /* stop at an improvement this low (root bound); -1: never */
     CFG_LEN
 };
 
@@ -669,6 +671,7 @@ EXPORT i64 repro_dfs(
     i64 best_nops = cfg[CFG_BEST_NOPS];
     i64 omega_calls = cfg[CFG_OMEGA_CALLS];
     i64 improvements = cfg[CFG_IMPROVEMENTS];
+    const i64 stop_at = cfg[CFG_STOP_AT];
     i64 improved = 0;
     i64 completed = 1, timed_out = 0;
     i64 n_legality = 0, n_bounds = 0, n_equivalence = 0, n_alpha_beta = 0;
@@ -968,6 +971,8 @@ EXPORT i64 repro_dfs(
                 for (i64 q = 0; q < n; q++) out_issue[q] = issue[order[q]];
                 improvements++;
                 improved = 1;
+                if (best_nops <= stop_at)
+                    break; /* meets the root bound: nothing can beat it */
             }
             done = 1;
         } else if (alpha_beta && total_nops >= best_nops) {

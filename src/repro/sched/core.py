@@ -1,6 +1,6 @@
 """Flattened hot core of the branch-and-bound searches.
 
-The recursive reference formulation in :mod:`repro.sched.search` is
+The recursive reference formulation in :mod:`repro.sched.reference` is
 written for readability: frozen dataclasses, per-node dict/set churn,
 ``IncrementalTimingState`` method calls, recursion.  This module runs
 the *same* search on a flattened representation (the windowed search of
@@ -49,13 +49,13 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
 from ..telemetry import prune_counts
+from .bounds import deadline_lateness, downstream_chains, root_bound
 from .nop_insertion import (
     InitialConditions,
     ScheduleTiming,
@@ -64,11 +64,6 @@ from .nop_insertion import (
 
 __all__ = [
     "FastOutcome",
-    "deadline_lateness",
-    "downstream_chains",
-    "pipe_edf_lateness",
-    "root_bound",
-    "unit_edf_lateness",
     "run_fast_search",
     "run_native_search",
     "resolve_engine",
@@ -339,198 +334,6 @@ def _flat_greedy(
     )
 
 
-#: "No lateness yet" / "never stop early" sentinels of the deadline bound.
-_NO_LATENESS = -(1 << 62)
-_NO_LIMIT = 1 << 62
-
-
-def unit_edf_lateness(tasks: List[Tuple[int, int]]) -> int:
-    """Smallest uniform deadline shift that makes ``(release, deadline)``
-    unit tasks feasible on one issue slot per cycle.
-
-    Earliest-deadline-first over integer releases minimizes the maximum
-    lateness of unit tasks, so the EDF sweep's largest ``issue -
-    deadline`` is that shift.  Sorts ``tasks`` in place.
-    """
-    tasks.sort()
-    heap: List[int] = []
-    worst = _NO_LATENESS
-    t = tasks[0][0]
-    for r, d in tasks:
-        # Fill the slots before this release with the tasks already out.
-        while heap and t < r:
-            late = t - heappop(heap)
-            if late > worst:
-                worst = late
-            t += 1
-        if t < r:
-            t = r
-        heappush(heap, d)
-    heap.sort()
-    for d in heap:
-        if t - d > worst:
-            worst = t - d
-        t += 1
-    return worst
-
-
-def pipe_edf_lateness(tasks: List[Tuple[int, int]], enqueue: int) -> int:
-    """Maximum lateness of one pipeline's users as preemptive tasks.
-
-    Each ``(release, deadline)`` user holds the pipeline's enqueue slot
-    for ``enqueue`` cycles and must finish by ``deadline + enqueue``;
-    preemptive EDF minimizes the maximum lateness of such tasks.  Sorts
-    ``tasks`` in place.
-    """
-    tasks.sort()
-    heap: List[List[int]] = []  # [due, work left]
-    worst = _NO_LATENESS
-    m = len(tasks)
-    i = 0
-    t = tasks[0][0]
-    while i < m or heap:
-        if not heap and tasks[i][0] > t:
-            t = tasks[i][0]
-        while i < m and tasks[i][0] <= t:
-            heappush(heap, [tasks[i][1] + enqueue, enqueue])
-            i += 1
-        top = heap[0]
-        if i < m and t + top[1] > tasks[i][0]:
-            # Preempted by the next release; shrinking the top's work
-            # keeps the heap ordered.
-            top[1] -= tasks[i][0] - t
-            t = tasks[i][0]
-            continue
-        heappop(heap)
-        t += top[1]
-        if t - top[0] > worst:
-            worst = t - top[0]
-    return worst
-
-
-def deadline_lateness(
-    flat: _Flat,
-    chain: List[int],
-    pending: int,
-    tl: int,
-    remaining: int,
-    issue: List[int],
-    pipe_last: List[Optional[int]],
-    limit: int = _NO_LIMIT,
-) -> int:
-    """The release-deadline lower bound on the NOPs a completion adds.
-
-    ``pending`` is the mask of the ``remaining`` unscheduled instructions
-    after a prefix whose last issue is at ``tl`` (``-1`` at the root);
-    ``issue`` holds the prefix's issue times and ``pipe_last`` its
-    per-pipeline last issues.  With no NOPs left to spend, the last
-    instruction issues at ``tl + remaining``, so each unscheduled ``k``
-    has deadline ``tl + remaining - chain[k]``; its release is the
-    earliest issue its predecessors (scheduled, or at their own
-    release), its pipeline and its carry-in bound allow.  The result is
-    the largest of three relaxed latenesses: any single release past its
-    deadline, the unit-task EDF sweep over the issue slots, and a
-    preemptive EDF sweep per pipeline with enqueue time above one.  Each
-    ignores precedence among the unscheduled and the register budget, so
-    a completion adding fewer NOPs than the result does not exist.
-
-    Stops early, returning a value above ``limit``, as soon as one check
-    exceeds it.  Overwrites ``issue[k]`` of unscheduled ``k`` with its
-    release (the search rewrites it on push before reading it).
-    """
-    lat = flat.lat
-    enq = flat.enq
-    sig = flat.sig
-    preds = flat.preds
-    var_bound = flat.var_bound
-    has_vb = flat.has_vb
-    pipe_enq = flat.pipe_enq
-    base = tl + 1
-    t_last = tl + remaining
-    worst = _NO_LATENESS
-    tasks: List[Tuple[int, int]] = []
-    piped: Dict[int, List[Tuple[int, int]]] = {}
-    rm = pending
-    while rm:
-        low = rm & -rm
-        rm -= low
-        k = low.bit_length() - 1
-        r = base
-        p = sig[k]
-        if p >= 0:
-            pl = pipe_last[p]
-            if pl is not None:
-                v = pl + enq[k]
-                if v > r:
-                    r = v
-        if has_vb:
-            v = var_bound[k]
-            if v is not None and v > r:
-                r = v
-        for d in preds[k]:
-            v = issue[d] + lat[d]
-            if v > r:
-                r = v
-        issue[k] = r
-        dl = t_last - chain[k]
-        if r - dl > worst:
-            worst = r - dl
-            if worst > limit:
-                return worst
-        tasks.append((r, dl))
-        if p >= 0 and pipe_enq[p] > 1:
-            piped.setdefault(p, []).append((r, dl))
-    late = unit_edf_lateness(tasks)
-    if late > worst:
-        worst = late
-        if worst > limit:
-            return worst
-    # A lone user's pipeline lateness is its own release-deadline gap,
-    # already counted above.
-    for p, users in piped.items():
-        if len(users) > 1:
-            late = pipe_edf_lateness(users, pipe_enq[p])
-            if late > worst:
-                worst = late
-                if worst > limit:
-                    return worst
-    return worst
-
-
-def downstream_chains(flat: _Flat) -> List[int]:
-    """Dense latency-weighted downstream chains: any consumer chain below
-    ``k`` forces the last issue to trail ``k``'s issue by ``chain[k]``.
-
-    Dense indices are program order and dependences point forward, so a
-    reverse scan sees successors first.
-    """
-    lat = flat.lat
-    succs = flat.succs
-    chain = [0] * flat.n
-    for k in range(flat.n - 1, -1, -1):
-        sk = succs[k]
-        if sk:
-            lk = lat[k]
-            chain[k] = max(lk + chain[s] for s in sk)
-    return chain
-
-
-def root_bound(flat: _Flat, chain: List[int], limit: int = _NO_LIMIT) -> int:
-    """Admissible lower bound on the NOPs of any schedule of the block:
-    :func:`deadline_lateness` at the empty prefix, clamped at zero.
-
-    Like that function, stops early with a value above ``limit`` once
-    the bound is sure to exceed it (a negative ``limit`` needs no work).
-    """
-    n = flat.n
-    if n == 0 or limit < 0:
-        return 0
-    late = deadline_lateness(
-        flat, chain, (1 << n) - 1, -1, n, [0] * n, flat.pipe_last, limit
-    )
-    return max(0, late)
-
-
 def run_fast_search(
     dag: DependenceDAG,
     machine: MachineDescription,
@@ -548,7 +351,7 @@ def run_fast_search(
     bound and the DFS all run on one ``_Flat`` lowering of the block, so
     the fast path pays a single lowering where the reference path builds
     a resolver + incremental state per pricing pass.  Mirrors the
-    reference control flow in ``repro.sched.search`` decision for
+    reference control flow in ``repro.sched.reference`` decision for
     decision; returns a complete ``SearchResult`` (telemetry is recorded
     by the caller).
 
@@ -601,12 +404,15 @@ def run_fast_search(
             prune_counts=prune_counts(),
         )
 
-    # Root lower bound: can the incumbent already be proven optimal?
+    # Root lower bound: can the incumbent already be proven optimal?  If
+    # not, the bound is exact and the DFS stops at the first improvement
+    # that meets it.
     chain = downstream_chains(flat)
     best_nops = best.total_nops
-    if options.lower_bound_prune and best_nops <= root_bound(
-        flat, chain, best_nops - 1
-    ):
+    stop_at = -1
+    if options.lower_bound_prune:
+        stop_at = root_bound(flat, chain, best_nops - 1)
+    if best_nops <= stop_at:
         return SearchResult(
             best,
             seed_timing,
@@ -627,7 +433,7 @@ def run_fast_search(
 
     out = (dfs or _run_fast_dfs)(
         flat, dag, options, seed, best, omega_calls, improvements,
-        start, chain, users, max_latency,
+        start, chain, users, max_latency, stop_at,
     )
     return SearchResult(
         best=out.best,
@@ -686,6 +492,7 @@ def _run_fast_dfs(
     chain: List[int],
     users: List[int],
     max_latency: int,
+    stop_at: int,
 ) -> FastOutcome:
     """The pruned DFS of ``schedule_block``, on packed arrays.
 
@@ -693,7 +500,9 @@ def _run_fast_dfs(
     heuristic incumbents, root lower bound); mirrors the reference
     ``rec()`` decision-for-decision.  ``chain``/``users`` are the dense
     latency-chain and pending-pipeline-user tables (``users`` is mutated
-    in place as instructions are pushed/popped).
+    in place as instructions are pushed/popped).  The search ends,
+    complete, at the first improvement with at most ``stop_at`` NOPs
+    (the root lower bound; ``-1`` never stops it).
     """
     n = flat.n
     idents = flat.idents
@@ -1007,6 +816,8 @@ def _run_fast_dfs(
                     tuple(issue[q] for q in order),
                 )
                 improvements += 1
+                if best_nops <= stop_at:
+                    break  # meets the root bound: nothing can beat it
             done = True
         elif alpha_beta and total_nops >= best_nops:
             # Step [6]: mu never decreases as a schedule grows.

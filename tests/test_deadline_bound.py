@@ -1,6 +1,6 @@
 """The release-deadline lower bound of the block search.
 
-* The root bound is one function (``repro.sched.core.root_bound``, with
+* The root bound is one function (``repro.sched.bounds.root_bound``, with
   ``root_lower_bound`` as its wrapper): every engine's preamble proves a
   block by bound exactly when the first incumbent meets it.
 * It is admissible: never above the brute-force optimum, with carry-in
@@ -10,9 +10,13 @@
   in no more Omega calls, and the bounds never lose completion.
 * Every kernel x preset pair completes at the default options, and the
   engines agree on it bit for bit.
+* The root bound's pipeline-position term is admissible on its own (on
+  every preset, with carry-in conditions and pinned assignments), and a
+  search stops at the first improvement that meets the root bound.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,9 @@ from hypothesis import strategies as st
 from repro.ir.dag import DependenceDAG
 from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import PRESETS, get_machine
-from repro.sched.nop_insertion import InitialConditions, compute_timing
+from repro.sched.bounds import downstream_chains, position_lateness
+from repro.sched.core import _Flat
+from repro.sched.nop_insertion import InitialConditions, SigmaResolver, compute_timing
 from repro.sched.search import (
     ENGINES,
     SearchOptions,
@@ -52,6 +58,25 @@ def _first_incumbent(dag, machine, assignment, initial=None):
         assignment=assignment,
         initial_conditions=initial,
     ).best.total_nops
+
+
+def _position_term(dag, machine, assignment=None, initial=None):
+    """The root bound's pipeline-position term alone, clamped at zero."""
+    flat = _Flat(dag, machine, SigmaResolver(dag, machine, assignment), initial)
+    return max(0, position_lateness(flat, downstream_chains(flat)))
+
+
+@st.composite
+def pinned_assignments(draw, dag, machine):
+    """Each tuple pinned to a random pipeline among those its operation
+    may use (none when it uses none)."""
+    return {
+        t.ident: (
+            draw(st.sampled_from(sorted(machine.pipelines_for(t.op))))
+            if machine.pipelines_for(t.op) else None
+        )
+        for t in dag.block
+    }
 
 
 @st.composite
@@ -101,6 +126,7 @@ def test_root_bound_admissible_on_presets(preset, block):
     assignment = _assignment_for(dag, machine)
     optimum = brute_force_optimum(block, machine, assignment).best_nops
     assert root_lower_bound(dag, machine, assignment) <= optimum
+    assert _position_term(dag, machine, assignment) <= optimum
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,6 +149,7 @@ def test_root_bound_admissible_with_carry_in(block, machine, data):
         if optimum is None or timing.total_nops < optimum:
             optimum = timing.total_nops
     assert root_lower_bound(dag, machine, assignment, initial) <= optimum
+    assert _position_term(dag, machine, assignment, initial) <= optimum
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,3 +217,41 @@ def test_every_kernel_completes_and_engines_agree(preset):
         assert all(_fields(r) == _fields(results[0]) for r in results), (
             name, preset,
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(block=blocks(min_size=2, max_size=7), machine=any_machines(), data=st.data())
+def test_position_term_admissible_with_pinned_assignments(block, machine, data):
+    dag = DependenceDAG(block)
+    assignment = data.draw(pinned_assignments(dag, machine))
+    optimum = brute_force_optimum(block, machine, assignment).best_nops
+    assert _position_term(dag, machine, assignment) <= optimum
+
+
+def _dot4():
+    return dict(kernel_blocks())["dot4"]
+
+
+def test_position_term_closes_dot4_at_the_root():
+    """dot4 on the paper's simulation machine: the release-deadline
+    sweeps give 1 NOP, the optimum is 2 (the next test), and the
+    position term (its latency step included) reaches it."""
+    dag = DependenceDAG(_dot4())
+    machine = get_machine("paper-simulation")
+    assert _position_term(dag, machine) == 2
+    assert root_lower_bound(dag, machine) == 2
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_search_stops_when_an_improvement_meets_the_root_bound(engine):
+    """Every heuristic incumbent of dot4 needs 4 NOPs; the DFS finds 2
+    and stops there instead of exhausting a space 50x larger."""
+    machine = get_machine("paper-simulation")
+    dag = DependenceDAG(_dot4())
+    result = schedule_block(dag, machine, SearchOptions(engine=engine))
+    assert result.completed and not result.proved_by_bound
+    assert result.initial_nops == 4 and result.final_nops == 2
+    assert result.omega_calls <= 100
+    # The paper's prune set has no lower bounds, so it searches on.
+    paper = schedule_block(dag, machine, replace(SearchOptions.paper(), engine=engine))
+    assert paper.final_nops == 2 and paper.omega_calls > 1_000

@@ -1,8 +1,10 @@
 """Import budgets: what a fresh interpreter loads for each entry point.
 
 The package ``__init__``s are lazy namespaces and cold code (the split
-rung, the population sampler, the brute-force oracles) sits in its own
-modules, so an entry point pays only for the modules its call reaches.
+rung, the population sampler, the brute-force oracles, the reference
+engine, the driver's straight-line back end) sits in its own modules or
+loads on first use, so an entry point pays only for the modules its
+call reaches.
 Each row runs one entry point in a fresh interpreter and lists the
 modules it must not load (``fnmatch`` patterns; a pattern also covers
 the module's submodules), minus named exceptions.  A row may also cap
@@ -127,9 +129,14 @@ _BLOCK = "1: Load #a\n2: Load #b\n3: Mul 1, 2\n4: Store #c, 3"
 
 #: Loaded only by a whole-population run (the sampler, the front end,
 #: the optimizer), a timed-out block (the split rung), a loop, the
-#: multi-pipeline scheduler or the verify oracle.
+#: multi-pipeline scheduler, the verify oracle or the reference engine.
 _COLD = ("repro.frontend.lowering", "repro.opt", "repro.synth.population", "repro.synth.stats",
-         "repro.sched.splitting", "repro.sched.multi", "repro.ir.loop", "repro.verify.brute")
+         "repro.sched.splitting", "repro.sched.multi", "repro.ir.loop", "repro.verify.brute",
+         "repro.sched.reference")
+
+#: The straight-line back end: a loop compilation runs none of it.
+_STRAIGHT_LINE = ("repro.codegen", "repro.opt", "repro.regalloc", "repro.simulator",
+                  "repro.sched.heuristics")
 
 
 class Row(NamedTuple):
@@ -144,8 +151,9 @@ class Row(NamedTuple):
 
 BUDGETS = {
     # The block search is pure Python: the cache layer plus one fast
-    # search and one windowed split never pull numpy into the process.
-    "search-path-no-numpy": Row(_SEARCH_PATH, forbidden=("numpy",)),
+    # search and one windowed split never pull numpy into the process,
+    # nor the reference engine.
+    "search-path-no-numpy": Row(_SEARCH_PATH, forbidden=("numpy", "repro.sched.reference")),
     "import-repro": Row("import repro\n_report()", forbidden=("repro.*",)),
     "console-help": Row(
         "import repro.console\nrepro.console.main(['--help'])\n_report()",
@@ -161,12 +169,13 @@ BUDGETS = {
         "import repro.console\n"
         "repro.console.main(['compile', '-e', 'b = 15; a = b * a;'])\n_report()",
         forbidden=("repro.experiments", "repro.service", "multiprocessing",
-                   "repro.sched.pipelining", "repro.analysis"),
+                   "repro.sched.pipelining", "repro.analysis", "repro.sched.reference"),
     ),
     # ``repro serve`` forks its workers before it loads the HTTP front
     # end; the job they run must not pull that stack back in.
     "service-worker-job": Row(
-        _WORKER_JOB, forbidden=("http", "email", "ssl", "socketserver"),
+        _WORKER_JOB,
+        forbidden=("http", "email", "ssl", "socketserver", "repro.sched.reference"),
     ),
     "population-first-call": Row(
         *_first_call("population",
@@ -175,7 +184,7 @@ BUDGETS = {
                    "repro.ilp", "repro.native", "repro.service", "numpy", "repro.experiments.*",
                    "repro.ir.interp", *_COLD),
         allowed=("repro.experiments.runner",),
-        max_lines=6_700, max_dataclasses=30,
+        max_lines=6_350, max_dataclasses=29,
     ),
     "compile-first-call": Row(
         *_first_call("compile", {"source": "a = b * c; d = a + b;", "machine": "paper-simulation",
@@ -183,8 +192,9 @@ BUDGETS = {
         forbidden=("repro.experiments", "repro.service", "repro.resilience", "repro.synth",
                    "repro.verify", "repro.sched.pipelining", "repro.sched.interblock",
                    "repro.sched.splitting", "repro.sched.multi", "repro.ir.loop", "repro.ilp",
-                   "repro.native", "repro.analysis", "multiprocessing", "numpy"),
-        max_lines=7_500, max_dataclasses=34,
+                   "repro.native", "repro.analysis", "repro.sched.reference", "multiprocessing",
+                   "numpy"),
+        max_lines=7_250, max_dataclasses=34,
     ),
     "loops-first-call": Row(
         *_first_call("loops", {"source": "for i in 0..8 { p = a * b; a = a + b; }",
@@ -192,14 +202,15 @@ BUDGETS = {
         forbidden=("repro.experiments", "repro.service", "repro.resilience", "repro.synth",
                    "repro.verify.brute", "repro.verify.oracle", "repro.verify.loops",
                    "repro.sched.splitting", "repro.sched.multi", "repro.ilp", "repro.native",
-                   "repro.analysis", "multiprocessing", "numpy"),
-        max_lines=9_300, max_dataclasses=42,
+                   "repro.analysis", "repro.sched.reference", "multiprocessing", "numpy",
+                   *_STRAIGHT_LINE),
+        max_lines=7_650, max_dataclasses=35,
     ),
     "daemon-ready": Row(
         _DAEMON_READY,
         forbidden=("repro.frontend", "repro.driver", "repro.sched.pipelining", "repro.ir.interp",
                    "repro.ilp", "repro.native", "repro.analysis", "numpy", *_COLD),
-        max_lines=9_800, max_dataclasses=24,
+        max_lines=9_500, max_dataclasses=24,
     ),
 }
 
