@@ -106,7 +106,7 @@ def _certify_program(compiled, machine) -> int:
     schedule under the state it was actually scheduled for.  Returns a
     process exit code (0 = all certified).
     """
-    from .sched.interblock import carry_out
+    from .sched.nop_insertion import carry_out
 
     conditions = None
     for i, result in enumerate(compiled.blocks):

@@ -14,7 +14,7 @@ Two entry points:
 * :func:`compile_source` — one basic block (the paper's core case);
 * :func:`compile_program` — a multi-block program partitioned by
   ``barrier;`` statements, each block scheduled under its predecessors'
-  carry-out pipeline state (footnote 1 / ``repro.sched.interblock``).
+  carry-out pipeline state (footnote 1 / ``repro.sched.nop_insertion.carry_out``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .ir.block import BasicBlock
 from .ir.dag import DependenceDAG
 from .machine.machine import DelayDiscipline, MachineDescription
 from .sched.list_scheduler import list_schedule, program_order
-from .sched.nop_insertion import InitialConditions, ScheduleTiming, compute_timing
+from .sched.nop_insertion import InitialConditions, ScheduleTiming, carry_out, compute_timing
 from .sched.search import SearchOptions, SearchResult, schedule_block
 from .telemetry import Telemetry
 
@@ -379,9 +379,6 @@ def compile_program(
     threading both memory and pipeline state — and compared against
     source semantics.
     """
-    # Multi-block programs only: compile_source never needs carry-out.
-    from .sched.interblock import carry_out
-
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
     if scheduler == "multi":
@@ -468,9 +465,6 @@ def verify_program(
     state) and compare every written variable against source semantics.
     Each block's assembly text also runs on the register machine, which
     must leave every variable the block stores as the simulator does."""
-    # Multi-block programs only: compile_source never needs carry-out.
-    from .sched.interblock import carry_out
-
     _load_back_end()
 
     expected = run_program(compiled.program, dict(memory))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .ops import Opcode
-from .tuples import IRTuple, RefOperand, VarOperand
+from .tuples import IRTuple, RefOperand, VarOperand, ref_operand
 
 
 class BlockValidationError(ValueError):
@@ -194,7 +194,7 @@ class BasicBlock:
 
 def _remap(operand, mapping):
     if isinstance(operand, RefOperand):
-        return RefOperand(mapping[operand.ref])
+        return ref_operand(mapping[operand.ref])
     return operand
 
 
@@ -229,13 +229,13 @@ class BlockBuilder:
         return self.emit(Opcode.LOAD, VarOperand(var))
 
     def emit_store(self, var: str, ref: int) -> int:
-        return self.emit(Opcode.STORE, VarOperand(var), RefOperand(ref))
+        return self.emit(Opcode.STORE, VarOperand(var), ref_operand(ref))
 
     def emit_binary(self, op: Opcode, a: int, b: int) -> int:
-        return self.emit(op, RefOperand(a), RefOperand(b))
+        return self.emit(op, ref_operand(a), ref_operand(b))
 
     def emit_unary(self, op: Opcode, a: int) -> int:
-        return self.emit(op, RefOperand(a))
+        return self.emit(op, ref_operand(a))
 
     def tuple_at(self, ident: int) -> IRTuple:
         """The already-emitted tuple numbered ``ident``."""

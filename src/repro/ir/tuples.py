@@ -20,7 +20,7 @@ A tuple with no operand in a slot stores ``None`` (the paper's ∅).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from .ops import Opcode
 
@@ -51,7 +51,10 @@ class ConstOperand:
 
 @dataclass(frozen=True, slots=True)
 class RefOperand:
-    """The result of another tuple, identified by its reference number."""
+    """The result of another tuple, identified by its reference number.
+
+    Shared: the program's own passes take it from :func:`ref_operand`;
+    ``parse_block`` builds fresh ones for client input."""
 
     ref: int
 
@@ -65,6 +68,17 @@ class RefOperand:
 
 Operand = Union[VarOperand, ConstOperand, RefOperand]
 
+#: The shared reference operands; the numbers are bounded by block size.
+_REFS: Dict[int, RefOperand] = {}
+
+
+def ref_operand(ref: int) -> RefOperand:
+    """The one :class:`RefOperand` for reference number ``ref``."""
+    operand = _REFS.get(ref)
+    if operand is None:
+        operand = _REFS[ref] = RefOperand(ref)
+    return operand
+
 
 @dataclass(frozen=True, slots=True)
 class IRTuple:
@@ -72,7 +86,9 @@ class IRTuple:
 
     Instances are immutable; optimization passes build new tuples rather
     than mutating existing ones, which keeps blocks safely shareable
-    between the scheduler's many candidate orderings.
+    between the scheduler's many candidate orderings.  Their operands are
+    shared leaves: built, renumbered and optimized blocks hold one
+    :func:`ref_operand` per reference number.
     """
 
     ident: int
@@ -113,22 +129,14 @@ class IRTuple:
     # ------------------------------------------------------------------
     @property
     def operands(self) -> tuple[Operand, ...]:
-        """The non-empty operands, in (alpha, beta) order."""
-        out = []
-        if self.alpha is not None:
-            out.append(self.alpha)
-        if self.beta is not None:
-            out.append(self.beta)
-        return tuple(out)
+        """The non-empty operands, in (alpha, beta) order (every shape has
+        an alpha)."""
+        return (self.alpha,) if self.beta is None else (self.alpha, self.beta)
 
     @property
     def value_refs(self) -> tuple[int, ...]:
         """Reference numbers of tuples whose *results* this tuple consumes."""
-        return tuple(
-            operand.ref
-            for operand in self.operands
-            if isinstance(operand, RefOperand)
-        )
+        return tuple(o.ref for o in self.operands if isinstance(o, RefOperand))
 
     @property
     def variable(self) -> Optional[str]:
@@ -141,11 +149,6 @@ class IRTuple:
     def with_ident(self, ident: int) -> "IRTuple":
         """A copy of this tuple renumbered to ``ident`` (operands untouched)."""
         return IRTuple(ident, self.op, self.alpha, self.beta)
-
-    def with_operands(
-        self, alpha: Optional[Operand], beta: Optional[Operand]
-    ) -> "IRTuple":
-        return IRTuple(self.ident, self.op, alpha, beta)
 
     # ------------------------------------------------------------------
     def __str__(self) -> str:

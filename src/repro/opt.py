@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .ir.block import BasicBlock, BlockBuilder
 from .ir.ops import Opcode
-from .ir.tuples import ConstOperand, IRTuple, Operand, RefOperand
+from .ir.tuples import ConstOperand, IRTuple, Operand, ref_operand
 
 __all__ = ["optimize_block"]
 
@@ -99,7 +99,7 @@ def number_values(block: BasicBlock) -> BasicBlock:
             return a
         if op.is_commutative and b < a:
             a, b = b, a
-        return value(op, RefOperand(a), RefOperand(b))
+        return value(op, ref_operand(a), ref_operand(b))
 
     for t in block:
         op = t.op
@@ -112,7 +112,7 @@ def number_values(block: BasicBlock) -> BasicBlock:
             sub[t.ident] = holds[var]
         elif op is Opcode.STORE:
             ref = holds[t.alpha.name] = sub[t.beta.ref]
-            out.emit(op, t.alpha, RefOperand(ref))
+            out.emit(op, t.alpha, ref_operand(ref))
         elif op is Opcode.COPY:
             sub[t.ident] = sub[t.alpha.ref]
         elif op is Opcode.NEG:
@@ -122,7 +122,7 @@ def number_values(block: BasicBlock) -> BasicBlock:
             elif a in negated:
                 sub[t.ident] = negated[a]
             else:
-                ref = sub[t.ident] = value(op, RefOperand(a))
+                ref = sub[t.ident] = value(op, ref_operand(a))
                 negated[ref] = a
         else:
             sub[t.ident] = binary(op, sub[t.alpha.ref], sub[t.beta.ref])

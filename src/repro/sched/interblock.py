@@ -13,7 +13,8 @@ threads them through a straight-line sequence of basic blocks:
   (for memory systems whose stores take observable time — e.g. the
   CARP-style interconnection-network accesses the paper cites).
 * :func:`carry_out` — the conditions a scheduled block hands its
-  successor.
+  successor (it lives in :mod:`repro.sched.nop_insertion`, which the loop
+  pipeliner loads anyway, and is re-exported here).
 * :func:`schedule_sequence` — optimally schedule each block of a
   sequence under the conditions left by its predecessors; the resulting
   concatenated instruction stream is hazard-free by construction
@@ -27,54 +28,13 @@ neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
-from .nop_insertion import InitialConditions, ScheduleTiming, SigmaResolver
+from .nop_insertion import InitialConditions, carry_out
 from .search import SearchOptions, SearchResult, schedule_block
-
-
-def carry_out(
-    timing: ScheduleTiming,
-    dag: DependenceDAG,
-    machine: MachineDescription,
-    resolver: Optional[SigmaResolver] = None,
-) -> InitialConditions:
-    """The initial conditions a scheduled block leaves for its successor.
-
-    The successor's cycle 0 is the slot after this block's last issue.
-    A pipeline whose final enqueue happened within ``enqueue_time`` of
-    the block's end is still busy for the difference; a variable whose
-    final store completes after the block's end is not yet readable.
-    """
-    if resolver is None:
-        resolver = SigmaResolver(dag, machine)
-    if not timing.order:
-        return InitialConditions()
-    next_origin = timing.issue_times[-1] + 1
-    pipe_free: Dict[int, int] = {}
-    last_issue_per_pipe: Dict[int, int] = {}
-    for pos, ident in enumerate(timing.order):
-        pid = resolver.sigma(ident)
-        if pid is not None:
-            last_issue_per_pipe[pid] = timing.issue_times[pos]
-    for pid, issued in last_issue_per_pipe.items():
-        free = issued + machine.pipeline(pid).enqueue_time - next_origin
-        if free > 0:
-            pipe_free[pid] = free
-    variable_ready: Dict[str, int] = {}
-    block = dag.block
-    for pos, ident in enumerate(timing.order):
-        t = block.by_ident(ident)
-        if t.op.writes_memory:
-            ready = timing.issue_times[pos] + resolver.latency(ident) - next_origin
-            if ready > 0:
-                variable_ready[t.variable] = max(
-                    variable_ready.get(t.variable, 0), ready
-                )
-    return InitialConditions(pipe_free=pipe_free, variable_ready=variable_ready)
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,38 @@ class ScheduleTiming:
         return len(self.order)
 
 
+def carry_out(
+    timing: ScheduleTiming,
+    dag: DependenceDAG,
+    machine: MachineDescription,
+    resolver: Optional[SigmaResolver] = None,
+) -> InitialConditions:
+    """The initial conditions a scheduled block leaves for its successor.
+
+    The successor's cycle 0 is the slot after this block's last issue.
+    A pipeline whose final enqueue happened within ``enqueue_time`` of
+    the block's end is still busy for the difference; a variable whose
+    final store completes after the block's end is not yet readable.
+    """
+    if not timing.order:
+        return InitialConditions()
+    resolver = resolver or SigmaResolver(dag, machine)
+    origin = timing.issue_times[-1] + 1
+    last_issue: Dict[int, int] = {}
+    variable_ready: Dict[str, int] = {}
+    for ident, issued in zip(timing.order, timing.issue_times):
+        pid = resolver.sigma(ident)
+        if pid is not None:
+            last_issue[pid] = issued
+        t = dag.block.by_ident(ident)
+        ready = issued + resolver.latency(ident) - origin
+        if t.op.writes_memory and ready > 0:
+            variable_ready[t.variable] = max(variable_ready.get(t.variable, 0), ready)
+    pipe_free = {pid: free for pid, issued in last_issue.items()
+                 if (free := issued + machine.pipeline(pid).enqueue_time - origin) > 0}
+    return InitialConditions(pipe_free=pipe_free, variable_ready=variable_ready)
+
+
 class IncrementalTimingState:
     """Push/pop NOP computation over a growing schedule prefix (Φ).
 

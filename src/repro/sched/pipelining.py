@@ -55,6 +55,7 @@ from .nop_insertion import (
     PipelineAssignment,
     ScheduleTiming,
     SigmaResolver,
+    carry_out,
     compute_timing,
 )
 from .search import ScheduleRequest, SearchOptions, schedule_block
@@ -271,7 +272,7 @@ def steady_state_offsets(
     """Price a fixed body order as a modulo schedule: ``(II, offsets)``.
 
     Iterates the block Ω over ``order`` under its own
-    :func:`~repro.sched.interblock.carry_out` conditions — iteration
+    :func:`~repro.sched.nop_insertion.carry_out` conditions — iteration
     ``i+1`` scheduled as if it began the cycle after iteration ``i``'s
     last issue — until the window stabilizes.  The fixpoint's issue
     times are valid offsets at ``II = window span``: they are distinct
@@ -281,8 +282,6 @@ def steady_state_offsets(
     bumped upward if ever needed (fixed offsets only get *more*
     feasible as ``II`` grows).
     """
-    from .interblock import carry_out
-
     dag = dag or DependenceDAG(loop.body)
     assignment = _pin_assignment(dag, machine, assignment)
     resolver = SigmaResolver(dag, machine, assignment)

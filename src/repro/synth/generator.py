@@ -14,14 +14,21 @@ integer seed.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 
 if TYPE_CHECKING:
-    from ..frontend.ast import Expr, Program
+    from ..frontend.ast import Constant, Expr, Program, VarRead
     from .stats import GeneratorProfile
+
+#: Leaves shared by every generated program, as small as the largest
+#: variable pool and constant range asked for.
+_READS: Dict[str, VarRead] = {}
+_CONSTANTS: Dict[int, Constant] = {}
 
 
 def _weighted_choice(
@@ -36,11 +43,12 @@ def _weighted_choice(
     return table[-1][0]  # numerical slack lands on the last entry
 
 
+@lru_cache(maxsize=None)
 def variable_names(count: int) -> Tuple[str, ...]:
-    """``v0, v1, ...`` — the variable pool for generated programs."""
+    """``v0, v1, ...`` — the variable pool for generated programs, one per count."""
     if count < 1:
         raise ValueError("need at least one variable")
-    return tuple(f"v{i}" for i in range(count))
+    return tuple(sys.intern(f"v{i}") for i in range(count))
 
 
 def generate_program(
@@ -75,12 +83,15 @@ def generate_program(
     pool_size = min(constants, profile.constant_range)
     constant_pool = rng.sample(range(1, profile.constant_range + 1), pool_size)
     operators = profile.operators()
+    # The same draws as from ``names`` and ``constant_pool``, shared leaves.
+    reads = [_READS.get(n) or _READS.setdefault(n, VarRead(n)) for n in names]
+    leaves = [_CONSTANTS.get(c) or _CONSTANTS.setdefault(c, Constant(c)) for c in constant_pool]
 
     def var() -> VarRead:
-        return VarRead(rng.choice(names))
+        return rng.choice(reads)
 
     def const() -> Constant:
-        return Constant(rng.choice(constant_pool))
+        return rng.choice(leaves)
 
     def op() -> str:
         return _weighted_choice(rng, operators)
