@@ -17,11 +17,11 @@ from repro.sched.nop_insertion import (
     IncrementalTimingState,
     SigmaResolver,
     compute_timing,
-    sequential_etas,
 )
 from repro.simulator.core import PipelineSimulator
 from repro.synth.generator import generate_block
 from repro.synth.population import sample_population
+from repro.verify.brute import sequential_etas
 
 
 @pytest.fixture(scope="module")

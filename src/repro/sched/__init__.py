@@ -6,8 +6,8 @@ from .. import _lazy_namespace
 
 __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".nop_insertion": ("IncrementalTimingState", "InitialConditions", "PipelineAssignment",
-        "ScheduleTiming", "SigmaResolver", "carry_out", "compute_timing", "sequential_etas",
-        "total_nops"),
+        "ScheduleTiming", "SigmaResolver", "carry_out", "compute_timing", "total_nops"),
+    "..verify.brute": ("sequential_etas",),
     ".list_scheduler": ("list_schedule", "program_order"),
     ".heuristics": ("greedy_schedule", "gross_schedule"),
     ".exhaustive": ("LEGAL_COUNT_CAP", "LegalSearchResult", "count_legal_schedules",

@@ -34,9 +34,10 @@ Constraints on the issue time of instruction ``zeta`` at position ``i``:
 
 Two implementations are provided and property-tested equal:
 
-* :func:`sequential_etas` — the paper's literal formulation, which adds
-  NOP deficits one constraint at a time, re-evaluating ``tau`` as
-  ``eta(i)`` grows;
+* :func:`repro.verify.brute.sequential_etas` — the paper's literal
+  formulation, which adds NOP deficits one constraint at a time,
+  re-evaluating ``tau`` as ``eta(i)`` grows (an oracle, kept with the
+  other brute-force ones);
 * the closed form used everywhere else — since each step tops ``eta(i)``
   up to exactly satisfy one constraint and all constraints relax together
   as ``eta(i)`` grows, the result is simply the maximum single-constraint
@@ -391,88 +392,6 @@ def compute_timing(
     for ident in order:
         state.push(ident)
     return state.snapshot()
-
-
-def sequential_etas(
-    dag: DependenceDAG,
-    order: Sequence[int],
-    machine: MachineDescription,
-    assignment: Optional[PipelineAssignment] = None,
-    initial: Optional[InitialConditions] = None,
-) -> Tuple[int, ...]:
-    """The paper's NOP-insertion algorithm, implemented step by step.
-
-    Kept deliberately close to the prose of section 4.2.2 (steps [1]-[6]),
-    including the backward conflict scan and the incremental deficit
-    accumulation.  Used as the oracle against which the closed form is
-    property-tested; O(n^2) per schedule, so not used by the search.
-
-    Carry-in conditions (footnote 1) extend the literal algorithm with a
-    step [0]: before the in-block checks, top eta up until the carry-in
-    pipeline-busy and variable-ready constraints are met — for the first
-    instruction too, which the idle-start algorithm exempts in step [1].
-    """
-    resolver = SigmaResolver(dag, machine, assignment)
-    init = initial if initial is not None else InitialConditions()
-    n = len(order)
-    etas: List[int] = [0] * n
-    position = {ident: pos for pos, ident in enumerate(order)}
-
-    for i, zeta in enumerate(order):
-        eta = 0  # step [1]
-
-        def issue_i() -> int:
-            """Issue cycle of instruction i given etas so far + current eta."""
-            return sum(etas[:i]) + i + eta
-
-        # Step [0]: carry-in conditions (no-op when the machine starts idle).
-        pid = resolver.sigma(zeta)
-        if pid is not None and pid in init.pipe_free:
-            x = init.pipe_free[pid] - issue_i()
-            if x > 0:
-                eta += x
-        var = dag.block.by_ident(zeta).variable
-        if var is not None and var in init.variable_ready:
-            x = init.variable_ready[var] - issue_i()
-            if x > 0:
-                eta += x
-
-        if i == 0:
-            etas[0] = eta
-            continue
-
-        def tau(j: int) -> int:
-            """Issue-time distance between instructions j and i (current eta)."""
-            return (i - j) + eta + sum(etas[j + 1 : i])
-
-        if pid is not None:  # step [2] skips to [4] when sigma is empty
-            enqueue = resolver.enqueue_time(zeta)
-            j = i - 1
-            while True:  # step [3]
-                if tau(j) > enqueue:
-                    break
-                if resolver.sigma(order[j]) == pid:
-                    if tau(j) < enqueue:
-                        # The paper assigns eta = enqueue - tau(j); since
-                        # its eta is still 0 here that equals adding the
-                        # deficit.  Adding keeps the step correct when
-                        # step [0] already raised eta for carry-in.
-                        eta += enqueue - tau(j)
-                    break
-                if j == 0:
-                    break
-                j -= 1
-
-        rho = dag.rho(zeta)
-        if rho:  # steps [4]-[6]
-            for delta in sorted(rho, key=position.__getitem__):
-                x = resolver.latency(delta) - tau(position[delta])
-                if x > 0:
-                    eta += x
-
-        etas[i] = eta
-
-    return tuple(etas)
 
 
 def total_nops(

@@ -24,6 +24,10 @@ Layers:
 
 from .. import _lazy_namespace
 
+#: Version tag of the request/response payloads, here so that the client
+#: and the daemon share it without importing each other.
+SCHEMA = "repro-service/2"
+
 __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".fingerprint": ("CanonicalForm", "fingerprint_problem"),
     ".cache": ("ScheduleCache", "StoreOnlyCache", "CacheIntegrityError"),

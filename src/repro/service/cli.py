@@ -202,7 +202,7 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
             )
             pool = None
     # Imported only now: the workers above are forked without the HTTP
-    # stack (http, email, ssl, socketserver), which they never use.
+    # front end (socketserver and its handler), which they never use.
     from .server import SchedulingService, create_server
 
     service = SchedulingService(

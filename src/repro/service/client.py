@@ -38,7 +38,7 @@ from ..ir.textual import format_block
 from ..machine.machine import MachineDescription
 from ..machine.serialize import machine_to_dict
 from ..telemetry import Telemetry
-from .server import SCHEMA
+from . import SCHEMA
 
 __all__ = ["ServiceClient", "ServiceClientError"]
 

@@ -47,7 +47,10 @@ answers ``200`` with one entry per block (same order)::
 Error answers are always structured JSON: ``400`` for malformed
 requests, ``413`` for oversized bodies, ``429`` + ``Retry-After`` when
 admission control sheds the request (bounded queue full), ``503`` while
-draining.  ``GET /v1/health/live`` is pure liveness; ``/v1/health/ready``
+draining.  The front end speaks only the HTTP subset the protocol
+needs (docs/file-formats.md §6), on :mod:`socketserver` with a thread
+per connection; a request outside it is refused in JSON too.
+``GET /v1/health/live`` is pure liveness; ``/v1/health/ready``
 answers ``200``/``503`` from the readiness checks (workers alive, cache
 store writable, engine probe, not draining); ``GET /v1/health`` reports
 both plus the ``service.*`` counters.
@@ -79,10 +82,10 @@ import json
 import math
 import os
 import socket
+import socketserver
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
@@ -96,6 +99,7 @@ from ..resilience.supervisor import validate_entry
 from ..sched.core import resolve_engine
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
+from . import SCHEMA
 from .cache import BYPASS, HIT, MISS, ScheduleCache
 from .fingerprint import CanonicalForm, fingerprint_problem
 from .jobs import execute_block, seed_entry
@@ -108,9 +112,6 @@ __all__ = [
     "SchedulingService",
     "create_server",
 ]
-
-#: Version tag of the request/response payloads.
-SCHEMA = "repro-service/2"
 
 #: The PR 5 request schema — still accepted, answered in /2 form.
 LEGACY_SCHEMA = "repro-service/1"
@@ -607,37 +608,98 @@ class SchedulingService:
         return forced
 
 
-class _BodyError(Exception):
-    """A request body problem with a definite HTTP status."""
+#: http.server's limits: lines of at most 64 KiB, at most 100 headers.
+_MAX_LINE, _MAX_HEADERS = 65536, 100
 
-    def __init__(self, code: int, message: str, close: bool = False):
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Content Too Large",
+            414: "URI Too Long", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large", 500: "Internal Server Error",
+            501: "Not Implemented", 503: "Service Unavailable",
+            505: "HTTP Version Not Supported"}
+
+
+class _Refusal(Exception):
+    """A request not read further: answered with ``code``, then the
+    connection closes."""
+
+    def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.close = close
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """HTTP plumbing around a :class:`SchedulingService`.
+class _Handler(socketserver.StreamRequestHandler):
+    """The HTTP subset of the protocol around a :class:`SchedulingService`.
 
     Every failure mode a client can provoke — bad framing, oversized or
-    truncated bodies, disconnects mid-request — answers structured JSON
-    (or silently drops a connection that is already gone).  The daemon
-    log never sees a traceback for client behaviour.
+    truncated requests, disconnects mid-request — answers structured
+    JSON (or silently drops a connection that is already gone).  The
+    daemon log never sees a traceback for client behaviour.
     """
 
-    server_version = "repro-serve/2"
-    protocol_version = "HTTP/1.1"
     service: SchedulingService  # set by create_server
-    quiet = True
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                try:
+                    self._handle_one()
+                except _Refusal as exc:
+                    self._reply(exc.code, {"error": str(exc)}, close=True)
+                    self._discard_input()
+        except OSError:
+            pass  # the client went away mid-request; nobody to answer
 
-    def address_string(self) -> str:
-        # client_address is '' over AF_UNIX sockets.
-        host = self.client_address[0] if self.client_address else "unix"
-        return str(host) or "unix"
+    def _handle_one(self) -> None:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            self.close_connection = True
+            return
+        if len(line) > _MAX_LINE:
+            raise _Refusal(414, "request line too long")
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            raise _Refusal(400, f"bad request line {line[:200]!r}")
+        method, self.path, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _Refusal(505, f"unsupported HTTP version {version!r}")
+        self.headers: Dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(line) > _MAX_LINE:
+                raise _Refusal(431, "header line too long")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise _Refusal(400, f"bad header line {line[:200]!r}")
+            self.headers[name.strip().lower()] = value.strip()
+        else:
+            raise _Refusal(431, f"more than {_MAX_HEADERS} headers")
+        if method not in ("GET", "POST"):
+            raise _Refusal(501, f"unsupported method {method!r}")
+        if "transfer-encoding" in self.headers:
+            raise _Refusal(400, "Transfer-Encoding is not supported; use Content-Length")
+        self.close_connection = (
+            version == "HTTP/1.0" or self.headers.get("connection", "").lower() == "close"
+        )
+        if method == "GET":
+            if "content-length" in self.headers:
+                self._read_body()  # keeps the framing; a GET's body means nothing
+            self.do_GET()
+        else:
+            self.do_POST()
+
+    def _discard_input(self) -> None:
+        """Read, for up to a second, what the client sent past a refusal:
+        closing a socket with unread input resets the connection, which
+        can destroy the reply before the client reads it."""
+        self.request.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + 1.0
+        while (left := deadline - time.monotonic()) > 0:
+            self.request.settimeout(left)
+            if not self.request.recv(65536):
+                break
 
     def _reply(
         self,
@@ -647,18 +709,18 @@ class _Handler(BaseHTTPRequestHandler):
         close: bool = False,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
+        # The interpreter leaves LC_TIME at "C": %a and %b are English.
+        date = time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime())
+        head = [f"HTTP/1.1 {code} {_REASONS[code]}", "Server: repro-serve/2",
+                f"Date: {date}", "Content-Type: application/json",
+                f"Content-Length: {len(body)}"]
+        head += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        if close:
+            head.append("Connection: close")
+            self.close_connection = True
         try:
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            if close:
-                self.send_header("Connection", "close")
-                self.close_connection = True
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError, socket.timeout, OSError):
+            self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+        except OSError:
             # The client is gone; nothing to answer and nothing to log
             # beyond the counter.
             self.service._count("service.http.disconnects")
@@ -676,27 +738,22 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
     def _read_body(self) -> bytes:
-        raw_length = self.headers.get("Content-Length")
+        raw_length = self.headers.get("content-length")
         if raw_length is None:
-            raise _BodyError(400, "missing Content-Length header", close=True)
+            raise _Refusal(400, "missing Content-Length header")
         try:
             length = int(raw_length)
         except ValueError:
-            raise _BodyError(
-                400, f"invalid Content-Length {raw_length!r}", close=True
-            ) from None
+            raise _Refusal(400, f"invalid Content-Length {raw_length!r}") from None
         if length < 0:
-            raise _BodyError(
-                400, f"invalid Content-Length {raw_length!r}", close=True
-            )
+            raise _Refusal(400, f"invalid Content-Length {raw_length!r}")
         if length > MAX_BODY_BYTES:
             # Answer without reading the body — the connection must
             # close, or the unread bytes would be parsed as a request.
-            raise _BodyError(
+            raise _Refusal(
                 413,
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
-                close=True,
             )
         chunks: List[bytes] = []
         remaining = length
@@ -704,18 +761,15 @@ class _Handler(BaseHTTPRequestHandler):
             while remaining:
                 chunk = self.rfile.read(min(65536, remaining))
                 if not chunk:
-                    raise _BodyError(
+                    raise _Refusal(
                         400,
                         f"client disconnected mid-body "
                         f"({length - remaining}/{length} bytes received)",
-                        close=True,
                     )
                 chunks.append(chunk)
                 remaining -= len(chunk)
-        except (socket.timeout, ConnectionError, OSError) as exc:
-            raise _BodyError(
-                400, f"failed reading request body: {exc}", close=True
-            ) from None
+        except OSError as exc:
+            raise _Refusal(400, f"failed reading request body: {exc}") from None
         return b"".join(chunks)
 
     def do_POST(self) -> None:  # noqa: N802
@@ -724,10 +778,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body = self._read_body()
-        except _BodyError as exc:
+        except _Refusal:
             self.service._count("service.http.bad_bodies")
-            self._reply(exc.code, {"error": str(exc)}, close=exc.close)
-            return
+            raise
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -753,24 +806,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(500, {"error": f"internal error: {exc}"})
 
 
-class _UnixHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to a unix-domain socket."""
+# One daemon thread per connection, as http.server's ThreadingHTTPServer
+# has, without its reverse lookup of the bound address at bind.
+class _TCPServer(socketserver.ThreadingTCPServer):
+    daemon_threads = allow_reuse_address = True
 
-    address_family = socket.AF_UNIX
 
-    def server_bind(self) -> None:
-        # HTTPServer.server_bind unpacks server_address as (host, port);
-        # over AF_UNIX it is a path string, so bind at the socketserver
-        # layer and fill the name fields in by hand.
-        try:
-            os.unlink(self.server_address)  # type: ignore[arg-type]
-        except OSError:
-            pass
-        import socketserver
-
-        socketserver.TCPServer.server_bind(self)
-        self.server_name = str(self.server_address)
-        self.server_port = 0
+class _UnixServer(socketserver.ThreadingUnixStreamServer):
+    daemon_threads = True
 
 
 def create_server(
@@ -778,17 +821,22 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 0,
     unix_path: Optional[str] = None,
-) -> Tuple[ThreadingHTTPServer, str]:
+) -> Tuple[socketserver.BaseServer, str]:
     """Bind the daemon and return ``(server, url)``.
 
     ``port=0`` binds an ephemeral TCP port; ``unix_path`` switches to a
-    unix-domain socket (the returned URL is ``unix://<path>``).  Call
-    ``server.serve_forever()`` (or drive it from a thread in tests).
+    unix-domain socket (the returned URL is ``unix://<path>``), replacing
+    a stale socket file.  Either server runs one daemon thread per
+    connection.  Call ``server.serve_forever()`` (or drive it from a
+    thread in tests).
     """
     handler = type("BoundHandler", (_Handler,), {"service": service})
     if unix_path is not None:
-        server = _UnixHTTPServer(unix_path, handler)
-        return server, f"unix://{unix_path}"
-    server = ThreadingHTTPServer((host, port), handler)
+        try:
+            os.unlink(unix_path)
+        except OSError:
+            pass
+        return _UnixServer(unix_path, handler), f"unix://{unix_path}"
+    server = _TCPServer((host, port), handler)
     bound_host, bound_port = server.server_address[:2]
     return server, f"http://{bound_host}:{bound_port}"

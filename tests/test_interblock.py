@@ -11,13 +11,10 @@ from repro.ir.textual import parse_block
 from repro.machine.machine import MachineDescription
 from repro.machine.pipeline import PipelineDesc
 from repro.sched.interblock import carry_out, schedule_sequence
-from repro.sched.nop_insertion import (
-    InitialConditions,
-    compute_timing,
-    sequential_etas,
-)
+from repro.sched.nop_insertion import InitialConditions, compute_timing
 from repro.sched.search import schedule_block
 from repro.simulator.core import PipelineSimulator
+from repro.verify.brute import sequential_etas
 
 from .strategies import blocks, machines
 

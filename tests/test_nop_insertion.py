@@ -15,9 +15,9 @@ from repro.sched.nop_insertion import (
     IncrementalTimingState,
     SigmaResolver,
     compute_timing,
-    sequential_etas,
     total_nops,
 )
+from repro.verify.brute import sequential_etas
 
 from .strategies import blocks, machines
 

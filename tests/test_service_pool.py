@@ -545,6 +545,121 @@ class TestRequestBodyEdgeCases:
         assert reply["entries"][0]["completed"] is True
 
 
+def _schedule_request(length_header=b"Content-Length"):
+    body = json.dumps({"schema": SCHEMA, "machine": "paper-simulation",
+                       "blocks": [{"tuples": BLOCKS[0]}]}).encode()
+    return (b"POST /v1/schedule HTTP/1.1\r\nHost: x\r\n"
+            + length_header + b": %d\r\n\r\n" % len(body) + body)
+
+
+def _address(url):
+    host, port = url[len("http://"):].rsplit(":", 1)
+    return host, int(port)
+
+
+def _read_reply(rfile):
+    """One response from ``rfile``: status line, headers (names
+    lower-cased) and the decoded JSON body."""
+    status = rfile.readline()
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, json.loads(rfile.read(int(headers["content-length"])))
+
+
+class TestHttpSubset:
+    """The front end's HTTP subset: refusals answer JSON and close the
+    connection; HTTP/1.1 keeps it open, HTTP/1.0 closes it."""
+
+    @pytest.mark.parametrize("raw, status", [
+        (b"GARBAGE\r\n\r\n", b"400"),
+        (b"PUT /v1/schedule HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}", b"501"),
+        (b"GET /v1/health HTTP/2.0\r\n\r\n", b"505"),
+        (b"GET /" + b"a" * 70 * 1024 + b" HTTP/1.1\r\n\r\n", b"414"),
+        (b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"a" * 70 * 1024 + b"\r\n\r\n", b"431"),
+        (b"GET /v1/health HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n", b"431"),
+    ], ids=["garbage", "put", "http2", "long-line", "long-header", "101-headers"])
+    def test_refusals_are_json_and_close(self, raw_service, raw, status):
+        _, _, send = raw_service
+        reply = send(raw)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 " + status + b" ")
+        assert b"\r\nConnection: close" in head
+        assert b"Traceback" not in reply
+        assert "error" in json.loads(body)
+
+    def test_refusal_reaches_a_client_still_sending(self, raw_service):
+        # The daemon refuses after the headers and reads on past its
+        # reply: closing over 4 MiB of unread input would reset the
+        # connection, and the client would get an error, not the 413.
+        _, _, send = raw_service
+        reply = send(b"POST /v1/schedule HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: 999999999\r\n\r\n" + b"x" * (4 << 20))
+        assert reply.startswith(b"HTTP/1.1 413 ")
+
+    def test_hundred_headers_are_accepted(self, raw_service):
+        _, _, send = raw_service
+        reply = send(b"GET /v1/health/live HTTP/1.1\r\nConnection: close\r\n"
+                     + b"".join(b"X-H%d: v\r\n" % i for i in range(99)) + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+    def test_transfer_encoding_is_refused_and_closes(self, raw_service):
+        _, url, _ = raw_service
+        raw = _schedule_request().replace(
+            b"Host: x\r\n", b"Host: x\r\nTransfer-Encoding: chunked\r\n"
+        )
+        with socket.create_connection(_address(url), timeout=10) as sock:
+            sock.sendall(raw)
+            rfile = sock.makefile("rb")
+            status, headers, body = _read_reply(rfile)
+            assert status.startswith(b"HTTP/1.1 400 ")
+            assert "Transfer-Encoding" in body["error"]
+            assert headers["connection"] == "close"
+            assert rfile.read() == b""
+
+    def test_http10_is_answered_then_closed(self, raw_service):
+        _, url, _ = raw_service
+        with socket.create_connection(_address(url), timeout=10) as sock:
+            sock.sendall(b"GET /v1/health/live HTTP/1.0\r\n\r\n")
+            rfile = sock.makefile("rb")
+            status, headers, body = _read_reply(rfile)
+            assert status.startswith(b"HTTP/1.1 200 ")
+            assert body["ok"] is True
+            assert rfile.read() == b""
+
+    def test_http11_keeps_the_connection_for_later_requests(self, raw_service):
+        _, url, _ = raw_service
+        with socket.create_connection(_address(url), timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(_schedule_request())
+            status, headers, body = _read_reply(rfile)
+            assert status.startswith(b"HTTP/1.1 200 ")
+            assert body["entries"][0]["completed"] is True
+            assert headers["server"] == "repro-serve/2"
+            assert headers["date"].endswith(" GMT")
+            assert time.strptime(headers["date"], "%a, %d %b %Y %H:%M:%S GMT")
+            # A GET's body is read past, not parsed as the next request.
+            sock.sendall(b"GET /v1/health/live HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+                         b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n")
+            status, _, body = _read_reply(rfile)
+            assert status.startswith(b"HTTP/1.1 200 ")
+            status, _, body = _read_reply(rfile)
+            assert status.startswith(b"HTTP/1.1 200 ")
+            assert "counters" in body
+            assert rfile.read() == b""
+
+    def test_header_names_are_case_insensitive(self, raw_service):
+        _, _, send = raw_service
+        reply = send(_schedule_request(b"content-length").replace(
+            b"Host: x\r\n", b"Host: x\r\nconnection: CLOSE\r\n"
+        ))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["entries"][0]["completed"] is True
+
+
 class TestHealthEndpoints:
     def test_liveness_and_readiness_split(self):
         service = _pooled_service(workers=1)
