@@ -173,6 +173,10 @@ def explain_schedule(
                     detail = (
                         f"variable {t.variable!r} not ready before cycle {bound}"
                     )
+            if init.tuple_ready.get(ident, -1) > best_bound:
+                best_bound = init.tuple_ready[ident]
+                cause = "carry-in"
+                detail = f"tuple {ident} not ready before cycle {best_bound}"
             for delta in dag.rho(ident):
                 bound = issue_of[delta] + resolver.latency(delta)
                 if bound > best_bound:

@@ -89,7 +89,8 @@ def lower_program(
         builder.emit_store(stmt.target, value)
         if reuse_values:
             current[stmt.target] = value
-
+    # A closure that calls itself is a reference cycle: empty its cell.
+    del lower_expr
     return builder.build()
 
 

@@ -41,14 +41,21 @@ class BasicBlock:
     _index: Dict[int, int] = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __init__(self, tuples: Iterable[IRTuple], name: str = "block"):
+        self._fill(tuples, name)
+        self._validate()
+
+    @classmethod
+    def unchecked(cls, tuples: Iterable[IRTuple], name: str = "block") -> "BasicBlock":
+        """A block over ``tuples`` without reference validation (a
+        schedule's order, a window of a larger block)."""
+        block = object.__new__(cls)
+        block._fill(tuples, name)
+        return block
+
+    def _fill(self, tuples: Iterable[IRTuple], name: str) -> None:
         object.__setattr__(self, "tuples", tuple(tuples))
         object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self,
-            "_index",
-            {t.ident: pos for pos, t in enumerate(self.tuples)},
-        )
-        self._validate()
+        object.__setattr__(self, "_index", {t.ident: pos for pos, t in enumerate(self.tuples)})
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -156,14 +163,7 @@ class BasicBlock:
             raise BlockValidationError(
                 "reorder must be a permutation of the block's tuples"
             )
-        reordered = tuple(self.by_ident(i) for i in order)
-        block = object.__new__(BasicBlock)
-        object.__setattr__(block, "tuples", reordered)
-        object.__setattr__(block, "name", self.name)
-        object.__setattr__(
-            block, "_index", {t.ident: pos for pos, t in enumerate(reordered)}
-        )
-        return block
+        return BasicBlock.unchecked((self.by_ident(i) for i in order), self.name)
 
     def renumbered(self) -> "BasicBlock":
         """A new block with tuples renumbered densely 1..n in program order.

@@ -35,7 +35,6 @@ __all__ = [
     "native_available",
     "unavailable_reason",
     "native_dfs",
-    "native_split",
 ]
 
 #: C-side Optional[int] None sentinel (INT64_MIN).
@@ -57,15 +56,6 @@ _ST_TIMEOUT = 11
 _ST_DOMINANCE = 12
 _ST_LEN = 13
 
-# stats[] indices of repro_split.
-_SST_OMEGA = 0
-_SST_ALL_COMPLETED = 1
-_SST_LEGALITY = 2
-_SST_BOUNDS = 3
-_SST_ALPHA_BETA = 4
-_SST_CURTAIL = 5
-_SST_LEN = 6
-
 _I64P = ctypes.POINTER(ctypes.c_int64)
 
 _lock = threading.Lock()
@@ -86,8 +76,6 @@ def _set_prototypes(lib: ctypes.CDLL) -> None:
     lib.repro_abi.argtypes = []
     lib.repro_dfs.restype = ctypes.c_int64
     lib.repro_dfs.argtypes = [_I64P] * 17 + [ctypes.c_double] + [_I64P] * 4
-    lib.repro_split.restype = ctypes.c_int64
-    lib.repro_split.argtypes = [_I64P] * 12 + [_I64P] * 4
 
 
 def load_kernel() -> ctypes.CDLL:
@@ -326,70 +314,4 @@ def native_dfs(
             timeout=int(stats[_ST_TIMEOUT]),
             dominance=int(stats[_ST_DOMINANCE]),
         ),
-    )
-
-
-# ---------------------------------------------------------------------
-# The windowed splitter (C core of repro.sched.splitting.run_native_split)
-# ---------------------------------------------------------------------
-
-
-def native_split(flat, seed: Tuple[int, ...], window: int, curtail_per_window: int):
-    """Run the C windowed search over ``flat``.
-
-    Returns ``(timing, omega_calls, all_completed, totals)``; the caller
-    (``repro.sched.splitting.run_native_split``) adds the window tuples and
-    wraps the ``SplitScheduleResult``.
-    """
-    from ..sched.nop_insertion import ScheduleTiming
-
-    lib = load_kernel()
-    n = flat.n
-    index_of = flat.index_of
-    idents = flat.idents
-    cfg = _i64([n, flat.P, window, curtail_per_window])
-    pred_off, pred_lst = _csr(flat.preds)
-    succ_off, succ_lst = _csr(flat.succs)
-    out_order = _zeros(n)
-    out_etas = _zeros(n)
-    out_issue = _zeros(n)
-    stats = _zeros(_SST_LEN)
-
-    rc = lib.repro_split(
-        _ptr(cfg),
-        _ptr(_i64(flat.lat)),
-        _ptr(_i64(flat.enq)),
-        _ptr(_i64(flat.sig)),
-        _ptr(pred_off),
-        _ptr(pred_lst),
-        _ptr(succ_off),
-        _ptr(succ_lst),
-        _ptr(_i64(flat.pipe_enq)),
-        _ptr(_opt(flat.pipe_last)),
-        _ptr(_opt(flat.var_bound)),
-        _ptr(_i64([index_of[i] for i in seed])),
-        _ptr(out_order),
-        _ptr(out_etas),
-        _ptr(out_issue),
-        _ptr(stats),
-    )
-    if rc != 0:
-        raise MemoryError(f"native kernel failed with code {rc}")
-
-    timing = ScheduleTiming(
-        tuple(idents[q] for q in out_order[:n]),
-        tuple(out_etas[:n]),
-        tuple(out_issue[:n]),
-    )
-    totals = prune_counts(
-        legality=int(stats[_SST_LEGALITY]),
-        bounds=int(stats[_SST_BOUNDS]),
-        alpha_beta=int(stats[_SST_ALPHA_BETA]),
-        curtail=int(stats[_SST_CURTAIL]),
-    )
-    return (
-        timing,
-        int(stats[_SST_OMEGA]),
-        bool(stats[_SST_ALL_COMPLETED]),
-        totals,
     )

@@ -64,7 +64,7 @@ __all__ = [
 
 #: Must match NATIVE_ABI_VERSION in kernel.c; the loader verifies the
 #: compiled object reports the same number through ``repro_abi()``.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 #: Compilation flags (order matters: they are part of the cache key).
 CFLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-shared", "-std=c99", "-DNDEBUG")

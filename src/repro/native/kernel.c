@@ -1,10 +1,12 @@
-/* Native hot core of the branch-and-bound searches (engine="native").
+/* Native hot core of the branch-and-bound search (engine="native").
  *
- * A C port of the two flattened search loops in repro/sched/core.py:
+ * A C port of the flattened search loop in repro/sched/core.py:
  *
  *   repro_dfs   <-> _run_fast_dfs    (the pruned DFS of schedule_block)
- *   repro_split <-> run_fast_split   (the windowed search of
- *                                     schedule_block_split)
+ *
+ * The section 5.3 windows of schedule_block_split run on this same DFS,
+ * one sub-block per window, with earlier windows passed in as carry-in
+ * releases (var_bound) and pipeline state (pipe_last0).
  *
  * The contract is the repository-wide engine lattice: every decision --
  * candidate order, all five prunes, the dominance-memo FIFO policy, the
@@ -20,7 +22,7 @@
  *     insertion-order list, replicating dict semantics exactly: lookup
  *     by full serialized key, overwrite-in-place keeps insertion
  *     position, FIFO eviction drops the oldest entry at capacity;
- *   - Optional[int] values (pipeline last-issue, variable-ready bounds)
+ *   - Optional[int] values (pipeline last-issue, carry-in release bounds)
  *     use INT64_MIN as the None sentinel.
  *
  * The file is self-contained C99 with no dependencies beyond libc; it
@@ -41,7 +43,7 @@
 #include <string.h>
 #include <time.h>
 
-#define NATIVE_ABI_VERSION 2
+#define NATIVE_ABI_VERSION 3
 
 /* None sentinel for pipe_last / var_bound / saved values. */
 #define NONE INT64_MIN
@@ -655,7 +657,8 @@ EXPORT i64 repro_dfs(
     }
     int any_trivial = 0;
     for (i64 k = 0; k < n; k++) {
-        trivial[k] = (sig[k] < 0 && indeg[k] == 0) ? 1 : 0;
+        /* Sound 5c: no pipeline, no predecessors, no carry-in release. */
+        trivial[k] = (sig[k] < 0 && indeg[k] == 0 && var_bound[k] == NONE);
         if (trivial[k]) any_trivial = 1;
     }
     any_trivial = equivalence && any_trivial;
@@ -1045,407 +1048,5 @@ cleanup:
     free(tasks);
     free(piped);
     free(heap);
-    return rc;
-}
-
-/* ------------------------------------------------------------------ */
-/* Windowed split search (mirror of run_fast_split).                   */
-/* ------------------------------------------------------------------ */
-
-/* Shared flat timing state, carried across windows. */
-typedef struct {
-    i64 n, P;
-    const i64 *lat, *enq, *sig;
-    const i64 *pred_off, *pred_lst, *succ_off, *succ_lst;
-    const i64 *var_bound;
-    int has_vb;
-    i64 *order, *etas, *issue, *sp, *sv, *pipe_last;
-    i64 olen, total_nops;
-} SState;
-
-static i64 s_peek(const SState *s, i64 k) {
-    i64 base = s->olen ? s->issue[s->order[s->olen - 1]] + 1 : 0;
-    i64 e = base;
-    i64 p = s->sig[k];
-    if (p >= 0) {
-        i64 pl = s->pipe_last[p];
-        if (pl != NONE) {
-            i64 v = pl + s->enq[k];
-            if (v > e) e = v;
-        }
-    }
-    if (s->has_vb) {
-        i64 v = s->var_bound[k];
-        if (v != NONE && v > e) e = v;
-    }
-    for (i64 j = s->pred_off[k]; j < s->pred_off[k + 1]; j++) {
-        i64 d = s->pred_lst[j];
-        i64 v = s->issue[d] + s->lat[d];
-        if (v > e) e = v;
-    }
-    return e - base;
-}
-
-/* eta < 0 means "compute it" (etas are always >= 0). */
-static void s_push(SState *s, i64 k, i64 eta) {
-    if (eta < 0) eta = s_peek(s, k);
-    i64 iss = s->olen ? s->issue[s->order[s->olen - 1]] + 1 + eta : eta;
-    s->order[s->olen] = k;
-    s->etas[s->olen] = eta;
-    s->issue[k] = iss;
-    s->total_nops += eta;
-    i64 p = s->sig[k];
-    if (p < 0) {
-        s->sp[s->olen] = -1;
-    } else {
-        s->sp[s->olen] = p;
-        s->sv[s->olen] = s->pipe_last[p];
-        s->pipe_last[p] = iss;
-    }
-    s->olen++;
-}
-
-static void s_pop(SState *s) {
-    s->olen--;
-    s->total_nops -= s->etas[s->olen];
-    i64 sp = s->sp[s->olen];
-    if (sp >= 0) s->pipe_last[sp] = s->sv[s->olen];
-}
-
-/* cfg[] layout for repro_split. */
-enum {
-    SCFG_N = 0,
-    SCFG_P,
-    SCFG_WINDOW,
-    SCFG_CURTAIL,
-    SCFG_LEN
-};
-
-/* stats[] layout for repro_split. */
-enum {
-    SST_OMEGA = 0,
-    SST_ALL_COMPLETED,
-    SST_LEGALITY,
-    SST_BOUNDS,
-    SST_ALPHA_BETA,
-    SST_CURTAIL,
-    SST_LEN
-};
-
-EXPORT i64 repro_split(
-    const i64 *cfg,
-    const i64 *lat, const i64 *enq, const i64 *sig,
-    const i64 *pred_off, const i64 *pred_lst,
-    const i64 *succ_off, const i64 *succ_lst,
-    const i64 *pipe_enq, const i64 *pipe_last0,
-    const i64 *var_bound,
-    const i64 *dense_seed,
-    i64 *out_order, i64 *out_etas, i64 *out_issue, i64 *stats)
-{
-    (void)pipe_enq; /* the splitter has no pipeline-capacity bound */
-    const i64 n = cfg[SCFG_N];
-    const i64 P = cfg[SCFG_P];
-    const i64 window = cfg[SCFG_WINDOW];
-    const i64 curtail = cfg[SCFG_CURTAIL];
-    const i64 W = (n >> 6) + 1; /* always >= 1: no zero-size allocations */
-    i64 rc = ERR_ALLOC;
-
-    SState s;
-    s.n = n;
-    s.P = P;
-    s.lat = lat;
-    s.enq = enq;
-    s.sig = sig;
-    s.pred_off = pred_off;
-    s.pred_lst = pred_lst;
-    s.succ_off = succ_off;
-    s.succ_lst = succ_lst;
-    s.var_bound = var_bound;
-    s.has_vb = 0;
-    for (i64 k = 0; k < n; k++)
-        if (var_bound[k] != NONE) s.has_vb = 1;
-    s.olen = 0;
-    s.total_nops = 0;
-
-    i64 *wseed = NULL, *windeg = NULL, *local_indeg = NULL;
-    i64 *local_ready = NULL, *chain_w = NULL;
-    i64 *wbest = NULL, *wgreedy = NULL;
-    unsigned char *in_window = NULL;
-    u64 *ready_mask = NULL;
-    Stack st = {0};
-    int stack_live = 0;
-
-    s.order = (i64 *)malloc((size_t)n * sizeof(i64));
-    s.etas = (i64 *)malloc((size_t)n * sizeof(i64));
-    s.issue = (i64 *)calloc((size_t)n, sizeof(i64));
-    s.sp = (i64 *)malloc((size_t)n * sizeof(i64));
-    s.sv = (i64 *)malloc((size_t)n * sizeof(i64));
-    s.pipe_last = (i64 *)malloc((size_t)(P > 0 ? P : 1) * sizeof(i64));
-    wseed = (i64 *)calloc((size_t)n, sizeof(i64));
-    windeg = (i64 *)calloc((size_t)n, sizeof(i64));
-    local_indeg = (i64 *)calloc((size_t)n, sizeof(i64));
-    local_ready = (i64 *)malloc((size_t)n * sizeof(i64));
-    chain_w = (i64 *)calloc((size_t)n, sizeof(i64));
-    wbest = (i64 *)malloc((size_t)n * sizeof(i64));
-    wgreedy = (i64 *)malloc((size_t)n * sizeof(i64));
-    in_window = (unsigned char *)calloc((size_t)n, 1);
-    ready_mask = (u64 *)calloc((size_t)W, sizeof(u64));
-    if (!s.order || !s.etas || !s.issue || !s.sp || !s.sv || !s.pipe_last ||
-        !wseed || !windeg || !local_indeg || !local_ready || !chain_w ||
-        !wbest || !wgreedy || !in_window || !ready_mask)
-        goto cleanup;
-    if (stack_init(&st, n) != OK) goto cleanup;
-    stack_live = 1;
-    memcpy(s.pipe_last, pipe_last0, (size_t)P * sizeof(i64));
-
-    i64 omega_calls = 0;
-    i64 all_completed = 1;
-    i64 n_legality = 0, n_bounds = 0, n_alpha_beta = 0, n_curtail = 0;
-
-    for (i64 w_start = 0; w_start < n; w_start += window) {
-        const i64 *members = dense_seed + w_start;
-        i64 wn = window < n - w_start ? window : n - w_start;
-
-        /* ---- window setup (member set, window indegrees, chain) ---- */
-        for (i64 i = 0; i < wn; i++) {
-            in_window[members[i]] = 1;
-            wseed[members[i]] = i;
-        }
-        memset(ready_mask, 0, (size_t)W * sizeof(u64));
-        for (i64 i = 0; i < wn; i++) {
-            i64 k = members[i];
-            i64 d = 0;
-            for (i64 j = pred_off[k]; j < pred_off[k + 1]; j++)
-                if (in_window[pred_lst[j]]) d++;
-            windeg[k] = d;
-            if (d == 0) bs_set(ready_mask, k);
-        }
-        /* Latency chains within the window: members are in seed
-         * (topological) order, so a reverse scan sees inner successors
-         * first. */
-        for (i64 i = wn - 1; i >= 0; i--) {
-            i64 k = members[i];
-            i64 best = 0;
-            for (i64 j = succ_off[k]; j < succ_off[k + 1]; j++) {
-                i64 sx = succ_lst[j];
-                if (in_window[sx]) {
-                    i64 v = lat[k] + chain_w[sx];
-                    if (v > best) best = v;
-                }
-            }
-            chain_w[k] = best;
-        }
-        i64 base_nops = s.total_nops;
-        i64 entry_len = s.olen;
-
-        /* ---- incumbents: seed slice and greedy order (n each) ---- */
-        for (i64 i = 0; i < wn; i++) s_push(&s, members[i], -1);
-        i64 best_nops = s.total_nops - base_nops;
-        for (i64 i = 0; i < wn; i++) s_pop(&s);
-        memcpy(wbest, members, (size_t)wn * sizeof(i64));
-
-        {
-            i64 nready = 0;
-            for (i64 i = 0; i < wn; i++) {
-                i64 k = members[i];
-                local_indeg[k] = windeg[k];
-                if (windeg[k] == 0) local_ready[nready++] = k;
-            }
-            i64 gn = 0;
-            while (nready) {
-                i64 pick_at = 0;
-                i64 pick_eta = s_peek(&s, local_ready[0]);
-                i64 pick_seed = wseed[local_ready[0]];
-                for (i64 i = 1; i < nready; i++) {
-                    i64 e = s_peek(&s, local_ready[i]);
-                    i64 sd = wseed[local_ready[i]];
-                    if (e < pick_eta || (e == pick_eta && sd < pick_seed)) {
-                        pick_at = i;
-                        pick_eta = e;
-                        pick_seed = sd;
-                    }
-                }
-                i64 pick = local_ready[pick_at];
-                local_ready[pick_at] = local_ready[--nready];
-                s_push(&s, pick, -1);
-                wgreedy[gn++] = pick;
-                for (i64 j = succ_off[pick]; j < succ_off[pick + 1]; j++) {
-                    i64 sx = succ_lst[j];
-                    if (in_window[sx] && --local_indeg[sx] == 0)
-                        local_ready[nready++] = sx;
-                }
-            }
-            i64 greedy_nops = s.total_nops - base_nops;
-            for (i64 i = 0; i < gn; i++) s_pop(&s);
-            if (greedy_nops < best_nops) {
-                best_nops = greedy_nops;
-                memcpy(wbest, wgreedy, (size_t)wn * sizeof(i64));
-            }
-        }
-        i64 wcalls = 2 * wn;
-        i64 wcomplete = 1;
-
-        /* ---- the window DFS ---- */
-        st.pool_len = 0;
-        st.frames_len = 0;
-        i64 cstart = 0, ccount = 0, cidx = 0;
-        int have_frame = 0;
-        i64 expand_remaining = wn;
-
-        while (1) {
-            if (!have_frame || expand_remaining >= 0) {
-                /* wexpand(expand_remaining) */
-                i64 remaining = expand_remaining;
-                expand_remaining = -1;
-                cstart = st.pool_len;
-                ccount = 0;
-                if (pool_reserve(&st, remaining) != OK) goto cleanup;
-                i64 base = s.olen ? s.issue[s.order[s.olen - 1]] + 1 : 0;
-                for (i64 w = 0; w < W; w++) {
-                    u64 rm = ready_mask[w];
-                    while (rm) {
-                        i64 k = (w << 6) + ctz64(rm);
-                        rm &= rm - 1;
-                        i64 e = base;
-                        i64 p = sig[k];
-                        if (p >= 0) {
-                            i64 pl = s.pipe_last[p];
-                            if (pl != NONE) {
-                                i64 v = pl + enq[k];
-                                if (v > e) e = v;
-                            }
-                        }
-                        if (s.has_vb) {
-                            i64 v = var_bound[k];
-                            if (v != NONE && v > e) e = v;
-                        }
-                        for (i64 j = pred_off[k]; j < pred_off[k + 1]; j++) {
-                            i64 d = pred_lst[j];
-                            i64 v = s.issue[d] + lat[d];
-                            if (v > e) e = v;
-                        }
-                        st.pool[st.pool_len].eta = e - base;
-                        st.pool[st.pool_len].seedp = wseed[k];
-                        st.pool[st.pool_len].k = k;
-                        st.pool_len++;
-                        ccount++;
-                    }
-                }
-                n_legality += remaining - ccount;
-                cand_sort(st.pool + cstart, ccount, 1);
-                cidx = 0;
-                if (s.olen > entry_len) {
-                    i64 window_nops = s.total_nops - base_nops;
-                    i64 lb = 0;
-                    for (i64 j = 0; j < ccount; j++) {
-                        i64 gap = 1 + st.pool[cstart + j].eta +
-                                  chain_w[st.pool[cstart + j].k] - remaining;
-                        if (gap > lb) lb = gap;
-                    }
-                    if (window_nops + lb >= best_nops) {
-                        n_bounds++;
-                        ccount = 0;
-                        st.pool_len = cstart;
-                    }
-                }
-                have_frame = 1;
-            }
-
-            if (cidx == ccount) {
-                if (st.frames_len == 0) break;
-                i64 k = s.order[s.olen - 1];
-                for (i64 j = succ_off[k]; j < succ_off[k + 1]; j++) {
-                    i64 sx = succ_lst[j];
-                    if (in_window[sx]) {
-                        if (windeg[sx] == 0) bs_clear(ready_mask, sx);
-                        windeg[sx]++;
-                    }
-                }
-                bs_set(ready_mask, k);
-                s_pop(&s);
-                st.pool_len = cstart;
-                Frame f = st.frames[--st.frames_len];
-                cstart = f.start;
-                ccount = f.count;
-                cidx = f.idx;
-                continue;
-            }
-            Cand c = st.pool[cstart + cidx];
-            cidx++;
-            if (wcalls >= curtail) {
-                n_curtail++;
-                wcomplete = 0;
-                /* Unwind the partial window: the shared flat state must
-                 * be back at window entry before commit. */
-                while (s.olen > entry_len) s_pop(&s);
-                break;
-            }
-            wcalls++;
-            s_push(&s, c.k, c.eta);
-            i64 window_nops = s.total_nops - base_nops;
-            i64 depth = s.olen - entry_len;
-            int done = 0;
-            if (depth == wn) {
-                if (window_nops < best_nops) {
-                    best_nops = window_nops;
-                    memcpy(wbest, s.order + s.olen - wn,
-                           (size_t)wn * sizeof(i64));
-                }
-                done = 1;
-            } else if (window_nops >= best_nops) {
-                n_alpha_beta++;
-                done = 1;
-            }
-            if (done) {
-                s_pop(&s);
-            } else {
-                bs_clear(ready_mask, c.k);
-                for (i64 j = succ_off[c.k]; j < succ_off[c.k + 1]; j++) {
-                    i64 sx = succ_lst[j];
-                    if (in_window[sx] && --windeg[sx] == 0)
-                        bs_set(ready_mask, sx);
-                }
-                if (frame_push(&st, cstart, ccount, cidx) != OK)
-                    goto cleanup;
-                expand_remaining = wn - depth;
-            }
-        }
-
-        omega_calls += wcalls;
-        all_completed = all_completed && wcomplete;
-
-        /* ---- commit the window's best order onto the shared state ---- */
-        for (i64 i = 0; i < wn; i++) s_push(&s, wbest[i], -1);
-        for (i64 i = 0; i < wn; i++) in_window[members[i]] = 0;
-    }
-
-    memcpy(out_order, s.order, (size_t)n * sizeof(i64));
-    memcpy(out_etas, s.etas, (size_t)n * sizeof(i64));
-    for (i64 q = 0; q < n; q++) out_issue[q] = s.issue[s.order[q]];
-    stats[SST_OMEGA] = omega_calls;
-    stats[SST_ALL_COMPLETED] = all_completed;
-    stats[SST_LEGALITY] = n_legality;
-    stats[SST_BOUNDS] = n_bounds;
-    stats[SST_ALPHA_BETA] = n_alpha_beta;
-    stats[SST_CURTAIL] = n_curtail;
-    rc = OK;
-
-cleanup:
-    if (stack_live) stack_free(&st);
-    free(s.order);
-    free(s.etas);
-    free(s.issue);
-    free(s.sp);
-    free(s.sv);
-    free(s.pipe_last);
-    free(wseed);
-    free(windeg);
-    free(local_indeg);
-    free(local_ready);
-    free(chain_w);
-    free(wbest);
-    free(wgreedy);
-    free(in_window);
-    free(ready_mask);
     return rc;
 }

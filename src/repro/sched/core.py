@@ -3,9 +3,7 @@
 The recursive reference formulation in :mod:`repro.sched.reference` is
 written for readability: frozen dataclasses, per-node dict/set churn,
 ``IncrementalTimingState`` method calls, recursion.  This module runs
-the *same* search on a flattened representation (the windowed search of
-:mod:`repro.sched.splitting` runs on the same :class:`_Flat` arrays,
-from that module):
+the *same* search on a flattened representation:
 
 * the DAG and machine are lowered once per block into packed integer
   arrays — predecessor/successor sets as bitmask ints, latency/enqueue/
@@ -40,8 +38,7 @@ on instructions and pipelines, so every memo/equivalence key equality
 class — hence every prune decision and count — is preserved.  The
 differential tests in ``tests/test_hot_core.py`` and the
 ``repro verify`` oracle hold the engines to byte-identical
-``SearchResult``/``SplitScheduleResult`` contents (everything except
-wall time).
+``SearchResult`` contents (everything except wall time).
 """
 
 from __future__ import annotations
@@ -193,19 +190,16 @@ class _Flat:
         # Carry-in conditions, exactly as IncrementalTimingState seeds
         # them: a pipeline busy until cycle c is a phantom enqueue at
         # c - enqueue_time (may be negative, hence the None sentinel),
-        # and variable-ready cycles become per-instruction issue bounds.
+        # and variable- and tuple-ready cycles become per-instruction
+        # issue bounds.
         self.pipe_last: List[Optional[int]] = [None] * self.P
         self.var_bound: List[Optional[int]] = [None] * n
         if initial is not None and not initial.is_trivial:
             for pid, free_at in initial.pipe_free.items():
                 enqueue = machine.pipeline(pid).enqueue_time
                 self.pipe_last[pidx[pid]] = free_at - enqueue
-            for t in dag.block:
-                var = t.variable
-                if var is not None and var in initial.variable_ready:
-                    self.var_bound[index_of[t.ident]] = (
-                        initial.variable_ready[var]
-                    )
+            for ident, bound in initial.release_bounds(dag).items():
+                self.var_bound[index_of[ident]] = bound
         self.vb_items = tuple(
             (k, b) for k, b in enumerate(self.var_bound) if b is not None
         )
@@ -570,10 +564,13 @@ def _run_fast_dfs(
     mask = 0
     memo: Dict[tuple, int] = {}
 
-    # Sound 5c signature: no pipeline, no predecessors -> successor-set
-    # mask (-1 marks "not trivially interchangeable"; masks are >= 0).
+    # Sound 5c signature: no pipeline, no predecessors, no carry-in
+    # release -> successor-set mask (-1 marks "not trivially
+    # interchangeable"; masks are >= 0).
     trivial = [
-        succ_mask[k] if sig[k] < 0 and indeg[k] == 0 else -1
+        succ_mask[k]
+        if sig[k] < 0 and indeg[k] == 0 and var_bound[k] is None
+        else -1
         for k in range(n)
     ]
 

@@ -77,31 +77,41 @@ class InitialConditions:
         Earliest cycle at which each named variable may be touched
         (loaded *or* stored).  Captures stores still completing in a
         slow memory system when the block begins.
+    tuple_ready:
+        Earliest issue cycle of single tuples, by reference number: a
+        §5.3 window's members whose producers sit in earlier windows.
     """
 
     pipe_free: Mapping[int, int] = None
     variable_ready: Mapping[str, int] = None
+    tuple_ready: Mapping[int, int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pipe_free", dict(self.pipe_free or {}))
-        object.__setattr__(
-            self, "variable_ready", dict(self.variable_ready or {})
-        )
-        for label, table in (
-            ("pipe_free", self.pipe_free),
-            ("variable_ready", self.variable_ready),
-        ):
+        for label in ("pipe_free", "variable_ready", "tuple_ready"):
+            table = dict(getattr(self, label) or {})
             if any(v < 0 for v in table.values()):
                 raise ValueError(f"{label} cycles must be non-negative")
+            object.__setattr__(self, label, table)
 
     @property
     def is_trivial(self) -> bool:
-        return not self.pipe_free and not self.variable_ready
+        return not self.pipe_free and not self.variable_ready and not self.tuple_ready
+
+    def release_bounds(self, dag: DependenceDAG) -> Dict[int, int]:
+        """Each tuple's carry-in earliest issue cycle, by ``max`` over
+        both tables (tuples with neither are absent)."""
+        bounds = {i: c for i, c in self.tuple_ready.items() if i in dag.block}
+        if self.variable_ready:
+            for t in dag.block:
+                ready = self.variable_ready.get(t.variable)
+                if ready is not None and ready > bounds.get(t.ident, -1):
+                    bounds[t.ident] = ready
+        return bounds
 
     def __str__(self) -> str:
         return (
             f"InitialConditions(pipe_free={self.pipe_free}, "
-            f"variable_ready={self.variable_ready})"
+            f"variable_ready={self.variable_ready}, tuple_ready={self.tuple_ready})"
         )
 
 
@@ -266,10 +276,7 @@ class IncrementalTimingState:
             for pid, free_at in initial.pipe_free.items():
                 enqueue = resolver.machine.pipeline(pid).enqueue_time
                 self._pipe_last[pid] = free_at - enqueue
-            for t in dag.block:
-                var = t.variable
-                if var is not None and var in initial.variable_ready:
-                    self._var_bound[t.ident] = initial.variable_ready[var]
+            self._var_bound = initial.release_bounds(dag)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -483,7 +483,10 @@ def _find_kernel(
         return None
 
     # Rotation symmetry: the first constrained tuple sits at slot 0.
-    return place(0, [{0}] + [set(range(ii))] * (len(chosen) - 1))
+    try:
+        return place(0, [{0}] + [set(range(ii))] * (len(chosen) - 1))
+    finally:
+        del place  # a closure that calls itself is a reference cycle
 
 
 # ----------------------------------------------------------------------

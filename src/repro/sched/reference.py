@@ -133,37 +133,41 @@ def run_reference_search(
     state = IncrementalTimingState(dag, resolver, initial)
     indegree = {i: len(dag.rho(i)) for i in idents}
     ready: List[int] = [i for i in idents if indegree[i] == 0]
+    # Carry-in release bounds (footnote 1, and earlier §5.3 windows)
+    # decay with time, so the dominance key must carry their residuals
+    # (see interface_key).
+    var_bounds = state._var_bound
     # Sound 5c refinement: interchangeable candidates share no pipeline,
-    # no predecessors, and identical successor sets.
+    # no predecessors, no carry-in release, and identical successor sets.
     trivial: Dict[int, Optional[FrozenSet[int]]] = {
         i: (
             frozenset(successors[i])
-            if resolver.sigma(i) is None and indegree[i] == 0
+            if resolver.sigma(i) is None
+            and indegree[i] == 0
+            and i not in var_bounds
             else None
         )
         for i in idents
     }
     bit = {ident: 1 << k for k, ident in enumerate(idents)}
     memo: Dict[tuple, int] = {}
-    # Carry-in variable-ready bounds (footnote 1) decay with time, so the
-    # dominance key must carry their residuals (see interface_key).
-    var_bounds = state._var_bound
 
     # Register-pressure tracking (only when a budget is set): mirrors the
     # linear-scan allocator — operands free at their last use, before the
     # destination register is claimed.
-    block_by_ident = dag.block.by_ident
-    operand_sets: Dict[int, tuple] = {
-        i: tuple(set(block_by_ident(i).value_refs)) for i in idents
-    }
-    consumers_left: Dict[int, int] = {i: 0 for i in idents}
-    for i in idents:
-        for r in operand_sets[i]:
-            consumers_left[r] += 1
-    produces: Dict[int, bool] = {
-        i: block_by_ident(i).op.produces_value for i in idents
-    }
     live_count = 0  # values defined, with consumers still unscheduled
+    if budget is not None:
+        block_by_ident = dag.block.by_ident
+        operand_sets: Dict[int, tuple] = {
+            i: tuple(set(block_by_ident(i).value_refs)) for i in idents
+        }
+        consumers_left: Dict[int, int] = {i: 0 for i in idents}
+        for i in idents:
+            for r in operand_sets[i]:
+                consumers_left[r] += 1
+        produces: Dict[int, bool] = {
+            i: block_by_ident(i).op.produces_value for i in idents
+        }
 
     def pressure_peak(ident: int) -> int:
         """Register pressure at the instant ``ident`` would execute next."""

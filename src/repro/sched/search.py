@@ -14,8 +14,8 @@ own prunes:
   with different consumers are not interchangeable (scheduling Const A
   here may admit a zero-NOP completion that Const B does not).  We
   implement the sound refinement: candidates with no pipeline, no
-  predecessors and *identical successor sets* are provably
-  interchangeable, and only the first is tried (DESIGN.md §4).
+  predecessors, no carry-in release and *identical successor sets* are
+  provably interchangeable, and only the first is tried (DESIGN.md §4).
 * **Alpha-beta / branch-and-bound** (step [6]): a partial schedule is
   extended only while ``mu(Φ) < mu(pi)`` — NOPs never decrease as a
   schedule grows.  Strict inequality prunes equal-cost subtrees without

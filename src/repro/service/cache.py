@@ -315,6 +315,7 @@ class ScheduleCache:
                 assignment=assignment,
                 pipe_free=initial.pipe_free,
                 variable_ready=initial.variable_ready,
+                tuple_ready=initial.tuple_ready,
             )
             if not cert.ok or cert.required_nops != timing.total_nops:
                 raise CacheIntegrityError(

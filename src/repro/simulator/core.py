@@ -179,6 +179,7 @@ class PipelineSimulator:
                 earliest = max(earliest, pipe_free.get(pid, 0))
             if variable_ready and t.variable in variable_ready:
                 earliest = max(earliest, variable_ready[t.variable])
+            earliest = max(earliest, self.initial.tuple_ready.get(ident, 0))
             for delta in self.dag.rho(ident):
                 earliest = max(earliest, result_ready[delta])
             if earliest > cycle:

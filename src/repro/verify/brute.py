@@ -308,8 +308,9 @@ def sequential_etas(
 
     Carry-in conditions (footnote 1) extend the literal algorithm with a
     step [0]: before the in-block checks, top eta up until the carry-in
-    pipeline-busy and variable-ready constraints are met — for the first
-    instruction too, which the idle-start algorithm exempts in step [1].
+    pipeline-busy, variable-ready and tuple-ready constraints are met —
+    for the first instruction too, which the idle-start algorithm exempts
+    in step [1].
     """
     # The scheduler's own σ resolution and carry-in record: this oracle
     # checks the closed form's arithmetic, not its inputs.
@@ -337,6 +338,10 @@ def sequential_etas(
         var = dag.block.by_ident(zeta).variable
         if var is not None and var in init.variable_ready:
             x = init.variable_ready[var] - issue_i()
+            if x > 0:
+                eta += x
+        if zeta in init.tuple_ready:
+            x = init.tuple_ready[zeta] - issue_i()
             if x > 0:
                 eta += x
 

@@ -198,12 +198,14 @@ def check_schedule(
     pipe_free: Optional[Mapping[int, int]] = None,
     variable_ready: Optional[Mapping[str, int]] = None,
     require_minimal: bool = True,
+    tuple_ready: Optional[Mapping[int, int]] = None,
 ) -> CertificateReport:
     """Certify a claimed ``(order, etas)`` schedule of ``block``.
 
     ``pipe_free`` / ``variable_ready`` replicate the carry-in conditions
     of paper footnote 1 (earliest cycle each pipeline accepts work /
-    each variable may be touched); both default to an idle machine.
+    each variable may be touched), and ``tuple_ready`` the earliest
+    issue cycle of single tuples; all default to an idle machine.
     ``require_minimal=False`` accepts over-padded but executable
     schedules (streams with more NOPs than the model requires).
     """
@@ -272,6 +274,7 @@ def check_schedule(
 
     pipe_free = dict(pipe_free or {})
     variable_ready = dict(variable_ready or {})
+    tuple_ready = dict(tuple_ready or {})
     issue: Dict[int, int] = {}
     last_on_pipe: Dict[int, int] = {}
     required: List[int] = []
@@ -290,6 +293,7 @@ def check_schedule(
         var = block.by_ident(ident).variable
         if var is not None:
             earliest = max(earliest, variable_ready.get(var, 0))
+        earliest = max(earliest, tuple_ready.get(ident, 0))
         for p in preds[ident]:
             earliest = max(earliest, issue[p] + latency_of(p))
         need = earliest - base

@@ -107,6 +107,18 @@ class TestExplainSchedule:
         assert explanations[0].cause == "carry-in"
         assert "pending" in explanations[0].detail
 
+    def test_tuple_carry_in_attributed(self, sim_machine):
+        block = parse_block("1: Const 2\n2: Const 3\n3: Add 1, 2")
+        dag = DependenceDAG(block)
+        conditions = InitialConditions(tuple_ready={2: 5})
+        timing = compute_timing(dag, (1, 2, 3), sim_machine, initial=conditions)
+        explanations = explain_schedule(
+            block, sim_machine, timing, initial=conditions, dag=dag
+        )
+        assert explanations[1].cause == "carry-in"
+        assert explanations[1].eta == 4
+        assert "tuple 2" in explanations[1].detail
+
     def test_breakdown_sums_to_total(self, figure3_dag, figure3_block, sim_machine):
         timing = compute_timing(figure3_dag, (1, 2, 3, 4, 5), sim_machine)
         explanations = explain_schedule(

@@ -13,6 +13,9 @@
 * The root bound's pipeline-position term is admissible on its own (on
   every preset, with carry-in conditions and pinned assignments), and a
   search stops at the first improvement that meets the root bound.
+* Under per-tuple and per-variable carry-in releases every engine's
+  search is exact, with the paper's prune set too: the 5c equivalence
+  prune never merges candidates whose releases differ.
 """
 
 import itertools
@@ -23,7 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.dag import DependenceDAG
-from repro.machine.machine import first_pipeline_assignment
+from repro.ir.ops import Opcode
+from repro.ir.textual import parse_block
+from repro.machine.machine import MachineDescription, first_pipeline_assignment
+from repro.machine.pipeline import PipelineDesc
 from repro.machine.presets import PRESETS, get_machine
 from repro.sched.bounds import downstream_chains, position_lateness
 from repro.sched.core import _Flat
@@ -80,8 +86,9 @@ def pinned_assignments(draw, dag, machine):
 
 
 @st.composite
-def carry_ins(draw, machine):
-    """Random carry-in conditions: busy pipelines and late variables."""
+def carry_ins(draw, machine, dag=None):
+    """Random carry-in conditions: busy pipelines, late variables and,
+    given ``dag``, late tuples."""
     pipe_free = {
         p.ident: draw(st.integers(1, 8))
         for p in machine.pipelines
@@ -90,7 +97,14 @@ def carry_ins(draw, machine):
     variable_ready = {
         v: draw(st.integers(1, 8)) for v in VARIABLES if draw(st.booleans())
     }
-    return InitialConditions(pipe_free=pipe_free, variable_ready=variable_ready)
+    tuple_ready = {
+        i: draw(st.integers(1, 8))
+        for i in (dag.idents if dag is not None else ())
+        if draw(st.booleans())
+    }
+    return InitialConditions(
+        pipe_free=pipe_free, variable_ready=variable_ready, tuple_ready=tuple_ready
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -150,6 +164,59 @@ def test_root_bound_admissible_with_carry_in(block, machine, data):
             optimum = timing.total_nops
     assert root_lower_bound(dag, machine, assignment, initial) <= optimum
     assert _position_term(dag, machine, assignment, initial) <= optimum
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=blocks(min_size=2, max_size=6), machine=any_machines(),
+       paper=st.booleans(), data=st.data())
+def test_search_is_optimal_under_carry_in_releases(block, machine, paper, data):
+    """With per-tuple and per-variable releases, every engine's search
+    completes at the minimum over all legal orders, under the default
+    prune set and the paper's (whose 5c prune must see releases), and
+    the certificate accepts the schedule with the same releases."""
+    dag = DependenceDAG(block)
+    assignment = _assignment_for(dag, machine)
+    initial = data.draw(carry_ins(machine, dag))
+    optimum = min(
+        compute_timing(dag, order, machine, assignment, initial=initial).total_nops
+        for order in _legal_orders(dag)
+    )
+    options = SearchOptions.paper() if paper else SearchOptions()
+    for engine in ENGINES:
+        result = schedule_block(
+            dag, machine, options, assignment=assignment,
+            initial_conditions=initial, engine=engine,
+        )
+        assert result.completed and result.final_nops == optimum, engine
+        report = check_schedule(
+            block, machine, result.best.order, result.best.etas, assignment,
+            pipe_free=initial.pipe_free,
+            variable_ready=initial.variable_ready,
+            tuple_ready=initial.tuple_ready,
+        )
+        assert report.ok and report.required_nops == optimum, report
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "options", [SearchOptions(), SearchOptions.paper()], ids=["default", "paper"]
+)
+def test_equivalence_prune_respects_releases(engine, options):
+    """Two no-pipeline loads feeding one add are interchangeable only
+    while neither has a carry-in release.  With ``a`` ready at cycle 5,
+    order (1, 2, 3) needs 5 NOPs and (2, 1, 3) needs 4."""
+    machine = MachineDescription(
+        "unpipelined-load", [PipelineDesc("alu", 1, latency=2, enqueue_time=1)],
+        {Opcode.ADD: {1}},
+    )
+    dag = DependenceDAG(parse_block("1: Load #a\n2: Load #b\n3: Add 1, 2"))
+    result = schedule_block(
+        dag, machine, options, engine=engine,
+        initial_conditions=InitialConditions(variable_ready={"a": 5}),
+    )
+    assert result.completed
+    assert result.final_nops == 4
+    assert result.best.order == (2, 1, 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,7 @@ from repro.machine.machine import MachineDescription
 from repro.machine.pipeline import PipelineDesc
 from repro.machine.presets import paper_simulation_machine
 from repro.machine.serialize import machine_from_dict, machine_to_dict
+from repro.sched.nop_insertion import InitialConditions
 from repro.sched.search import ENGINES, SearchOptions
 from repro.service.fingerprint import CANON_VERSION, fingerprint_problem
 
@@ -66,6 +67,20 @@ class TestGolden:
         assert form.key == FIGURE3_KEY
         assert form.n == 5
         assert form.idents == (1, 2, 3, 4, 5)
+
+    def test_empty_tuple_ready_keeps_the_key(self, figure3_dag):
+        """Per-tuple releases hash through the per-row release, so an
+        empty map hashes exactly like no carry-in; a late tuple does not."""
+        machine = paper_simulation_machine()
+
+        def key(tuple_ready):
+            initial = InitialConditions(tuple_ready=tuple_ready)
+            return fingerprint_problem(
+                figure3_dag, machine, initial_conditions=initial
+            ).key
+
+        assert key({}) == FIGURE3_KEY
+        assert key({3: 4}) != FIGURE3_KEY
 
     def test_str(self, figure3_dag):
         form = fingerprint_problem(figure3_dag, paper_simulation_machine())

@@ -151,3 +151,18 @@ class TestLowering:
             assert {k: Fraction(v) for k, v in got.items()} == {
                 k: Fraction(v) for k, v in expected.items()
             }
+
+    def test_lowering_leaves_no_reference_cycle(self):
+        """The recursive expression lowering frees its builder by
+        reference counting: with the collector off, one call leaves
+        nothing for ``gc.collect()``."""
+        import gc
+
+        program = parse_program("b = 15; a = b * a; c = -(a - b) / 2;")
+        gc.collect()
+        gc.disable()
+        try:
+            lower_program(program)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

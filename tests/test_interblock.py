@@ -237,6 +237,7 @@ def test_sequential_equals_closed_form_under_carry_in(
     conditions = InitialConditions(
         pipe_free={p.ident: pipe_delay for p in machine.pipelines},
         variable_ready={"a": var_delay, "c": max(0, var_delay - 1)},
+        tuple_ready={block.idents[-1]: pipe_delay + var_delay},
     )
     dag = DependenceDAG(block)
     from repro.sched.list_scheduler import list_schedule
@@ -255,7 +256,8 @@ def test_sequential_equals_closed_form_under_carry_in(
 @settings(max_examples=60, deadline=None)
 def test_simulator_matches_omega_under_carry_in(block, machine, delay):
     conditions = InitialConditions(
-        pipe_free={p.ident: delay for p in machine.pipelines}
+        pipe_free={p.ident: delay for p in machine.pipelines},
+        tuple_ready={block.idents[-1]: 2 * delay},
     )
     dag = DependenceDAG(block)
     order = dag.idents

@@ -385,3 +385,21 @@ def test_fuzz_search_matches_brute_force(source, machine_name):
     assert result.ii >= brute.min_ii, source
     if result.completed:
         assert result.ii == brute.min_ii, source
+
+
+def test_kernel_search_leaves_no_reference_cycle():
+    """The recursive modulo placement frees its tables by reference
+    counting: with the collector off, scheduling a loop leaves nothing
+    for ``gc.collect()``."""
+    import gc
+
+    loop = _lower("for i in 0..8 { p = a * b; a = a + b; q = p * a; b = q - p; }")
+    machine = get_machine("paper-simulation")
+    schedule_loop(loop, machine)  # warm every lazy import and cache
+    gc.collect()
+    gc.disable()
+    try:
+        schedule_loop(loop, machine)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,14 +2,19 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.dag import DependenceDAG
-from repro.sched.nop_insertion import compute_timing
-from repro.sched.search import schedule_block
-from repro.sched.splitting import schedule_block_split
+from repro.machine.machine import first_pipeline_assignment
+from repro.sched.list_scheduler import list_schedule
+from repro.sched.nop_insertion import IncrementalTimingState, SigmaResolver, compute_timing
+from repro.sched.search import ENGINES, schedule_block
+from repro.sched.splitting import _carry_in, schedule_block_split, window_dag
 from repro.synth.generator import generate_block
 
-from .strategies import blocks, machines
+from .strategies import any_machines, blocks, machines
+from .test_deadline_bound import carry_ins
+from .test_hot_core import _fields
 
 
 class TestBasics:
@@ -110,3 +115,75 @@ def test_split_honours_carry_in_conditions(sim_machine):
     )
     assert busy.total_nops >= idle.total_nops
     assert dag.is_legal_order(busy.timing.order)
+
+
+class TestWindowSearch:
+    """Each window is one block search over its sub-DAG, started from
+    the committed windows' state."""
+
+    def _window(self):
+        gb = generate_block(statements=12, variables=6, constants=3, seed=13)
+        dag = DependenceDAG(gb.block)
+        return dag, list_schedule(dag)[5:11]
+
+    def test_window_dag_keeps_the_inner_dependences(self):
+        dag, members = self._window()
+        sub = window_dag(dag, members)
+        inside = set(members)
+        assert sub.idents == tuple(sorted(members, key=dag.block.position_of))
+        for i in sub.idents:
+            assert sub.rho(i) == dag.rho(i) & inside
+            assert sub.successors(i) == dag.successors(i) & inside
+        # Operands still name producers of earlier windows.
+        assert any(r not in inside for t in sub.block for r in t.value_refs)
+
+    def test_every_engine_searches_a_window(self, sim_machine):
+        """References leaving the sub-block are never looked up: every
+        engine, the reference one included, searches it, bit for bit."""
+        dag, members = self._window()
+        sub = window_dag(dag, members)
+        runs = [
+            schedule_block(sub, sim_machine, seed=members, engine=engine)
+            for engine in ENGINES
+        ]
+        assert all(_fields(r) == _fields(runs[0]) for r in runs)
+        assert sub.is_legal_order(runs[0].best.order)
+
+
+@given(blocks(min_size=2, max_size=14), any_machines(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_split_under_carry_in_is_exact_and_engine_independent(block, machine, data):
+    """Under random carry-in conditions every engine splits identically,
+    and each window's carry-in prices the committed windows exactly: Ω
+    over the window's sub-DAG from its carry-in gives the same etas as Ω
+    over the whole block."""
+    dag = DependenceDAG(block)
+    assignment = (
+        None if machine.is_deterministic else first_pipeline_assignment(dag, machine)
+    )
+    initial = data.draw(carry_ins(machine, dag))
+    runs = [
+        schedule_block_split(
+            dag, machine, window=4, assignment=assignment,
+            initial_conditions=initial, engine=engine,
+        )
+        for engine in ENGINES
+    ]
+    split = runs[0]
+    for other in runs[1:]:
+        assert other.timing == split.timing
+        assert other.omega_calls == split.omega_calls
+        assert other.all_windows_completed == split.all_windows_completed
+        assert dict(other.prune_counts) == dict(split.prune_counts)
+    prefix = IncrementalTimingState(dag, SigmaResolver(dag, machine, assignment), initial)
+    start = 0
+    for members in split.windows:
+        order = split.timing.order[start:start + len(members)]
+        local = compute_timing(
+            window_dag(dag, members), order, machine, assignment,
+            initial=_carry_in(prefix, members),
+        )
+        assert local.etas == split.timing.etas[start:start + len(members)]
+        for ident in order:
+            prefix.push(ident)
+        start += len(members)
