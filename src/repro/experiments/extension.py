@@ -186,12 +186,22 @@ class X2Result:
                 f"(avg {self.avg_size:.1f} instructions, window {self.window})"
             ),
         )
+        return f"{table}\n{self.conclusion()}"
+
+    def conclusion(self) -> str:
+        """Section 5.3's trade-off, read off the measured rows."""
+        paper, full, split = self.rows
+        if split.max_omega < full.max_omega:
+            verdict = "splitting bounds the worst case even against every prune"
+        else:
+            verdict = "with every prune the monolithic search needs no splitting"
         return (
-            f"{table}\nsection 5.3's proposal, quantified: splitting bounds "
-            "the worst-case search (its omega ceiling is windows x lambda) at "
-            "a small NOP premium; with the full prune set the monolithic "
-            "search is cheap even at this size, so splitting only pays under "
-            "1990-era pruning"
+            f"section 5.3's proposal, quantified: split windows average "
+            f"{split.avg_omega:,.0f} omega (max {split.max_omega:,}) against "
+            f"{full.avg_omega:,.0f} (max {full.max_omega:,}) for the monolithic "
+            f"search with every prune and {paper.avg_omega:,.0f} (max "
+            f"{paper.max_omega:,}) with the paper's, at "
+            f"{split.avg_nops - full.avg_nops:+.2f} NOPs per block; {verdict}"
         )
 
     def csv(self) -> str:

@@ -35,11 +35,11 @@ from ..resilience.budget import (
 from ..sched.list_scheduler import list_schedule, program_order
 from ..sched.nop_insertion import ScheduleTiming, compute_timing
 from ..sched.search import SearchOptions, SearchResult, schedule_block
-from ..synth.generator import GeneratedBlock
 from ..telemetry import Telemetry
 from ..verify import certificate
 
 if TYPE_CHECKING:
+    from ..synth.generator import GeneratedBlock
     from ..synth.population import PopulationSpec
 
 #: The paper's population size.

@@ -11,12 +11,16 @@ two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple, Union
 
 from ..ir.ops import Opcode
 
-Value = Union[int, Fraction]
+if TYPE_CHECKING:
+    # Typing only: ``fractions`` loads ``decimal``; a Div evaluates
+    # through ``Opcode.evaluate``, which imports it on first use.
+    from fractions import Fraction
+
+Value = Union[int, "Fraction"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,6 @@ interpreter.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Callable
 
 
@@ -110,6 +109,10 @@ def _div(a, b):
         # The interpreter treats division by zero as an arithmetic fault;
         # callers that randomly generate programs catch this.
         raise ZeroDivisionError("tuple Div by zero")
+    # Imported here: ``fractions`` loads ``decimal`` (libmpdec), and only
+    # a constant-folded Div runs this.
+    from fractions import Fraction
+
     return Fraction(a) / Fraction(b)
 
 

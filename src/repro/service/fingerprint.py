@@ -51,7 +51,6 @@ collide; any latency/enqueue/dependence mutation separates).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -66,6 +65,16 @@ from ..sched.nop_insertion import (
     SigmaResolver,
 )
 from ..sched.search import ScheduleRequest, SearchOptions
+
+try:
+    # CPython's own SHA-256: ``hashlib`` would map OpenSSL's libcrypto
+    # into the daemon before it forks, once more per worker.
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = ["CanonicalForm", "fingerprint_problem", "canonical_payload"]
 
@@ -255,5 +264,5 @@ def fingerprint_problem(
         dag, machine, options, assignment, seed, initial_conditions
     )
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    key = _sha256(blob.encode("utf-8")).hexdigest()
     return CanonicalForm(key=key, n=payload["n"], idents=dag.idents)

@@ -161,6 +161,23 @@ class TestExtensions:
         assert split.avg_nops >= mono_full.avg_nops  # optimum is a floor
         assert "X2" in result.render()
 
+    def test_x2_conclusion_follows_the_rows(self):
+        def result(full_max):
+            return extension.X2Result(
+                [extension.X2Row("monolithic, paper prunes", 0.6, 11_408, 50_000, 87),
+                 extension.X2Row("monolithic, all prunes", 0.03, 1_824, full_max, 97),
+                 extension.X2Row("split (window=20)", 0.77, 175.4, 458, 100)],
+                n_blocks=30, avg_size=54.1, window=20,
+            )
+
+        bounded = result(50_000).conclusion()
+        assert "average 175 omega (max 458) against 1,824 (max 50,000)" in bounded
+        assert "+0.74 NOPs per block" in bounded
+        assert bounded.endswith("splitting bounds the worst case even against every prune")
+        assert result(458).conclusion().endswith(
+            "with every prune the monolithic search needs no splitting"
+        )
+
 
 class TestStalls:
     def test_taxonomy_partitions_total_nops(self):

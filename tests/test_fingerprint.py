@@ -18,11 +18,17 @@ processes, so an unintentional payload change must fail loudly here
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.ir.dag import DependenceDAG, DependenceEdge
 from repro.machine.machine import MachineDescription
 from repro.machine.pipeline import PipelineDesc
@@ -30,8 +36,9 @@ from repro.machine.presets import paper_simulation_machine
 from repro.machine.serialize import machine_from_dict, machine_to_dict
 from repro.sched.nop_insertion import InitialConditions
 from repro.sched.search import ENGINES, SearchOptions
-from repro.service.fingerprint import CANON_VERSION, fingerprint_problem
+from repro.service.fingerprint import CANON_VERSION, canonical_payload, fingerprint_problem
 
+from .conftest import FIGURE3_TEXT
 from .strategies import blocks, ident_renamings, machines, rename_block
 
 #: sha256 key of Figure 3 on the paper machine under default options.
@@ -85,6 +92,44 @@ class TestGolden:
     def test_str(self, figure3_dag):
         form = fingerprint_problem(figure3_dag, paper_simulation_machine())
         assert form.key[:12] in str(form)
+
+
+class TestHashSource:
+    """The key takes SHA-256 from CPython's own module (``_sha2`` or
+    ``_sha256``), not from ``hashlib``, which maps OpenSSL into every
+    service process; the digest, and so every stored key, is the same."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocks(), machines())
+    def test_builtin_equals_hashlib(self, block, machine):
+        dag = DependenceDAG(block)
+        blob = json.dumps(
+            canonical_payload(dag, machine), sort_keys=True, separators=(",", ":")
+        )
+        expected = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert fingerprint_problem(dag, machine).key == expected
+
+    def test_hashlib_fallback_gives_the_golden_key(self):
+        """With neither builtin module importable, the key still comes
+        out byte-identical, through ``hashlib``."""
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from repro.ir.dag import DependenceDAG\n"
+            "from repro.ir.textual import parse_block\n"
+            "from repro.machine.presets import paper_simulation_machine\n"
+            "from repro.service.fingerprint import fingerprint_problem\n"
+            "dag = DependenceDAG(parse_block(sys.stdin.read(), 'figure3'))\n"
+            "print(fingerprint_problem(dag, paper_simulation_machine()).key)\n"
+            "print('hashlib' in sys.modules)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=FIGURE3_TEXT,
+            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True,
+            text=True, check=True, timeout=60,
+        )
+        assert out.stdout.split() == [FIGURE3_KEY, "True"]
 
 
 class TestIsomorphismCollides:

@@ -135,6 +135,10 @@ _COLD = ("repro.frontend.lowering", "repro.opt", "repro.synth.population", "repr
          "repro.sched.splitting", "repro.sched.multi", "repro.ir.loop", "repro.verify.brute",
          "repro.sched.reference")
 
+#: Modules that map a shared library of their own: ``hashlib`` maps
+#: OpenSSL's libcrypto, ``fractions`` loads ``decimal`` and libmpdec.
+_NATIVE_LIBS = ("hashlib", "_hashlib", "fractions", "decimal", "_decimal")
+
 #: The straight-line back end: a loop compilation runs none of it.
 _STRAIGHT_LINE = ("repro.codegen", "repro.opt", "repro.regalloc", "repro.simulator",
                   "repro.sched.heuristics")
@@ -175,17 +179,19 @@ BUDGETS = {
                    "repro.sched.pipelining", "repro.analysis", "repro.sched.reference"),
     ),
     # ``repro serve`` forks its workers before it loads the HTTP front
-    # end; the job they run must not pull that stack back in.
+    # end; the job they run must not pull that stack back in, nor map
+    # OpenSSL (``hashlib``) or libmpdec (``fractions`` loads ``decimal``).
     "service-worker-job": Row(
         _WORKER_JOB,
-        forbidden=("http", "email", "ssl", "socketserver", "repro.sched.reference"),
+        forbidden=("http", "email", "ssl", "socketserver", "repro.sched.reference",
+                   *_NATIVE_LIBS),
     ),
     "population-first-call": Row(
         *_first_call("population",
                      {"text": _BLOCK, "name": "b0", "machine": "paper-simulation"}),
         forbidden=("multiprocessing", "repro.driver", "repro.analysis", "repro.sched.pipelining",
                    "repro.ilp", "repro.native", "repro.service", "numpy", "repro.experiments.*",
-                   "repro.ir.interp", *_COLD),
+                   "repro.ir.interp", "fractions", "decimal", "_decimal", *_COLD),
         allowed=("repro.experiments.runner",),
         max_lines=6_300, max_dataclasses=29,
     ),
@@ -211,12 +217,13 @@ BUDGETS = {
     ),
     # The daemon speaks its HTTP subset on socketserver: none of
     # http.server's stack (http.client, email, ssl, html, mimetypes).
+    # Whatever it maps before fork, each worker maps again.
     "daemon-ready": Row(
         _DAEMON_READY,
         forbidden=("repro.frontend", "repro.driver", "repro.sched.pipelining", "repro.ir.interp",
-                   "repro.ilp", "repro.native", "repro.analysis", "numpy", "http", "email", "ssl",
-                   "html", "mimetypes", *_COLD),
-        max_lines=9_490, max_dataclasses=24,
+                   "repro.ilp", "repro.native", "repro.analysis", "repro.synth", "numpy", "http",
+                   "email", "ssl", "html", "mimetypes", *_NATIVE_LIBS, *_COLD),
+        max_lines=9_310, max_dataclasses=23,
     ),
     # A client of the daemon loads the protocol's payload helpers, not
     # the daemon, its cache, the schedulers or the worker pool.

@@ -4,11 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.runner import ladder_schedule
 from repro.ir.dag import DependenceDAG
-from repro.machine.machine import first_pipeline_assignment
+from repro.ir.ops import Opcode
+from repro.ir.textual import parse_block
+from repro.machine.machine import MachineDescription, first_pipeline_assignment
+from repro.machine.pipeline import PipelineDesc
+from repro.resilience.budget import (
+    DEFAULT_SPLIT_CURTAIL,
+    STEP_LIST_SEED,
+    STEP_SPLIT,
+    BlockBudget,
+    BudgetManager,
+)
 from repro.sched.list_scheduler import list_schedule
-from repro.sched.nop_insertion import IncrementalTimingState, SigmaResolver, compute_timing
-from repro.sched.search import ENGINES, schedule_block
+from repro.sched.nop_insertion import (
+    IncrementalTimingState,
+    InitialConditions,
+    SigmaResolver,
+    compute_timing,
+)
+from repro.sched.search import ENGINES, SearchOptions, schedule_block
 from repro.sched.splitting import _carry_in, schedule_block_split, window_dag
 from repro.synth.generator import generate_block
 
@@ -58,19 +74,36 @@ class TestBasics:
 
 
 class TestQuality:
-    def test_never_worse_than_seed(self, sim_machine):
-        """Each window starts from the seed slice as its incumbent, so the
-        stitched result cannot cost more than the seeded list schedule."""
-        from repro.sched.list_scheduler import list_schedule
+    def test_windows_can_cost_more_than_the_seed(self):
+        """Each window is optimal only from the state the earlier windows
+        leave: window 1 here saves a NOP over its seed slice and leaves
+        window 2 two more, so the stitched schedule costs 9 NOPs against
+        the list seed's 8."""
+        machine = MachineDescription(
+            "loader-5", [PipelineDesc("loader", 1, 5, 1)], {Opcode.LOAD: {1}}
+        )
+        dag = DependenceDAG(parse_block(
+            "1: Const 7\n2: Copy 1\n3: Copy 1\n4: Load #a\n5: Load #b\n6: Copy 5"
+        ))
+        initial = InitialConditions(variable_ready={"a": 6, "b": 8}, tuple_ready={1: 6})
+        seeded = compute_timing(dag, list_schedule(dag), machine, initial=initial)
+        split = schedule_block_split(dag, machine, window=4, initial_conditions=initial)
+        assert (split.total_nops, seeded.total_nops) == (9, 8)
 
-        for seed in (1, 2, 3):
-            gb = generate_block(statements=30, variables=10, constants=5, seed=seed)
-            if len(gb.block) < 2:
-                continue
-            dag = DependenceDAG(gb.block)
-            seeded = compute_timing(dag, list_schedule(dag), sim_machine)
-            split = schedule_block_split(dag, sim_machine, window=10)
-            assert split.total_nops <= seeded.total_nops
+    def test_ladder_keeps_the_seed_over_a_costlier_split(self):
+        """The degradation ladder publishes the split rung only when it
+        beats the list seed; here the windows cost 2 NOPs, the seed 1."""
+        machine = MachineDescription(
+            "alu-4", [PipelineDesc("alu", 1, 4, 2)], {Opcode.ADD: {1}}
+        )
+        dag = DependenceDAG(parse_block(
+            "1: Const 0\n2: Add 1, 1\n3: Add 1, 1\n4: Copy 3\n5: Copy 1\n6: Const 0"
+        ))
+        assert schedule_block_split(dag, machine, window=4).total_nops == 2
+        out = _timed_out_ladder(dag, machine)
+        assert out.degraded and out.ladder == STEP_LIST_SEED
+        assert out.final_nops == out.result.initial_nops == 1
+        assert out.timing == out.result.initial
 
     def test_at_least_optimal(self, sim_machine):
         """Windowed cost can never beat the true optimum."""
@@ -82,6 +115,39 @@ class TestQuality:
             optimum = schedule_block(dag, sim_machine).final_nops
             split = schedule_block_split(dag, sim_machine, window=4)
             assert split.total_nops >= optimum
+
+
+def _timed_out_ladder(dag, machine):
+    """``ladder_schedule`` on a search that times out at once (the root
+    bounds, which could prove the seed optimal first, are off), with
+    4-instruction split windows."""
+    budget = BudgetManager(block=BlockBudget(wall_clock=1e-9), split_window=4).start()
+    options = budget.options_for_block(SearchOptions(
+        lower_bound_prune=False, heuristic_seeds=False, dominance_prune=False
+    ))
+    return ladder_schedule(dag, machine, options, budget=budget)
+
+
+@given(blocks(min_size=2, max_size=14), machines())
+@settings(max_examples=40, deadline=None)
+def test_ladder_publishes_the_split_only_below_the_seed(block, machine):
+    """What holds in place of "never worse than the seed": a timed-out
+    block publishes the cheaper of its split windows and its list seed,
+    the seed on a tie."""
+    dag = DependenceDAG(block)
+    out = _timed_out_ladder(dag, machine)
+    if not out.degraded:
+        return
+    seed_nops = out.result.initial_nops
+    if out.ladder == STEP_SPLIT:
+        assert out.final_nops < seed_nops
+    else:
+        assert out.ladder == STEP_LIST_SEED
+        assert (out.timing, out.final_nops) == (out.result.initial, seed_nops)
+        split = schedule_block_split(
+            dag, machine, window=4, curtail_per_window=DEFAULT_SPLIT_CURTAIL
+        )
+        assert split.total_nops >= seed_nops
 
 
 @given(blocks(min_size=2, max_size=14), machines())
