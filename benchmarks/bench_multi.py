@@ -27,12 +27,8 @@ def selection_dags():
 
 
 def test_x1_regeneration(benchmark, results_dir):
-    result = benchmark.pedantic(
-        extension.run_x1,
-        kwargs=dict(n_blocks=60, curtail=30_000),
-        rounds=1,
-        iterations=1,
-    )
+    # run_x1's defaults, as `repro experiments extension-x1` runs it.
+    result = benchmark.pedantic(extension.run_x1, rounds=1, iterations=1)
     publish(results_dir, "extension_x1", result.render())
     assert result.joint_never_loses
     by_key = {(r.machine, r.policy): r for r in result.rows}

@@ -135,59 +135,9 @@ def compile_source(
     program = parse_program(source)
     raw_block = lower_program(program, name)
     block = optimize_block(raw_block) if optimize and len(raw_block) else raw_block
-    if num_registers is not None:
-        # Section 3.1: create spill code up front so program order fits
-        # the register file, then constrain the scheduler to stay within
-        # it — post-scheduling allocation then never needs new spills.
-        block = insert_spill_code(block, num_registers).block
-        options = replace(options, max_live=num_registers)
-    dag = DependenceDAG(block)
-
-    search: Optional[SearchResult] = None
-    assignment = None
-    if scheduler in ("optimal", "ilp"):
-        search = schedule_block(
-            dag, machine, options, telemetry=telemetry,
-            backend="ilp" if scheduler == "ilp" else "search",
-        )
-        timing = search.best
-    elif scheduler == "multi":
-        # The multi-pipeline scheduler only.
-        from .sched.multi import schedule_block_multi
-
-        multi = schedule_block_multi(dag, machine, options, telemetry=telemetry)
-        assignment = dict(multi.assignment)
-        timing = compute_timing(
-            dag, multi.order, machine, assignment=assignment
-        )
-    elif scheduler == "gross":
-        timing = gross_schedule(dag, machine)
-    elif scheduler == "greedy":
-        timing = greedy_schedule(dag, machine)
-    elif scheduler == "list":
-        timing = compute_timing(dag, list_schedule(dag), machine)
-    else:
-        timing = compute_timing(dag, program_order(dag), machine)
-    if scheduler not in ("optimal", "ilp", "multi") and num_registers is not None:
-        if max_live(block, timing.order) > num_registers:
-            # Heuristic orders are pressure-oblivious; program order is
-            # the schedule the spill pre-pass guarantees to fit.
-            timing = compute_timing(dag, program_order(dag), machine)
-
-    allocation = allocate_registers(block, timing.order, num_registers)
-    assembly = generate_assembly(block, timing, allocation, discipline)
-
-    result = CompilationResult(
-        program=program,
-        raw_block=raw_block,
-        block=block,
-        dag=dag,
-        timing=timing,
-        allocation=allocation,
-        assembly=assembly,
-        search=search,
-        machine=machine,
-        pipeline_assignment=assignment,
+    result = _back_end(
+        program, raw_block, block, machine, scheduler, options,
+        num_registers, discipline, telemetry,
     )
     if verify_memory is not None:
         verify_compilation(result, verify_memory)
@@ -274,17 +224,40 @@ def compile_block(
     raw_block = block
     if optimize and len(block):
         block = optimize_block(block)
-    block_options = options
+    return _back_end(
+        Program([]), raw_block, block, machine, scheduler, options,
+        num_registers, discipline, telemetry,
+    )
+
+
+def _back_end(
+    program: Program,
+    raw_block: BasicBlock,
+    block: BasicBlock,
+    machine: MachineDescription,
+    scheduler: str,
+    options: SearchOptions,
+    num_registers: Optional[int],
+    discipline: DelayDiscipline,
+    telemetry: Optional[Telemetry],
+    initial: Optional[InitialConditions] = None,
+) -> CompilationResult:
+    """Spill pre-pass, scheduling, register allocation and assembly of
+    one optimized block, under carry-in ``initial`` conditions."""
     if num_registers is not None:
+        # Section 3.1: create spill code up front so program order fits
+        # the register file, then constrain the scheduler to stay within
+        # it — post-scheduling allocation then never needs new spills.
         block = insert_spill_code(block, num_registers).block
-        block_options = replace(options, max_live=num_registers)
+        options = replace(options, max_live=num_registers)
     dag = DependenceDAG(block)
 
     search: Optional[SearchResult] = None
     assignment = None
     if scheduler in ("optimal", "ilp"):
         search = schedule_block(
-            dag, machine, block_options, telemetry=telemetry,
+            dag, machine, options, initial_conditions=initial,
+            telemetry=telemetry,
             backend="ilp" if scheduler == "ilp" else "search",
         )
         timing = search.best
@@ -292,33 +265,31 @@ def compile_block(
         # The multi-pipeline scheduler only.
         from .sched.multi import schedule_block_multi
 
-        multi = schedule_block_multi(
-            dag, machine, block_options, telemetry=telemetry
-        )
+        multi = schedule_block_multi(dag, machine, options, telemetry=telemetry)
         assignment = dict(multi.assignment)
         timing = compute_timing(dag, multi.order, machine, assignment=assignment)
     elif scheduler == "gross":
-        timing = gross_schedule(dag, machine)
+        timing = gross_schedule(dag, machine, initial=initial)
     elif scheduler == "greedy":
-        timing = greedy_schedule(dag, machine)
-    elif scheduler == "list":
-        timing = compute_timing(dag, list_schedule(dag), machine)
+        timing = greedy_schedule(dag, machine, initial=initial)
     else:
-        timing = compute_timing(dag, program_order(dag), machine)
+        order = list_schedule(dag) if scheduler == "list" else program_order(dag)
+        timing = compute_timing(dag, order, machine, initial=initial)
     if scheduler not in ("optimal", "ilp", "multi") and num_registers is not None:
         if max_live(block, timing.order) > num_registers:
-            timing = compute_timing(dag, program_order(dag), machine)
+            # Heuristic orders are pressure-oblivious; program order is
+            # the schedule the spill pre-pass guarantees to fit.
+            timing = compute_timing(dag, program_order(dag), machine, initial=initial)
 
     allocation = allocate_registers(block, timing.order, num_registers)
-    assembly = generate_assembly(block, timing, allocation, discipline)
     return CompilationResult(
-        program=Program([]),
+        program=program,
         raw_block=raw_block,
         block=block,
         dag=dag,
         timing=timing,
         allocation=allocation,
-        assembly=assembly,
+        assembly=generate_assembly(block, timing, allocation, discipline),
         search=search,
         machine=machine,
         pipeline_assignment=assignment,
@@ -400,57 +371,12 @@ def compile_program(
         block = (
             optimize_block(raw_block) if optimize and len(raw_block) else raw_block
         )
-        block_options = options
-        if num_registers is not None:
-            block = insert_spill_code(block, num_registers).block
-            block_options = replace(options, max_live=num_registers)
-        dag = DependenceDAG(block)
-
-        search: Optional[SearchResult] = None
-        if scheduler in ("optimal", "ilp"):
-            search = schedule_block(
-                dag,
-                machine,
-                block_options,
-                initial_conditions=conditions,
-                telemetry=telemetry,
-                backend="ilp" if scheduler == "ilp" else "search",
-            )
-            timing = search.best
-        elif scheduler == "gross":
-            timing = gross_schedule(dag, machine, initial=conditions)
-        elif scheduler == "greedy":
-            timing = greedy_schedule(dag, machine, initial=conditions)
-        elif scheduler == "list":
-            timing = compute_timing(
-                dag, list_schedule(dag), machine, initial=conditions
-            )
-        else:
-            timing = compute_timing(
-                dag, program_order(dag), machine, initial=conditions
-            )
-        if scheduler not in ("optimal", "ilp") and num_registers is not None:
-            if max_live(block, timing.order) > num_registers:
-                timing = compute_timing(
-                    dag, program_order(dag), machine, initial=conditions
-                )
-
-        allocation = allocate_registers(block, timing.order, num_registers)
-        assembly = generate_assembly(block, timing, allocation, discipline)
-        results.append(
-            CompilationResult(
-                program=segment,
-                raw_block=raw_block,
-                block=block,
-                dag=dag,
-                timing=timing,
-                allocation=allocation,
-                assembly=assembly,
-                search=search,
-                machine=machine,
-            )
+        result = _back_end(
+            segment, raw_block, block, machine, scheduler, options,
+            num_registers, discipline, telemetry, initial=conditions,
         )
-        conditions = carry_out(timing, dag, machine)
+        results.append(result)
+        conditions = carry_out(result.timing, result.dag, machine)
 
     compiled = ProgramCompilation(program, tuple(results), machine)
     if verify_memory is not None:

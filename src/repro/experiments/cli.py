@@ -18,6 +18,9 @@ Fault tolerance (see docs/architecture.md, "Fault tolerance")::
     repro experiments table7 --resume run.journal      # continue after a crash
     repro experiments table7 --run-timeout 600         # degrade, don't overrun
     repro experiments table7 --workers 4 --chaos crash=0.1,hang=0.05,seed=7
+
+``extension-x1`` exits 1 when its joint search loses to a pinned
+policy on any block.
 """
 
 from __future__ import annotations
@@ -340,7 +343,13 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-experiments") -> i
     write_stats()
     if journal is not None:
         print(f"[journal] {journal.appended:,} block records in {journal.path}")
-
+    x1 = results.get("extension-x1")
+    if x1 is not None and not x1.joint_never_loses:
+        print(
+            "repro-experiments: X1's joint search lost to a pinned policy",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

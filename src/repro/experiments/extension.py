@@ -67,13 +67,25 @@ class X1Result:
             if self.joint_never_loses
             else "WARNING: joint search lost to a pinned policy on some block!"
         )
-        return (
-            f"{table}\n{check}\n"
-            "on identical twins (Tables 2+3) an optimal order compensates "
-            "for any spreading policy; on asymmetric units the joint search "
-            "finds schedules no static pinning can reach (footnote 3's "
-            "unsupported feature, realized)"
-        )
+        return f"{table}\n{check}\n{self.conclusion()}"
+
+    def conclusion(self) -> str:
+        """What pipeline choice buys on each machine, read off the rows."""
+        parts = []
+        for first, rr, joint in zip(*[iter(self.rows)] * 3):
+            if joint.wins:
+                verdict = (
+                    f"first-pipeline pinning loses to the joint search on "
+                    f"{joint.wins} of {self.n_blocks} blocks"
+                )
+            else:
+                verdict = "an optimal order compensates for first-pipeline pinning"
+            parts.append(
+                f"on {joint.machine} {verdict} ({first.avg_nops:.2f} against "
+                f"{joint.avg_nops:.2f} average NOPs; round-robin "
+                f"{rr.avg_nops:.2f})"
+            )
+        return "; ".join(parts)
 
     def csv(self) -> str:
         return to_csv(

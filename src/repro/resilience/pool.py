@@ -150,8 +150,11 @@ class JobHandle:
             self._plan.inject(self.fault)
 
 
-def _worker_main(conn, fn, context, plan: Optional[FaultPlan]) -> None:
+def _worker_main(conn, inherited, fn, context, plan: Optional[FaultPlan]) -> None:
     """Worker process: run jobs from ``conn`` until told to stop.
+
+    ``inherited`` (the parent's pipe ends the fork copied) are closed
+    first: while they are open, ``conn`` reads no EOF when the parent dies.
 
     Parent → worker: ``("job", seq, attempt, args)`` or ``("stop",)``.
     Worker → parent: ``("progress", seq)`` heartbeats, then exactly one
@@ -165,6 +168,8 @@ def _worker_main(conn, fn, context, plan: Optional[FaultPlan]) -> None:
     # parent's to handle (a ^C must drain, not kill workers mid-write).
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:
+        end.close()
     while True:
         try:
             msg = conn.recv()
@@ -284,10 +289,11 @@ class WorkerPool:
 
     def _spawn_locked(self) -> None:
         parent_conn, child_conn = Pipe(duplex=True)
+        ends = [parent_conn, self._wake_r, self._wake_w] + [w.conn for w in self._workers.values()]
         try:
             proc = Process(
                 target=_worker_main,
-                args=(child_conn, self.fn, self.context, self.fault_plan),
+                args=(child_conn, ends, self.fn, self.context, self.fault_plan),
                 daemon=True,
             )
             proc.start()

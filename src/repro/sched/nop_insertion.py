@@ -246,6 +246,7 @@ class IncrementalTimingState:
         "_order",
         "_etas",
         "_issue",
+        "_avail",
         "_pipe_last",
         "_pipe_saved",
         "_total_nops",
@@ -263,6 +264,7 @@ class IncrementalTimingState:
         self._order: List[int] = []
         self._etas: List[int] = []
         self._issue: Dict[int, int] = {}
+        self._avail: Dict[int, int] = {}  # result-ready cycle per tuple
         self._pipe_last: Dict[int, int] = {}
         # Stack of (pipe, previous last-issue or None) for undo.
         self._pipe_saved: List[Optional[Tuple[int, Optional[int]]]] = []
@@ -299,11 +301,12 @@ class IncrementalTimingState:
         return self._issue[ident]
 
     # ------------------------------------------------------------------
-    def peek_eta(self, ident: int) -> int:
+    def peek_eta(self, ident: int, pipe: Optional[int] = None) -> int:
         """The NOPs that scheduling ``ident`` next would require.
 
         This is the Ω evaluation: one call per candidate considered.
         Assumes legality (all of ``rho(ident)`` already scheduled).
+        ``pipe`` overrides sigma for a tuple whose pipeline is left open.
         """
         resolver = self.resolver
         # Issue time with eta == 0: the slot after the previous issue,
@@ -312,11 +315,11 @@ class IncrementalTimingState:
         earliest = base
         # Conflict: nearest earlier enqueue into the same pipeline
         # (including the phantom carry-in enqueue, when present).
-        pid = resolver.sigma(ident)
+        pid = resolver.sigma(ident) if pipe is None else pipe
         if pid is not None:
             last = self._pipe_last.get(pid)
             if last is not None:
-                bound = last + resolver.enqueue_time(ident)
+                bound = last + resolver.machine.pipeline(pid).enqueue_time
                 if bound > earliest:
                     earliest = bound
         # Carry-in memory readiness.
@@ -326,14 +329,15 @@ class IncrementalTimingState:
                 earliest = bound
         # Dependences: producer issue + producer latency.
         for delta in self.dag.rho(ident):
-            bound = self._issue[delta] + resolver.latency(delta)
+            bound = self._avail[delta]
             if bound > earliest:
                 earliest = bound
         return earliest - base
 
-    def push(self, ident: int) -> int:
-        """Schedule ``ident`` next; returns its eta."""
-        eta = self.peek_eta(ident)
+    def push(self, ident: int, pipe: Optional[int] = None) -> int:
+        """Schedule ``ident`` next (on ``pipe``, as for :meth:`peek_eta`);
+        returns its eta."""
+        eta = self.peek_eta(ident, pipe)
         if self._order:
             issue = self._issue[self._order[-1]] + 1 + eta
         else:
@@ -342,7 +346,11 @@ class IncrementalTimingState:
         self._etas.append(eta)
         self._issue[ident] = issue
         self._total_nops += eta
-        pid = self.resolver.sigma(ident)
+        if pipe is None:
+            pid, latency = self.resolver.sigma(ident), self.resolver.latency(ident)
+        else:
+            pid, latency = pipe, self.resolver.machine.pipeline(pipe).latency
+        self._avail[ident] = issue + latency
         if pid is None:
             self._pipe_saved.append(None)
         else:
@@ -356,6 +364,7 @@ class IncrementalTimingState:
         eta = self._etas.pop()
         self._total_nops -= eta
         del self._issue[ident]
+        del self._avail[ident]
         saved = self._pipe_saved.pop()
         if saved is not None:
             pid, previous = saved

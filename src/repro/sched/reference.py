@@ -9,31 +9,75 @@ seed pricing, heuristic incumbents, candidate order, prune decisions,
 so each step reads like the paper.  It is kept as the differential
 oracle and for ablation; :func:`repro.sched.search.schedule_block`
 imports this module only when the reference engine is asked for.
+
+The same recursion also runs footnote 3's joint search
+(:func:`repro.sched.multi.schedule_block_multi`): a
+:class:`RelaxedResolver` leaves open the pipeline of every tuple with
+several viable ones, and each candidate is then tried on each of its
+pipelines, cheapest-first, with identical idle twins collapsed.  The
+bounds see an open tuple through an admissible relaxation — its
+smallest viable latency and no pipeline of its own — while a scheduled
+one counts with the latency of the pipeline it was given.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
 from ..telemetry import prune_counts
-from .bounds import pipe_edf_lateness, unit_edf_lateness
+from .bounds import downstream_chains, pipe_edf_lateness, root_bound, unit_edf_lateness
+from .core import _Flat
 from .heuristics import greedy_schedule, gross_schedule
 from .nop_insertion import (
     IncrementalTimingState,
     InitialConditions,
     PipelineAssignment,
+    ScheduleTiming,
     SigmaResolver,
     compute_timing,
 )
-from .search import SearchOptions, SearchResult, _Curtailed, root_lower_bound
+from .search import SearchOptions, SearchResult, _Curtailed
 
 
 class _Proven(Exception):
     """Internal unwind signal: an improvement met the root lower bound."""
+
+
+class RelaxedResolver(SigmaResolver):
+    """Sigma with the pipeline of every multi-pipeline tuple left open.
+
+    ``choices`` maps each such tuple to its viable pipelines, sorted.
+    Its sigma is ``None`` and its latency the smallest viable one, so
+    the chain, capacity, release-deadline and root bounds see an open
+    tuple as an unpipelined one that is never slower than any choice:
+    an admissible relaxation of every assignment.
+    """
+
+    def __init__(self, dag: DependenceDAG, machine: MachineDescription):
+        self.choices: Dict[int, Tuple[int, ...]] = {
+            t.ident: tuple(sorted(machine.pipelines_for(t.op)))
+            for t in dag.block
+            if len(machine.pipelines_for(t.op)) > 1
+        }
+        super().__init__(
+            dag, machine, {i: pids[0] for i, pids in self.choices.items()}
+        )
+        for ident, pids in self.choices.items():
+            self._sigma[ident] = None
+            self._latency[ident] = min(machine.pipeline(p).latency for p in pids)
+            self._enqueue[ident] = 0
+
+
+def pipes_of(state: IncrementalTimingState) -> Dict[int, Optional[int]]:
+    """The pipeline each tuple of ``state``'s prefix runs on."""
+    return {
+        ident: None if saved is None else saved[0]
+        for ident, saved in zip(state._order, state._pipe_saved)
+    }
 
 
 def run_reference_search(
@@ -46,28 +90,41 @@ def run_reference_search(
     fits_budget,
     start: float,
     assignment: Optional[PipelineAssignment],
+    priced: Optional[Tuple[ScheduleTiming, Dict[int, Optional[int]], int]] = None,
 ) -> SearchResult:
     """Everything ``schedule_block`` does after seed validation, as the
     readable recursion; returns a complete ``SearchResult`` (telemetry
-    is recorded by the caller)."""
+    is recorded by the caller).
+
+    The joint pipeline search (:func:`repro.sched.multi.schedule_block_multi`)
+    passes a :class:`RelaxedResolver` and, in place of step [1],
+    ``priced``: its best incumbent, that incumbent's pipelines and the Ω
+    calls their pricing took.  The pipelines are updated in place to
+    those of the returned best.
+    """
     n = len(dag)
     budget = options.max_live
-
-    # Step [1]: price the seed schedule (n omega calls), plus the
-    # heuristic incumbents when enabled.
-    seed_timing = compute_timing(dag, seed, machine, assignment, initial=initial)
-    omega_calls = n
-    best = seed_timing
+    choices = resolver.choices if isinstance(resolver, RelaxedResolver) else {}
     improvements = 0
-    if options.heuristic_seeds and n > 1:
-        for heuristic in (gross_schedule, greedy_schedule):
-            candidate = heuristic(dag, machine, assignment, initial)
-            omega_calls += n
-            if candidate.total_nops < best.total_nops and fits_budget(
-                candidate.order
-            ):
-                best = candidate
-                improvements += 1
+    if priced is not None:
+        best, chosen, omega_calls = priced
+        seed_timing = best
+    else:
+        # Step [1]: price the seed schedule (n omega calls), plus the
+        # heuristic incumbents when enabled.
+        seed_timing = compute_timing(dag, seed, machine, assignment, initial=initial)
+        omega_calls = n
+        best = seed_timing
+        chosen = {}
+        if options.heuristic_seeds and n > 1:
+            for heuristic in (gross_schedule, greedy_schedule):
+                candidate = heuristic(dag, machine, assignment, initial)
+                omega_calls += n
+                if candidate.total_nops < best.total_nops and fits_budget(
+                    candidate.order
+                ):
+                    best = candidate
+                    improvements += 1
 
     if n <= 1:
         return SearchResult(
@@ -98,6 +155,17 @@ def run_reference_search(
             else max(resolver.latency(t.ident) + chain_below[s] for s in succ)
         )
     enqueue_of = {p.ident: p.enqueue_time for p in machine.pipelines}
+    # Two pipelines are twins when the same operation classes can use
+    # them and they time alike; twins idle since the same cycle give
+    # isomorphic subtrees, so only the first is tried.
+    twin_class = {
+        p.ident: (
+            frozenset(op for op, pids in machine.op_map.items() if p.ident in pids),
+            p.latency,
+            p.enqueue_time,
+        )
+        for p in machine.pipelines
+    }
     pipe_users: Dict[int, int] = {}
     for i in idents:
         pid = resolver.sigma(i)
@@ -113,7 +181,9 @@ def run_reference_search(
     # ------------------------------------------------------------------
     stop_at = -1
     if options.lower_bound_prune:
-        stop_at = root_lower_bound(dag, machine, assignment, initial)
+        # root_lower_bound's computation, on this search's resolver.
+        flat = _Flat(dag, machine, resolver, initial)
+        stop_at = root_bound(flat, downstream_chains(flat))
         if best.total_nops <= stop_at:
             return SearchResult(
                 best,
@@ -137,12 +207,14 @@ def run_reference_search(
     # decay with time, so the dominance key must carry their residuals
     # (see interface_key).
     var_bounds = state._var_bound
-    # Sound 5c refinement: interchangeable candidates share no pipeline,
-    # no predecessors, no carry-in release, and identical successor sets.
+    # Sound 5c refinement: interchangeable candidates use no pipeline
+    # (an open tuple uses one), have no predecessors, no carry-in
+    # release, and identical successor sets.
     trivial: Dict[int, Optional[FrozenSet[int]]] = {
         i: (
             frozenset(successors[i])
             if resolver.sigma(i) is None
+            and i not in choices
             and indegree[i] == 0
             and i not in var_bounds
             else None
@@ -189,6 +261,7 @@ def run_reference_search(
     best_timing = best
     peek = state.peek_eta
     issue_of = state._issue
+    avail = state._avail
     pipe_last = state._pipe_last
 
     # Prune-event counters (plain locals in the hot loop; flushed into
@@ -215,7 +288,7 @@ def run_reference_search(
         )
         dangling: List[Tuple[int, int]] = []
         for ident in state._order[-(max_latency + 1) :]:
-            slack = issue_of[ident] + resolver.latency(ident) - (tl + 1)
+            slack = avail[ident] - (tl + 1)
             if slack <= 0:
                 continue
             for s in successors[ident]:
@@ -257,8 +330,8 @@ def run_reference_search(
             if i in var_bounds:
                 ready_at.append(var_bounds[i])
             for d in dag.rho(i):
-                when = release[d] if d in release else issue_of[d]
-                ready_at.append(when + resolver.latency(d))
+                when = release[d] + resolver.latency(d) if d in release else avail[d]
+                ready_at.append(when)
             release[i] = r = max(ready_at)
             due = t_last - chain_below[i]
             tasks.append((r, due))
@@ -270,12 +343,33 @@ def run_reference_search(
             worst = max(worst, pipe_edf_lateness(users, enqueue_of[pid]))
         return worst
 
+    def cheapest(ident: int) -> int:
+        """``ident``'s NOPs on its cheapest pipeline choice."""
+        if ident in choices:
+            return min(peek(ident, p) for p in choices[ident])
+        return peek(ident)
+
+    def pipes_for(ident: int) -> Sequence[Optional[int]]:
+        """The pipelines to try ``ident`` on: ``None`` (its sigma) unless
+        open; an open tuple's cheapest-first, twins collapsed."""
+        if ident not in choices:
+            return (None,)
+        seen = set()
+        out = []
+        for pid in sorted(choices[ident], key=lambda p: peek(ident, p)):
+            signature = (twin_class[pid], pipe_last.get(pid))
+            if signature not in seen:
+                seen.add(signature)
+                out.append(pid)
+        return out
+
     def rec(remaining: int, mask: int) -> None:
         nonlocal best_nops, best_timing, improvements, omega_calls, live_count
         nonlocal n_legality, n_bounds, n_equivalence, n_alpha_beta
         nonlocal n_dominance, n_curtail, n_timeout, n_memo_evicted, timed_out
+        eta = {i: cheapest(i) for i in ready}
         if cheapest_first:
-            cands = sorted(ready, key=lambda i: (peek(i), seed_pos[i]))
+            cands = sorted(ready, key=lambda i: (eta[i], seed_pos[i]))
         else:
             cands = sorted(ready, key=seed_pos.__getitem__)
         # Steps [5a]/[5b]: unscheduled instructions whose rho set is not
@@ -287,7 +381,7 @@ def run_reference_search(
             if lower_bounds:
                 lb = 0
                 for i in cands:
-                    gap = 1 + peek(i) + chain_below[i] - remaining
+                    gap = 1 + eta[i] + chain_below[i] - remaining
                     if gap > lb:
                         lb = gap
                 tl = issue_of[state._order[-1]]
@@ -340,67 +434,69 @@ def run_reference_search(
         for ident in cands:
             if budget is not None and pressure_peak(ident) > budget:
                 continue  # would not be allocatable: treat as illegal
-            # Step [4]: curtail-point truncation.
-            if omega_calls >= curtail:
-                n_curtail += 1
-                raise _Curtailed
-            if deadline is not None and time.perf_counter() > deadline:
-                n_timeout += 1
-                timed_out = True
-                raise _Curtailed
-            omega_calls += 1
-            state.push(ident)
-            pid = resolver.sigma(ident)
-            if pid is not None:
-                pipe_users[pid] -= 1
-            if budget is not None:
-                for r in operand_sets[ident]:
-                    consumers_left[r] -= 1
-                    if consumers_left[r] == 0:
-                        live_count -= 1
-                if produces[ident] and consumers_left[ident] > 0:
-                    live_count += 1
-            try:
-                if remaining == 1:
-                    # Step [3]: complete schedule; adopt if strictly better.
-                    if state.total_nops < best_nops:
-                        best_nops = state.total_nops
-                        best_timing = state.snapshot()
-                        improvements += 1
-                        if best_nops <= stop_at:
-                            raise _Proven
-                elif alpha_beta and state.total_nops >= best_nops:
-                    # Step [6]: mu never decreases as a schedule grows,
-                    # so this prefix cannot beat the incumbent.
-                    n_alpha_beta += 1
-                else:
-                    # Step [6]: extend only prefixes that can still win.
-                    ready.remove(ident)
-                    opened = []
-                    for succ in successors[ident]:
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            ready.append(succ)
-                            opened.append(succ)
-                    try:
-                        rec(remaining - 1, mask | bit[ident])
-                    finally:
-                        for succ in opened:
-                            ready.remove(succ)
-                        for succ in successors[ident]:
-                            indegree[succ] += 1
-                        ready.append(ident)
-            finally:
+            pinned = resolver.sigma(ident)  # None when open
+            for pipe in pipes_for(ident):
+                # Step [4]: curtail-point truncation.
+                if omega_calls >= curtail:
+                    n_curtail += 1
+                    raise _Curtailed
+                if deadline is not None and time.perf_counter() > deadline:
+                    n_timeout += 1
+                    timed_out = True
+                    raise _Curtailed
+                omega_calls += 1
+                state.push(ident, pipe)
+                if pinned is not None:
+                    pipe_users[pinned] -= 1
                 if budget is not None:
-                    if produces[ident] and consumers_left[ident] > 0:
-                        live_count -= 1
                     for r in operand_sets[ident]:
+                        consumers_left[r] -= 1
                         if consumers_left[r] == 0:
-                            live_count += 1
-                        consumers_left[r] += 1
-                if pid is not None:
-                    pipe_users[pid] += 1
-                state.pop()
+                            live_count -= 1
+                    if produces[ident] and consumers_left[ident] > 0:
+                        live_count += 1
+                try:
+                    if remaining == 1:
+                        # Step [3]: complete schedule; adopt if strictly better.
+                        if state.total_nops < best_nops:
+                            best_nops = state.total_nops
+                            best_timing = state.snapshot()
+                            chosen.update(pipes_of(state))
+                            improvements += 1
+                            if best_nops <= stop_at:
+                                raise _Proven
+                    elif alpha_beta and state.total_nops >= best_nops:
+                        # Step [6]: mu never decreases as a schedule grows,
+                        # so this prefix cannot beat the incumbent.
+                        n_alpha_beta += 1
+                    else:
+                        # Step [6]: extend only prefixes that can still win.
+                        ready.remove(ident)
+                        opened = []
+                        for succ in successors[ident]:
+                            indegree[succ] -= 1
+                            if indegree[succ] == 0:
+                                ready.append(succ)
+                                opened.append(succ)
+                        try:
+                            rec(remaining - 1, mask | bit[ident])
+                        finally:
+                            for succ in opened:
+                                ready.remove(succ)
+                            for succ in successors[ident]:
+                                indegree[succ] += 1
+                            ready.append(ident)
+                finally:
+                    if budget is not None:
+                        if produces[ident] and consumers_left[ident] > 0:
+                            live_count -= 1
+                        for r in operand_sets[ident]:
+                            if consumers_left[r] == 0:
+                                live_count += 1
+                            consumers_left[r] += 1
+                    if pinned is not None:
+                        pipe_users[pinned] += 1
+                    state.pop()
 
     completed = True
     old_limit = sys.getrecursionlimit()

@@ -159,3 +159,28 @@ class TestMultiScheduler:
         multi = compile_source(source, sim_machine, scheduler="multi")
         optimal = compile_source(source, sim_machine, scheduler="optimal")
         assert multi.total_nops == optimal.total_nops
+
+    @pytest.mark.parametrize("registers", [3, 4, 5])
+    @pytest.mark.parametrize("preset", ["paper-example", "asymmetric-units"])
+    def test_multi_scheduler_keeps_the_register_budget(self, preset, registers):
+        """The joint pipeline search keeps ``max_live``, so allocation
+        after it needs no new spills (compile_source and compile_block)."""
+        from repro.driver import compile_block
+        from repro.machine.presets import get_machine
+
+        source = (
+            "a = b + c; d = e + f; g = h + i; j = k + l; "
+            "m = a + d; n = g + j; o = m + n;"
+        )
+        memory = {v: i + 1 for i, v in enumerate("bcefhikl")}
+        machine = get_machine(preset)
+        compiled = compile_source(
+            source, machine, scheduler="multi", num_registers=registers,
+            verify_memory=memory,
+        )
+        assert compiled.allocation.num_registers_used <= registers
+        tuples = compile_block(
+            compiled.block, machine, scheduler="multi",
+            num_registers=registers,
+        )
+        assert tuples.allocation.num_registers_used <= registers

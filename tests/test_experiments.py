@@ -154,6 +154,39 @@ class TestExtensions:
         assert len(result.rows) == 6  # 3 policies x 2 machines
         assert "X1" in result.render()
 
+    def test_x1_conclusion_follows_the_rows(self):
+        def rows(machine, first, joint, wins):
+            return [
+                extension.X1Row(machine, "first-pipeline (pinned)", first, 0, 0, 0),
+                extension.X1Row(machine, "round-robin (pinned)", 3.5, 0, 0, 0),
+                extension.X1Row(machine, "joint search (extension)", joint, 0, 0, wins),
+            ]
+
+        result = extension.X1Result(
+            rows("twins", 3.72, 2.97, 29) + rows("same", 0.5, 0.5, 0),
+            n_blocks=100, joint_never_loses=True,
+        )
+        assert result.conclusion() == (
+            "on twins first-pipeline pinning loses to the joint search on "
+            "29 of 100 blocks (3.72 against 2.97 average NOPs; round-robin "
+            "3.50); on same an optimal order compensates for first-pipeline "
+            "pinning (0.50 against 0.50 average NOPs; round-robin 3.50)"
+        )
+        assert result.render().endswith(result.conclusion())
+
+    def test_x1_gates_the_exit_status(self, monkeypatch, capsys):
+        from repro.experiments import cli
+
+        losing = extension.X1Result([], n_blocks=0, joint_never_loses=False)
+        monkeypatch.setattr(extension, "run_x1", lambda: losing)
+        assert cli.main(["extension-x1"]) == 1
+        assert "lost to a pinned policy" in capsys.readouterr().err
+        monkeypatch.setattr(
+            extension, "run_x1",
+            lambda: extension.X1Result([], n_blocks=0, joint_never_loses=True),
+        )
+        assert cli.main(["extension-x1"]) == 0
+
     def test_x2(self):
         result = extension.run_x2(n_blocks=4, curtail=20_000)
         assert len(result.rows) == 3

@@ -5,15 +5,20 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from repro.driver import compile_source
 from repro.ir.dag import DependenceDAG
 from repro.ir.ops import Opcode
 from repro.ir.textual import parse_block
 from repro.machine.machine import MachineDescription, first_pipeline_assignment
 from repro.machine.pipeline import PipelineDesc
-from repro.machine.presets import asymmetric_units_machine
+from repro.machine.presets import PRESETS, asymmetric_units_machine, get_machine
+from repro.sched.bounds import downstream_chains, root_bound
+from repro.sched.core import _Flat
 from repro.sched.multi import round_robin_assignment, schedule_block_multi
 from repro.sched.nop_insertion import compute_timing
+from repro.sched.reference import RelaxedResolver
 from repro.sched.search import SearchOptions, schedule_block
+from repro.synth.kernels import KERNELS
 
 from .strategies import blocks
 
@@ -98,6 +103,20 @@ class TestJointSearch:
         with pytest.raises(ValueError, match="permutation"):
             schedule_block_multi(figure3_dag, example_machine, seed=(1, 2))
 
+    def test_extra_incumbent_validation(self, figure3_dag, example_machine):
+        order = figure3_dag.idents
+        with pytest.raises(ValueError, match="cover the whole block"):
+            schedule_block_multi(
+                figure3_dag, example_machine, extra_incumbents=[(order[:2], {})]
+            )
+        # Tuple 3 is a Load: it has two loaders and no unpipelined choice.
+        assignment = first_pipeline_assignment(figure3_dag, example_machine)
+        with pytest.raises(ValueError, match="cannot execute tuple 3"):
+            schedule_block_multi(
+                figure3_dag, example_machine,
+                extra_incumbents=[(order, {**assignment, 3: None})],
+            )
+
 
 def _brute_force_multi(dag, machine):
     """Ground truth: minimum NOPs over every (legal order, assignment)."""
@@ -155,10 +174,10 @@ class TestAgainstBruteForce:
         assert result.total_nops == truth
 
 
-@given(blocks(min_size=2, max_size=5))
-@settings(max_examples=40, deadline=None)
-def test_joint_matches_brute_force_on_random_blocks(block):
-    machine = MachineDescription(
+def _two_units_machine():
+    """Loads and multiplies choose between a fast unit that blocks for
+    two cycles and a slow fully pipelined one; adds use the slow one."""
+    return MachineDescription(
         "two-units",
         [
             PipelineDesc("u-fast", 1, latency=2, enqueue_time=2),
@@ -171,6 +190,12 @@ def test_joint_matches_brute_force_on_random_blocks(block):
             Opcode.SUB: {2},
         },
     )
+
+
+@given(blocks(min_size=2, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_joint_matches_brute_force_on_random_blocks(block):
+    machine = _two_units_machine()
     dag = DependenceDAG(block)
     truth = _brute_force_multi(dag, machine)
     result = schedule_block_multi(
@@ -178,3 +203,54 @@ def test_joint_matches_brute_force_on_random_blocks(block):
     )
     assert result.completed
     assert result.total_nops == truth
+
+
+@given(blocks(min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_relaxed_root_bound_is_admissible(block):
+    """The root bound over open pipeline choices (smallest viable
+    latency, no pipeline of its own) never exceeds the true optimum."""
+    machine = _two_units_machine()
+    dag = DependenceDAG(block)
+    flat = _Flat(dag, machine, RelaxedResolver(dag, machine), None)
+    assert root_bound(flat, downstream_chains(flat)) <= _brute_force_multi(
+        dag, machine
+    )
+
+
+@given(blocks(min_size=2, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_joint_never_loses_to_pinned_on_random_blocks(block):
+    for machine in (_two_units_machine(), asymmetric_units_machine()):
+        dag = DependenceDAG(block)
+        joint = schedule_block_multi(dag, machine)
+        assert joint.completed
+        for policy in (first_pipeline_assignment, round_robin_assignment):
+            pinned = schedule_block(
+                dag, machine, assignment=policy(dag, machine)
+            )
+            assert pinned.completed
+            assert joint.total_nops <= pinned.final_nops
+
+
+_DETERMINISTIC = [
+    name for name in sorted(PRESETS) if get_machine(name).is_deterministic
+]
+
+
+@pytest.mark.parametrize("preset", _DETERMINISTIC)
+def test_deterministic_presets_match_the_block_search(preset):
+    """With one pipeline per tuple the joint search is the block search:
+    every kernel gets the same NOPs and both complete."""
+    machine = get_machine(preset)
+    for kernel in KERNELS:
+        block = compile_source(
+            kernel.source, get_machine("paper-simulation"), scheduler="none"
+        ).block
+        dag = DependenceDAG(block)
+        joint = schedule_block_multi(dag, machine)
+        core = schedule_block(dag, machine)
+        assert (joint.total_nops, joint.completed) == (
+            core.final_nops,
+            core.completed,
+        ), kernel.name

@@ -928,3 +928,63 @@ class TestGracefulDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+class TestDaemonDeath:
+    """A daemon killed outright takes its workers with it."""
+
+    #: How long an orphaned worker may take to notice its daemon died.
+    EXIT_WITHIN = 10.0
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
+    )
+    def test_worker_exits_when_its_idle_daemon_is_killed(self, tmp_path):
+        import repro
+
+        from .test_service_libraries import _children
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        ready = tmp_path / "ready.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.console", "serve", "--port", "0",
+             "--no-cache", "--workers", "1", "--ready-file", str(ready)],
+            env=dict(os.environ, PYTHONPATH=src_dir),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while not ready.exists():
+                assert proc.poll() is None, proc.stdout.read().decode()
+                assert time.monotonic() < deadline, "daemon never became ready"
+                time.sleep(0.05)
+            workers = _children(proc.pid)
+            assert len(workers) == 1
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + self.EXIT_WITHIN
+            while running(workers[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not running(workers[0]), (
+                f"worker {workers[0]} outlived its SIGKILLed daemon by "
+                f"{self.EXIT_WITHIN:.0f} s"
+            )
+            # No process holds the caller's stdout pipe any more.
+            proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
