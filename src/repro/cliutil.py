@@ -1,6 +1,6 @@
 """Shared argparse machinery for the ``repro`` command family.
 
-Every subcommand (``repro compile|experiments|verify|bench|serve``)
+Every subcommand (``repro compile|experiments|verify|serve``)
 historically declared its own ``--engine``/``--seed``/``--stats-json``/
 budget flags, and their names, defaults and help strings drifted.  This
 module is the single source of truth: :func:`common_flags` builds an

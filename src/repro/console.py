@@ -1,4 +1,4 @@
-"""The unified ``repro`` command — one entry point, five subcommands.
+"""The unified ``repro`` command — one entry point, four subcommands.
 
 ::
 
@@ -7,19 +7,17 @@
     repro experiments table7 --blocks 200
     repro verify --kernels --machines all
     repro verify --loops --machines all
-    repro bench --blocks 80
     repro serve --port 8123 --cache /var/cache/repro
 
 Each subcommand delegates to the corresponding tool module
 (``repro.cli``, ``repro.experiments.cli``, ``repro.verify.cli``,
-``repro.bench.cli``, ``repro.service.cli``); the shared flags
-(``--engine``, ``--seed``, ``--curtail``, ``--stats-json``, the budget
-and timeout knobs) come from one registry in :mod:`repro.cliutil`, so
-their names and defaults cannot drift between tools.  Subcommand
-modules are imported on dispatch, and the package namespaces are lazy,
-so ``repro --help`` loads only ``repro`` and this module, and ``repro
-compile`` loads neither the experiment suite nor the daemon (pinned by
-``tests/test_import_budget.py``).
+``repro.service.cli``); the shared flags (``--engine``, ``--seed``,
+``--curtail``, ``--stats-json``, the budget and timeout knobs) come from
+one registry in :mod:`repro.cliutil`, so their names and defaults cannot
+drift between tools.  Subcommand modules are imported on dispatch, and
+the package namespaces are lazy, so ``repro --help`` loads only
+``repro`` and this module, and ``repro compile`` loads neither the
+experiment suite nor the daemon (pinned by ``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations
@@ -45,11 +43,6 @@ SUBCOMMANDS = {
         "repro.verify.cli",
         "differential oracle: certify every scheduler against the checker "
         "(--optimality adds the ILP witness, --loops the modulo tier)",
-    ),
-    "bench": (
-        "repro.bench.cli",
-        "benchmark the search engines vs the reference, or the serve "
-        "daemon under load/chaos (--service)",
     ),
     "serve": (
         "repro.service.cli",

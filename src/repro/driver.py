@@ -30,7 +30,13 @@ from .ir.block import BasicBlock
 from .ir.dag import DependenceDAG
 from .machine.machine import DelayDiscipline, MachineDescription
 from .sched.list_scheduler import list_schedule, program_order
-from .sched.nop_insertion import InitialConditions, ScheduleTiming, carry_out, compute_timing
+from .sched.nop_insertion import (
+    InitialConditions,
+    ScheduleTiming,
+    SigmaResolver,
+    carry_out,
+    compute_timing,
+)
 from .sched.search import SearchOptions, SearchResult, schedule_block
 from .telemetry import Telemetry
 
@@ -265,9 +271,13 @@ def _back_end(
         # The multi-pipeline scheduler only.
         from .sched.multi import schedule_block_multi
 
-        multi = schedule_block_multi(dag, machine, options, telemetry=telemetry)
+        multi = schedule_block_multi(
+            dag, machine, options, telemetry=telemetry, initial_conditions=initial
+        )
         assignment = dict(multi.assignment)
-        timing = compute_timing(dag, multi.order, machine, assignment=assignment)
+        timing = compute_timing(
+            dag, multi.order, machine, assignment=assignment, initial=initial
+        )
     elif scheduler == "gross":
         timing = gross_schedule(dag, machine, initial=initial)
     elif scheduler == "greedy":
@@ -352,12 +362,6 @@ def compile_program(
     """
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
-    if scheduler == "multi":
-        raise ValueError(
-            "the multi-pipeline scheduler does not support carry-in "
-            "conditions yet; compile multi-block programs on a "
-            "deterministic machine, or single blocks with scheduler='multi'"
-        )
     _load_back_end()
     program = parse_program(source)
     segments = program.split_blocks()
@@ -376,12 +380,20 @@ def compile_program(
             num_registers, discipline, telemetry, initial=conditions,
         )
         results.append(result)
-        conditions = carry_out(result.timing, result.dag, machine)
+        conditions = _carry_out(result, machine)
 
     compiled = ProgramCompilation(program, tuple(results), machine)
     if verify_memory is not None:
         verify_program(compiled, verify_memory)
     return compiled
+
+
+def _carry_out(
+    result: CompilationResult, machine: MachineDescription
+) -> InitialConditions:
+    """The carry-in conditions ``result`` leaves, on its own pipelines."""
+    resolver = SigmaResolver(result.dag, machine, result.pipeline_assignment)
+    return carry_out(result.timing, result.dag, machine, resolver)
 
 
 def verify_program(
@@ -401,6 +413,7 @@ def verify_program(
             result.block,
             compiled.machine,
             dag=result.dag,
+            assignment=result.pipeline_assignment,
             initial=conditions if conditions is not None else InitialConditions(),
         )
         trace = sim.run_padded(padded_stream(result.timing), current)
@@ -410,8 +423,12 @@ def verify_program(
                 f"block {index}: padded stream took {trace.total_cycles} "
                 f"cycles, schedule says {span}"
             )
-        # Text-level cross-check under the same carry-in conditions.
-        if result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK:
+        # Text-level cross-check under the same carry-in conditions; as in
+        # verify_compilation, a per-tuple assignment has no mnemonic form.
+        if (
+            result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK
+            and result.pipeline_assignment is None
+        ):
             register_trace = RegisterMachine(compiled.machine).run_text(
                 str(result.assembly), current, initial=conditions
             )
@@ -429,7 +446,7 @@ def verify_program(
                         f"on the register machine, the simulator {want}"
                     )
         current = dict(trace.memory)
-        conditions = carry_out(result.timing, result.dag, compiled.machine)
+        conditions = _carry_out(result, compiled.machine)
     for var in compiled.program.variables_written():
         got = current.get(var)
         want = expected[var]

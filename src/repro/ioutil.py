@@ -1,7 +1,7 @@
 """Durable file writes shared by every artifact emitter.
 
 Population runs can take hours; a crash (or Ctrl-C) while ``--stats-json``,
-``BENCH_search.json``, a CSV, or a discrepancy report is being written must
+a ready-file, a CSV, or a discrepancy report is being written must
 never leave a half-serialized file that a later tool chokes on.  Every JSON
 artifact in the repository therefore goes through :func:`atomic_write_text`:
 the payload is written to a temporary file *in the same directory* (so the

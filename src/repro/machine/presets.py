@@ -118,10 +118,10 @@ def asymmetric_units_machine() -> MachineDescription:
     """Same-class functional units with *different* timings.
 
     One fast non-pipelined multiplier next to a slow pipelined one, and
-    two unequal adders: here the pipeline *choice* genuinely matters
-    (unlike identical twins, where an optimal order can compensate for
-    any static spreading policy).  Exercises the multi-pipeline
-    selection extension (DESIGN.md X1).
+    two unequal adders, so the pipeline *choice* sets each unit's timing
+    (on identical twins it matters too: X1's first-pipeline pinning
+    loses on 29 of 100 paper-example blocks).  Exercises the
+    multi-pipeline selection extension (DESIGN.md X1).
     """
     return MachineDescription(
         name="asymmetric-units",

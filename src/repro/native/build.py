@@ -137,8 +137,8 @@ def _compiler_version(cc: str) -> str:
 def compiler_info() -> Optional[dict]:
     """``{"path", "version"}`` of the discovered compiler, or ``None``.
 
-    Recorded in ``BENCH_search.json``'s ``config.env`` so a benchmark
-    payload documents the toolchain its ``native`` numbers came from.
+    Recorded in a benchmark run's environment record so its ``native``
+    numbers document the toolchain they came from.
     """
     cc = find_compiler()
     if cc is None:

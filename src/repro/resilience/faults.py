@@ -19,10 +19,10 @@ to exercise the degrade/quarantine path instead.)
 The plan travels to the workers of :mod:`repro.resilience.pool`, where
 ``chunk_id`` is the pool job's sequence number: a population chunk's id
 (``repro experiments --chaos``), or a daemon job's arrival rank
-(``repro serve --chaos`` / ``repro bench --service --chaos``).  Each job
-function decides where a crash or hang strikes — a population chunk at
-its midpoint, after some records are already built, so recovery must
-*discard* partial work; a daemon job after parsing its block.
+(``repro serve --chaos``).  Each job function decides where a crash or
+hang strikes — a population chunk at its midpoint, after some records
+are already built, so recovery must *discard* partial work; a daemon job
+after parsing its block.
 """
 
 from __future__ import annotations

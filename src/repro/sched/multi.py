@@ -97,6 +97,7 @@ def schedule_block_multi(
         Sequence[Tuple[Sequence[int], Mapping[int, Optional[int]]]]
     ] = None,
     telemetry: Optional[Telemetry] = None,
+    initial_conditions: Optional[InitialConditions] = None,
 ) -> MultiScheduleResult:
     """Optimal joint (order, pipeline assignment) search.
 
@@ -110,7 +111,8 @@ def schedule_block_multi(
     the joint search is curtailed.  Under ``options.max_live`` only
     incumbents within the register budget count, and a default seed
     that exceeds it falls back to program order, as in
-    ``schedule_block``.
+    ``schedule_block``.  ``initial_conditions`` (the carry-in state of
+    preceding blocks) apply to the incumbents and the search alike.
     """
     start = time.perf_counter()
     n = len(dag)
@@ -137,7 +139,7 @@ def schedule_block_multi(
         )
 
     resolver = RelaxedResolver(dag, machine)
-    initial = InitialConditions()
+    initial = initial_conditions or InitialConditions()
 
     def price(order: Sequence[int], assignment=None) -> tuple:
         """Push ``order`` with each open tuple on its ``assignment``

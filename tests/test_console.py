@@ -6,7 +6,7 @@ import pytest
 
 from repro import console
 
-ALL_SUBCOMMANDS = ("compile", "experiments", "verify", "bench", "serve")
+ALL_SUBCOMMANDS = ("compile", "experiments", "verify", "serve")
 
 
 class TestDispatch:
@@ -39,6 +39,11 @@ class TestDispatch:
         assert console.main(["frobnicate"]) == 2
         err = capsys.readouterr().err
         assert "unknown subcommand" in err and "frobnicate" in err
+
+    def test_removed_bench_is_an_unknown_subcommand(self, capsys):
+        # perf/run.py is the benchmark; `repro bench` went with its harness.
+        assert console.main(["bench", "--help"]) == 2
+        assert "unknown subcommand" in capsys.readouterr().err
 
     def test_registry_matches_dispatch_table(self):
         assert tuple(console.SUBCOMMANDS) == ALL_SUBCOMMANDS

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.driver import compile_source
 from repro.ir.dag import DependenceDAG
@@ -21,6 +22,7 @@ from repro.sched.search import SearchOptions, schedule_block
 from repro.synth.kernels import KERNELS
 
 from .strategies import blocks
+from .test_deadline_bound import carry_ins
 
 
 class TestStaticAssignments:
@@ -218,16 +220,24 @@ def test_relaxed_root_bound_is_admissible(block):
     )
 
 
-@given(blocks(min_size=2, max_size=8))
+@given(blocks(min_size=2, max_size=8), st.data())
 @settings(max_examples=40, deadline=None)
-def test_joint_never_loses_to_pinned_on_random_blocks(block):
+def test_joint_never_loses_to_pinned_on_random_blocks(block, data):
+    """Under the same carry-in conditions (or none), the joint search
+    never loses to a pinned policy, and its NOPs are its own schedule's."""
     for machine in (_two_units_machine(), asymmetric_units_machine()):
         dag = DependenceDAG(block)
-        joint = schedule_block_multi(dag, machine)
+        initial = data.draw(st.one_of(st.none(), carry_ins(machine, dag)))
+        joint = schedule_block_multi(dag, machine, initial_conditions=initial)
         assert joint.completed
+        assert joint.total_nops == compute_timing(
+            dag, joint.order, machine, assignment=joint.assignment,
+            initial=initial,
+        ).total_nops
         for policy in (first_pipeline_assignment, round_robin_assignment):
             pinned = schedule_block(
-                dag, machine, assignment=policy(dag, machine)
+                dag, machine, assignment=policy(dag, machine),
+                initial_conditions=initial,
             )
             assert pinned.completed
             assert joint.total_nops <= pinned.final_nops

@@ -12,6 +12,7 @@ from repro.frontend.parser import ParseError, parse_program
 from repro.ir.ops import Opcode
 from repro.machine.machine import MachineDescription
 from repro.machine.pipeline import PipelineDesc
+from repro.machine.presets import get_machine
 from repro.simulator.register_machine import RegisterMachine
 
 
@@ -126,6 +127,19 @@ class TestCompileProgram:
             verify_memory=self.MEMORY,
         )
 
+    @pytest.mark.parametrize("preset", ["paper-example", "asymmetric-units"])
+    def test_multi_scheduler_takes_carry_in_conditions(self, preset):
+        """Each block's pipeline choice reaches the next block's carry-in
+        conditions and both simulators."""
+        compiled = compile_program(
+            "a = x * y; b = x + y; c = a * b; barrier; d = a * c + b; e = d * d;",
+            get_machine(preset),
+            scheduler="multi",
+            verify_memory=self.MEMORY,
+        )
+        assert len(compiled) == 2
+        assert all(block.pipeline_assignment for block in compiled.blocks)
+
     def test_register_budget(self, sim_machine):
         source = (
             "s = a + b; t = c + d; u = s + t; barrier; "
@@ -187,11 +201,6 @@ class TestCliBarrierPath:
         rc = main(["-e", "a = x * y; barrier; b = a;", "--verify", "y=1"])
         assert rc == 1
         assert "repro-compile:" in capsys.readouterr().err
-
-
-def test_compile_program_rejects_multi(sim_machine):
-    with pytest.raises(ValueError, match="multi-pipeline"):
-        compile_program("a = 1; barrier; b = 2;", sim_machine, scheduler="multi")
 
 
 def test_compile_block_supports_multi():

@@ -9,6 +9,7 @@ provenance (``worker_retries``), never correctness, and never a 500.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -872,36 +873,43 @@ class TestClientRetries:
             ServiceClient("http://localhost:1", **kwargs)
 
 
+def _serve(tmp_path, *args, label="serve", stdout=subprocess.PIPE,
+           launcher=("-m", "repro.console")):
+    """Start a real ``repro serve`` and wait until it is ready.
+
+    Returns ``(proc, url)``; the daemon's output goes to ``stdout``.
+    """
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    ready = tmp_path / f"{label}.ready.json"
+    proc = subprocess.Popen(
+        [sys.executable, *launcher, "serve", "--port", "0",
+         "--ready-file", str(ready), *args],
+        env=dict(os.environ, PYTHONPATH=src_dir),
+        stdout=stdout,
+        stderr=subprocess.STDOUT,
+    )
+    deadline = time.monotonic() + 60
+    while not ready.exists():
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            proc.wait(timeout=10)
+            pytest.fail(f"{label} exited {proc.returncode} before it was ready")
+        time.sleep(0.05)
+    return proc, json.loads(ready.read_text())["url"]
+
+
 class TestGracefulDrain:
     """SIGTERM under load: finish in-flight work, flush, exit 0."""
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src_dir)
-        ready = tmp_path / "ready.json"
         stats = tmp_path / "stats.json"
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.console", "serve",
-                "--port", "0", "--no-cache", "--workers", "2",
-                "--curtail", "10000",
-                "--ready-file", str(ready),
-                "--stats-json", str(stats),
-                "--drain-timeout", "20",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
+        proc, url = _serve(
+            tmp_path, "--no-cache", "--workers", "2", "--curtail", "10000",
+            "--stats-json", str(stats), "--drain-timeout", "20",
         )
         try:
-            deadline = time.monotonic() + 60
-            while not ready.exists():
-                assert proc.poll() is None, proc.stdout.read().decode()
-                assert time.monotonic() < deadline, "daemon never became ready"
-                time.sleep(0.05)
-            url = json.loads(ready.read_text())["url"]
             client = ServiceClient(url, timeout=120.0)
 
             replies = []
@@ -930,61 +938,225 @@ class TestGracefulDrain:
                 proc.wait(timeout=10)
 
 
-class TestDaemonDeath:
-    """A daemon killed outright takes its workers with it."""
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        return fh.read().rsplit(")", 1)[1].split()
 
-    #: How long an orphaned worker may take to notice its daemon died.
+
+def _running(pid):
+    try:
+        return _proc_stat(pid)[0] != "Z"
+    except OSError:
+        return False
+
+
+#: Runs ``repro.console.main`` on the rest of its argv after starting a
+#: probe thread that ``os._exit``s the daemon once the file named by its
+#: first argument exists: a fatal error inside the daemon, not a signal.
+_EXIT_PROBE = """\
+import os, sys, threading, time
+def probe(trigger):
+    while not os.path.exists(trigger):
+        time.sleep(0.05)
+    os._exit(17)
+threading.Thread(target=probe, args=(sys.argv.pop(1),), daemon=True).start()
+from repro.console import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
+)
+class TestDaemonDeath:
+    """A daemon that dies outright takes its workers with it."""
+
+    #: How long an orphaned worker may take to notice its daemon died,
+    #: including the rest of a job it was running (bounded by --curtail).
     EXIT_WITHIN = 10.0
 
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
-    )
-    def test_worker_exits_when_its_idle_daemon_is_killed(self, tmp_path):
-        import repro
-
+    def _die(self, tmp_path, kill, *args, launcher=("-m", "repro.console")):
+        """Start a daemon, let ``kill(proc, workers, url)`` end it, then
+        check that every worker exits and the stdout pipe reaches EOF."""
         from .test_service_libraries import _children
 
-        def running(pid):
-            try:
-                with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-            except OSError:
-                return False
-
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        ready = tmp_path / "ready.json"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.console", "serve", "--port", "0",
-             "--no-cache", "--workers", "1", "--ready-file", str(ready)],
-            env=dict(os.environ, PYTHONPATH=src_dir),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-        )
+        proc, url = _serve(tmp_path, "--no-cache", *args, launcher=launcher)
         workers = []
         try:
-            deadline = time.monotonic() + 60
-            while not ready.exists():
-                assert proc.poll() is None, proc.stdout.read().decode()
-                assert time.monotonic() < deadline, "daemon never became ready"
-                time.sleep(0.05)
             workers = _children(proc.pid)
-            assert len(workers) == 1
-            proc.kill()
+            assert workers
+            kill(proc, workers, url)
             proc.wait(timeout=10)
             deadline = time.monotonic() + self.EXIT_WITHIN
-            while running(workers[0]) and time.monotonic() < deadline:
+            while any(map(_running, workers)) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert not running(workers[0]), (
-                f"worker {workers[0]} outlived its SIGKILLed daemon by "
-                f"{self.EXIT_WITHIN:.0f} s"
+            alive = [pid for pid in workers if _running(pid)]
+            assert not alive, (
+                f"workers {alive} outlived their daemon by {self.EXIT_WITHIN:.0f} s"
             )
             # No process holds the caller's stdout pipe any more.
             proc.stdout.read()
+            return proc.returncode
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
             for pid in workers:
-                if running(pid):
+                if _running(pid):
                     os.kill(pid, signal.SIGKILL)
             proc.stdout.close()
+
+    def test_worker_exits_when_its_idle_daemon_is_killed(self, tmp_path):
+        def kill(proc, workers, url):
+            proc.kill()
+
+        assert self._die(tmp_path, kill, "--workers", "1") == -signal.SIGKILL
+
+    def test_busy_worker_exits_when_its_daemon_is_killed_mid_job(self, tmp_path):
+        from repro.ir.textual import format_block
+        from repro.synth.population import (
+            generate_from_params,
+            sample_population_params,
+        )
+
+        # A 38-tuple population block the search curtails after about
+        # 2.6 s of one core at --curtail 100000 on the fast engine.
+        *_, params = sample_population_params(1377, 4242)
+        hard = format_block(generate_from_params(params).block)
+
+        def fire(url):
+            client = ServiceClient(url, timeout=60.0, max_retries=0)
+            with contextlib.suppress(ServiceClientError, OSError):
+                client.schedule([hard], "paper-simulation")
+
+        def ticks(pid):  # utime + stime
+            return sum(int(f) for f in _proc_stat(pid)[11:13])
+
+        def kill(proc, workers, url):
+            threading.Thread(target=fire, args=(url,), daemon=True).start()
+            # Kill once the worker has run the job for 0.2 s of CPU time.
+            idle, deadline = ticks(workers[0]), time.monotonic() + 30
+            while ticks(workers[0]) < idle + 20:
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.02)
+            proc.kill()
+
+        assert self._die(
+            tmp_path, kill, "--workers", "1", "--curtail", "100000"
+        ) == -signal.SIGKILL
+
+    def test_workers_exit_when_the_daemon_os_exits(self, tmp_path):
+        trigger = tmp_path / "exit-now"
+
+        def kill(proc, workers, url):
+            trigger.touch()
+
+        assert self._die(
+            tmp_path, kill, "--workers", "2",
+            launcher=("-c", _EXIT_PROBE, str(trigger)),
+        ) == 17
+
+
+def _chaos_batches(requests=8, per_request=2, seed=1990):
+    """Seeded batches of 1-24 tuple population blocks, as tuple text."""
+    from repro.ir.textual import format_block
+    from repro.synth.population import generate_from_params, sample_population_params
+
+    need = requests * per_request
+    blocks = (
+        generate_from_params(p).block
+        for p in sample_population_params(4 * need, seed)
+    )
+    texts = [format_block(b) for b in blocks if 1 <= len(b) <= 24][:need]
+    assert len(texts) == need
+    return [texts[i:i + per_request] for i in range(0, need, per_request)]
+
+
+class TestServeChaos:
+    """The service-level chaos gate, end to end against real daemons.
+
+    Three concurrent clients send the same seeded batches to a fault-free
+    2-worker ``repro serve`` and to one under seeded crash, hang and
+    corrupt injection.  Every entry must certify client-side, the faulted
+    daemon's entries must equal the fault-free ones (minus ``cache`` and
+    ``worker_retries`` provenance, which depend on timing and faults), at
+    least one job must have been retried, and both daemons must drain on
+    SIGTERM with exit 0 and their ``--stats-json`` flushed.
+    """
+
+    CHAOS = "crash=0.2,hang=0.1,corrupt=0.2,seed=7,max-faults=1"
+    CLIENTS = 3
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("serve-chaos")
+        batches = _chaos_batches()
+        clean = self._drive(tmp_path, "clean", batches)
+        chaos = self._drive(
+            tmp_path, "chaos", batches, "--chaos", self.CHAOS, "--hang-timeout", "3"
+        )
+        return batches, clean, chaos
+
+    def _drive(self, tmp_path, label, batches, *args):
+        """Replies to ``batches`` from one daemon, and how it drained."""
+        stats = tmp_path / f"{label}.stats.json"
+        with open(tmp_path / f"{label}.log", "wb") as log:
+            proc, url = _serve(
+                tmp_path, "--workers", "2", "--queue-limit", "256",
+                "--curtail", "2000", "--cache", str(tmp_path / f"{label}.store"),
+                "--stats-json", str(stats), *args, label=label, stdout=log,
+            )
+            try:
+                replies = [None] * len(batches)
+
+                def client_loop(k):
+                    client = ServiceClient(url, timeout=120.0, max_retries=3)
+                    for i in range(k, len(batches), self.CLIENTS):
+                        replies[i] = client.schedule(batches[i], "paper-simulation")
+
+                threads = [
+                    threading.Thread(target=client_loop, args=(k,))
+                    for k in range(self.CLIENTS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+        return replies, proc.returncode, stats.exists()
+
+    def test_every_entry_certifies(self, runs):
+        batches, *passes = runs
+        machine = get_machine("paper-simulation")
+        for replies, _, _ in passes:
+            assert None not in replies, "a client request failed"
+            for batch, reply in zip(batches, replies):
+                assert len(reply["entries"]) == len(batch)
+                for tuples, entry in zip(batch, reply["entries"]):
+                    _certify_entry(tuples, machine, entry)
+
+    def test_faulted_replies_equal_fault_free_replies(self, runs):
+        _, (clean, _, _), (chaos, _, _) = runs
+
+        def cores(replies):
+            return [[_entry_core(e) for e in r["entries"]] for r in replies]
+
+        assert None not in chaos and cores(chaos) == cores(clean)
+
+    def test_faults_cost_at_least_one_retry(self, runs):
+        _, _, (chaos, _, _) = runs
+        # Hits never reach a worker, so faults land only on misses.
+        retries = sum(
+            e.get("worker_retries", 0) for r in chaos if r for e in r["entries"]
+        )
+        assert retries >= 1
+
+    def test_both_daemons_drain_on_sigterm(self, runs):
+        _, *passes = runs
+        assert [(code, flushed) for _, code, flushed in passes] == [(0, True)] * 2
