@@ -28,6 +28,7 @@ from .frontend.lowering import lower_program
 from .frontend.parser import parse_program
 from .ir.block import BasicBlock
 from .ir.dag import DependenceDAG
+from .ir.tuples import IRTuple, RefOperand
 from .machine.machine import DelayDiscipline, MachineDescription
 from .sched.list_scheduler import list_schedule, program_order
 from .sched.nop_insertion import (
@@ -356,9 +357,8 @@ def compile_program(
     Each block is compiled like :func:`compile_source` but scheduled under
     the carry-out pipeline conditions of its predecessor (footnote 1), so
     the concatenated instruction stream is hazard-free.  With
-    ``verify_memory``, the whole sequence is simulated block by block —
-    threading both memory and pipeline state — and compared against
-    source semantics.
+    ``verify_memory``, that concatenated stream is simulated and
+    compared against source semantics (:func:`verify_program`).
     """
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
@@ -399,56 +399,62 @@ def _carry_out(
 def verify_program(
     compiled: ProgramCompilation, memory: Mapping[str, int]
 ) -> None:
-    """Simulate the whole block sequence (threading memory *and* pipeline
-    state) and compare every written variable against source semantics.
-    Each block's assembly text also runs on the register machine, which
-    must leave every variable the block stores as the simulator does."""
+    """Simulate the blocks' padded streams as one concatenated stream and
+    compare every written variable against source semantics.
+
+    Each block starts in whatever state its predecessor's tail leaves the
+    pipelines and memory in, so the stream checks the carry-out hand-off
+    without the conditions the blocks were scheduled under.  The
+    concatenated assembly text runs on the register machine too, which
+    must leave every stored variable as the simulator does."""
     _load_back_end()
 
-    expected = run_program(compiled.program, dict(memory))
-    current = dict(memory)
-    conditions = None
-    for index, result in enumerate(compiled.blocks):
-        sim = PipelineSimulator(
-            result.block,
-            compiled.machine,
-            dag=result.dag,
-            assignment=result.pipeline_assignment,
-            initial=conditions if conditions is not None else InitialConditions(),
+    def shift(operand, offset):
+        return RefOperand(operand.ref + offset) if isinstance(operand, RefOperand) else operand
+
+    tuples, stream, assignment, offset = [], [], {}, 0
+    for result in compiled.blocks:
+        tuples += (IRTuple(t.ident + offset, t.op, shift(t.alpha, offset), shift(t.beta, offset))
+                   for t in result.block)
+        stream += (i if i is None else i + offset for i in padded_stream(result.timing))
+        assignment.update((i + offset, p) for i, p in (result.pipeline_assignment or {}).items())
+        offset += max(result.block.idents, default=0)
+    trace = PipelineSimulator(
+        BasicBlock(tuples, "program"), compiled.machine,
+        assignment=assignment or None,
+    ).run_padded(stream, memory)
+    if trace.total_cycles != compiled.total_cycles:
+        raise VerificationError(
+            f"padded stream took {trace.total_cycles} cycles, schedule "
+            f"says {compiled.total_cycles}"
         )
-        trace = sim.run_padded(padded_stream(result.timing), current)
-        span = len(result.timing.order) + result.timing.total_nops
-        if trace.total_cycles != span:
+    # Text-level cross-check; as in verify_compilation, a per-tuple
+    # assignment has no mnemonic form.
+    if all(
+        r.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK
+        and r.pipeline_assignment is None
+        for r in compiled.blocks
+    ):
+        register_trace = RegisterMachine(compiled.machine).run_text(
+            compiled.assembly_text, memory
+        )
+        if register_trace.total_cycles != compiled.total_cycles:
             raise VerificationError(
-                f"block {index}: padded stream took {trace.total_cycles} "
-                f"cycles, schedule says {span}"
+                f"assembly text took {register_trace.total_cycles} cycles "
+                f"on the register machine, schedule says {compiled.total_cycles}"
             )
-        # Text-level cross-check under the same carry-in conditions; as in
-        # verify_compilation, a per-tuple assignment has no mnemonic form.
-        if (
-            result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK
-            and result.pipeline_assignment is None
-        ):
-            register_trace = RegisterMachine(compiled.machine).run_text(
-                str(result.assembly), current, initial=conditions
-            )
-            if register_trace.total_cycles != span:
+        last_store = {var: index for index, result in enumerate(compiled.blocks)
+                      for var in result.block.stored_variables}
+        for var, index in last_store.items():
+            got, want = register_trace.memory.get(var), trace.memory.get(var)
+            if got != want:
                 raise VerificationError(
-                    f"block {index}: assembly text took "
-                    f"{register_trace.total_cycles} cycles on the register "
-                    f"machine, schedule says {span}"
+                    f"block {index}: assembly text left {var!r} = {got} "
+                    f"on the register machine, the simulator {want}"
                 )
-            for var in result.block.stored_variables:
-                got, want = register_trace.memory.get(var), trace.memory.get(var)
-                if got != want:
-                    raise VerificationError(
-                        f"block {index}: assembly text left {var!r} = {got} "
-                        f"on the register machine, the simulator {want}"
-                    )
-        current = dict(trace.memory)
-        conditions = _carry_out(result, compiled.machine)
+    expected = run_program(compiled.program, dict(memory))
     for var in compiled.program.variables_written():
-        got = current.get(var)
+        got = trace.memory.get(var)
         want = expected[var]
         if got != want:
             raise VerificationError(

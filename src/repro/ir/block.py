@@ -13,11 +13,11 @@ targets must name variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .ops import Opcode
-from .tuples import IRTuple, RefOperand, VarOperand, ref_operand
+from .tuples import IRTuple, RefOperand, const_operand, ref_operand, var_operand
 
 
 class BlockValidationError(ValueError):
@@ -38,7 +38,9 @@ class BasicBlock:
 
     tuples: tuple[IRTuple, ...]
     name: str = "block"
-    _index: Dict[int, int] = field(init=False, repr=False, compare=False, hash=False, default=None)
+    #: Position by reference number, set only on blocks whose tuples are
+    #: not numbered 1..n in order (elsewhere position is ``ident - 1``).
+    _index: ClassVar[Optional[Dict[int, int]]] = None
 
     def __init__(self, tuples: Iterable[IRTuple], name: str = "block"):
         self._fill(tuples, name)
@@ -53,23 +55,26 @@ class BasicBlock:
         return block
 
     def _fill(self, tuples: Iterable[IRTuple], name: str) -> None:
-        object.__setattr__(self, "tuples", tuple(tuples))
+        tuples = tuple(tuples)
+        object.__setattr__(self, "tuples", tuples)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_index", {t.ident: pos for pos, t in enumerate(self.tuples)})
+        if any(t.ident != i for i, t in enumerate(tuples, 1)):
+            object.__setattr__(self, "_index", {t.ident: i for i, t in enumerate(tuples)})
+
+    def _position(self, ident: int) -> Optional[int]:
+        if self._index is not None:
+            return self._index.get(ident)
+        return ident - 1 if ident in range(1, len(self.tuples) + 1) else None
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
-        if len(self._index) != len(self.tuples):
-            seen: set[int] = set()
-            for t in self.tuples:
-                if t.ident in seen:
-                    raise BlockValidationError(
-                        f"duplicate tuple reference number {t.ident}"
-                    )
-                seen.add(t.ident)
+        if self._index is not None and len(self._index) != len(self.tuples):
+            idents = self.idents
+            duplicate = next(i for n, i in enumerate(idents) if i in idents[:n])
+            raise BlockValidationError(f"duplicate tuple reference number {duplicate}")
         for pos, t in enumerate(self.tuples):
             for ref in t.value_refs:
-                target_pos = self._index.get(ref)
+                target_pos = self._position(ref)
                 if target_pos is None:
                     raise BlockValidationError(
                         f"tuple {t.ident} references unknown tuple {ref}"
@@ -100,17 +105,20 @@ class BasicBlock:
 
     def by_ident(self, ident: int) -> IRTuple:
         """Look a tuple up by its reference number."""
-        try:
-            return self.tuples[self._index[ident]]
-        except KeyError:
-            raise KeyError(f"no tuple numbered {ident} in {self.name}") from None
+        pos = self._position(ident)
+        if pos is None:
+            raise KeyError(f"no tuple numbered {ident} in {self.name}")
+        return self.tuples[pos]
 
     def position_of(self, ident: int) -> int:
         """Program-order position (0-based) of the tuple numbered ``ident``."""
-        return self._index[ident]
+        pos = self._position(ident)
+        if pos is None:
+            raise KeyError(ident)
+        return pos
 
     def __contains__(self, ident: int) -> bool:
-        return ident in self._index
+        return self._position(ident) is not None
 
     @property
     def idents(self) -> tuple[int, ...]:
@@ -123,28 +131,16 @@ class BasicBlock:
     @property
     def loaded_variables(self) -> tuple[str, ...]:
         """Variables read by Load tuples, in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for t in self.tuples:
-            if t.op is Opcode.LOAD:
-                seen.setdefault(t.variable, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(t.variable for t in self.tuples if t.op is Opcode.LOAD))
 
     @property
     def stored_variables(self) -> tuple[str, ...]:
         """Variables written by Store tuples, in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for t in self.tuples:
-            if t.op is Opcode.STORE:
-                seen.setdefault(t.variable, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(t.variable for t in self.tuples if t.op is Opcode.STORE))
 
     @property
     def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for t in self.tuples:
-            if t.variable is not None:
-                seen.setdefault(t.variable, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(t.variable for t in self.tuples if t.variable is not None))
 
     # ------------------------------------------------------------------
     # Transformations
@@ -159,7 +155,7 @@ class BasicBlock:
         construction of the schedule, which is checked by the caller
         against the dependence DAG, not by positional validation.
         """
-        if sorted(order) != sorted(self._index):
+        if sorted(order) != sorted(self._index or range(1, len(self.tuples) + 1)):
             raise BlockValidationError(
                 "reorder must be a permutation of the block's tuples"
             )
@@ -172,12 +168,11 @@ class BasicBlock:
         passes after deleting tuples.
         """
         mapping = {t.ident: pos + 1 for pos, t in enumerate(self.tuples)}
-        new_tuples = []
-        for t in self.tuples:
-            alpha = _remap(t.alpha, mapping)
-            beta = _remap(t.beta, mapping)
-            new_tuples.append(IRTuple(mapping[t.ident], t.op, alpha, beta))
-        return BasicBlock(new_tuples, self.name)
+
+        def remap(o):
+            return ref_operand(mapping[o.ref]) if isinstance(o, RefOperand) else o
+        return BasicBlock((IRTuple(mapping[t.ident], t.op, remap(t.alpha), remap(t.beta))
+                           for t in self.tuples), self.name)
 
     def without(self, idents: Iterable[int]) -> "BasicBlock":
         """A new block with the given tuples removed (references unchecked
@@ -190,12 +185,6 @@ class BasicBlock:
     # ------------------------------------------------------------------
     def __str__(self) -> str:
         return "\n".join(str(t) for t in self.tuples)
-
-
-def _remap(operand, mapping):
-    if isinstance(operand, RefOperand):
-        return ref_operand(mapping[operand.ref])
-    return operand
 
 
 class BlockBuilder:
@@ -221,15 +210,13 @@ class BlockBuilder:
         return ident
 
     def emit_const(self, value: int) -> int:
-        from .tuples import ConstOperand
-
-        return self.emit(Opcode.CONST, ConstOperand(value))
+        return self.emit(Opcode.CONST, const_operand(value))
 
     def emit_load(self, var: str) -> int:
-        return self.emit(Opcode.LOAD, VarOperand(var))
+        return self.emit(Opcode.LOAD, var_operand(var))
 
     def emit_store(self, var: str, ref: int) -> int:
-        return self.emit(Opcode.STORE, VarOperand(var), ref_operand(ref))
+        return self.emit(Opcode.STORE, var_operand(var), ref_operand(ref))
 
     def emit_binary(self, op: Opcode, a: int, b: int) -> int:
         return self.emit(op, ref_operand(a), ref_operand(b))

@@ -51,10 +51,7 @@ class ConstOperand:
 
 @dataclass(frozen=True, slots=True)
 class RefOperand:
-    """The result of another tuple, identified by its reference number.
-
-    Shared: the program's own passes take it from :func:`ref_operand`;
-    ``parse_block`` builds fresh ones for client input."""
+    """The result of another tuple, identified by its reference number."""
 
     ref: int
 
@@ -68,16 +65,36 @@ class RefOperand:
 
 Operand = Union[VarOperand, ConstOperand, RefOperand]
 
-#: The shared reference operands; the numbers are bounded by block size.
+#: The shared operands, one per reference number, variable name and
+#: constant value, which the builder and the program's own passes use
+#: (``parse_block`` and the helpers below build fresh ones).  A table
+#: stops growing at ``SHARED_MAX`` entries, so client input cannot grow
+#: it; past that its operands are built fresh.
+SHARED_MAX = 1024
 _REFS: Dict[int, RefOperand] = {}
+_VARS: Dict[str, VarOperand] = {}
+_CONSTS: Dict[int, ConstOperand] = {}
+
+
+def _shared(table: dict, kind: type, key):
+    operand = table.get(key)
+    if operand is None:
+        operand = kind(key)
+        if len(table) < SHARED_MAX:
+            table[key] = operand
+    return operand
 
 
 def ref_operand(ref: int) -> RefOperand:
-    """The one :class:`RefOperand` for reference number ``ref``."""
-    operand = _REFS.get(ref)
-    if operand is None:
-        operand = _REFS[ref] = RefOperand(ref)
-    return operand
+    return _shared(_REFS, RefOperand, ref)
+
+
+def var_operand(name: str) -> VarOperand:
+    return _shared(_VARS, VarOperand, name)
+
+
+def const_operand(value: int) -> ConstOperand:
+    return _shared(_CONSTS, ConstOperand, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,9 +103,8 @@ class IRTuple:
 
     Instances are immutable; optimization passes build new tuples rather
     than mutating existing ones, which keeps blocks safely shareable
-    between the scheduler's many candidate orderings.  Their operands are
-    shared leaves: built, renumbered and optimized blocks hold one
-    :func:`ref_operand` per reference number.
+    between the scheduler's many candidate orderings.  Built, renumbered
+    and optimized blocks hold shared operands (:func:`ref_operand`).
     """
 
     ident: int

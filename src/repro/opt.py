@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .ir.block import BasicBlock, BlockBuilder
 from .ir.ops import Opcode
-from .ir.tuples import ConstOperand, IRTuple, Operand, ref_operand
+from .ir.tuples import IRTuple, Operand, const_operand, ref_operand
 
 __all__ = ["optimize_block"]
 
@@ -64,7 +64,7 @@ def number_values(block: BasicBlock) -> BasicBlock:
         return ref
 
     def constant(c: int) -> int:
-        ref = value(Opcode.CONST, ConstOperand(c))
+        ref = value(Opcode.CONST, const_operand(c))
         const_of[ref] = c
         return ref
 

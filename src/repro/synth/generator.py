@@ -126,14 +126,25 @@ def generate_program(
 
 @dataclass(frozen=True)
 class GeneratedBlock:
-    """A synthetic benchmark block and its provenance."""
+    """A synthetic benchmark block and its provenance.
+
+    ``source`` is the program the block was built from, when given;
+    :func:`generate_block` keeps none, since ``program`` regenerates it."""
 
     block: BasicBlock
-    program: Program
+    source: Optional[Program]
     statements: int
     variables: int
     constants: int
     seed: int
+    profile: Optional[GeneratorProfile] = None
+
+    @property
+    def program(self) -> Program:
+        if self.source is not None:
+            return self.source
+        return generate_program(
+            self.statements, self.variables, self.constants, self.seed, self.profile)
 
     def __len__(self) -> int:
         return len(self.block)
@@ -164,11 +175,4 @@ def generate_block(
     block = lower_program(program, label)
     if optimize and len(block):
         block = optimize_block(block)
-    return GeneratedBlock(
-        block=block,
-        program=program,
-        statements=statements,
-        variables=variables,
-        constants=constants,
-        seed=seed,
-    )
+    return GeneratedBlock(block, None, statements, variables, constants, seed, profile)

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.block import BasicBlock, BlockBuilder, BlockValidationError
 from repro.ir.ops import Opcode
@@ -138,3 +139,113 @@ def test_renumbered_preserves_shape(block):
     assert dense.idents == tuple(range(1, len(block) + 1))
     for old, new in zip(block, dense):
         assert old.op is new.op
+
+
+# ----------------------------------------------------------------------
+# Lookups without an index dict on dense blocks
+# ----------------------------------------------------------------------
+def _validation_error(tuples):
+    """The message a dict-indexed validation of ``tuples`` raises, or None."""
+    index = {t.ident: pos for pos, t in enumerate(tuples)}
+    if len(index) != len(tuples):
+        seen = set()
+        for t in tuples:
+            if t.ident in seen:
+                return f"duplicate tuple reference number {t.ident}"
+            seen.add(t.ident)
+    for pos, t in enumerate(tuples):
+        for ref in t.value_refs:
+            target = index.get(ref)
+            if target is None:
+                return f"tuple {t.ident} references unknown tuple {ref}"
+            if target >= pos:
+                return (f"tuple {t.ident} references tuple {ref} which does "
+                        "not precede it in program order")
+            if not tuples[target].op.produces_value:
+                return (f"tuple {t.ident} references tuple {ref} "
+                        f"({tuples[target].op.value}) which produces no value")
+    return None
+
+
+def _assert_lookups_match_a_dict(block, permutation):
+    """``by_ident``, ``position_of``, ``in`` and ``reordered`` answer as a
+    plain ident -> position dict does; ``permutation`` orders positions."""
+    index = {t.ident: pos for pos, t in enumerate(block.tuples)}
+    dense = list(index) == list(range(1, len(block) + 1))
+    assert (block._index is None) == dense
+    top = max(index, default=0)
+    for ident in set(index) | {-1, 0, 1, len(block), len(block) + 1, top + 1}:
+        assert (ident in block) == (ident in index)
+        if ident in index:
+            assert block.position_of(ident) == index[ident]
+            assert block.by_ident(ident) is block.tuples[index[ident]]
+            continue
+        with pytest.raises(KeyError) as caught:
+            block.position_of(ident)
+        assert caught.value.args == (ident,)
+        with pytest.raises(KeyError, match=f"no tuple numbered {ident} in {block.name}"):
+            block.by_ident(ident)
+    order = [block.tuples[pos].ident for pos in permutation]
+    assert block.reordered(order).idents == tuple(order)
+    with pytest.raises(BlockValidationError, match="reorder must be a permutation"):
+        block.reordered(order + [top + 1])
+
+
+def _permutation(data, n):
+    return data.draw(st.permutations(range(n)))
+
+
+class TestLookupParity:
+    @settings(max_examples=80, deadline=None)
+    @given(blocks(min_size=0, max_size=12), st.data())
+    def test_dense_and_windows(self, block, data):
+        from repro.ir.dag import DependenceDAG
+        from repro.sched.splitting import window_dag
+
+        _assert_lookups_match_a_dict(block, _permutation(data, len(block)))
+        start = data.draw(st.integers(0, len(block)))
+        stop = data.draw(st.integers(start, len(block)))
+        window = BasicBlock.unchecked(block.tuples[start:stop], "window")
+        _assert_lookups_match_a_dict(window, _permutation(data, len(window)))
+        order = [block.tuples[pos].ident for pos in _permutation(data, len(block))]
+        scheduled = block.reordered(order)
+        _assert_lookups_match_a_dict(scheduled, _permutation(data, len(block)))
+        members = data.draw(st.sets(st.sampled_from(block.idents))) if len(block) else set()
+        sub = window_dag(DependenceDAG(block), sorted(members)).block
+        _assert_lookups_match_a_dict(sub, _permutation(data, len(sub)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(blocks(min_size=1, max_size=12), st.data())
+    def test_parsed_text_with_gaps(self, block, data):
+        from repro.ir.textual import format_block, parse_block
+
+        from .strategies import ident_renamings, rename_block
+
+        renamed = rename_block(block, data.draw(ident_renamings(block)))
+        parsed = parse_block(format_block(renamed), "gapped")
+        assert parsed.idents == renamed.idents
+        _assert_lookups_match_a_dict(parsed, _permutation(data, len(parsed)))
+        _assert_lookups_match_a_dict(parsed.renumbered(), _permutation(data, len(parsed)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(min_size=1, max_size=8), st.data())
+    def test_validation_messages(self, block, data):
+        """Duplicate, unknown and forward references are rejected with
+        the messages of a dict-indexed validation."""
+        from repro.ir.tuples import IRTuple, RefOperand
+
+        span = st.integers(1, len(block) + 2)
+        idents = [data.draw(span) for _ in block]
+
+        def perturb(o):
+            return RefOperand(data.draw(span)) if isinstance(o, RefOperand) else o
+
+        tuples = [IRTuple(i, t.op, perturb(t.alpha), perturb(t.beta))
+                  for i, t in zip(idents, block)]
+        want = _validation_error(tuples)
+        if want is None:
+            _assert_lookups_match_a_dict(BasicBlock(tuples), _permutation(data, len(tuples)))
+        else:
+            with pytest.raises(BlockValidationError) as caught:
+                BasicBlock(tuples)
+            assert str(caught.value) == want

@@ -165,7 +165,7 @@ class TestEmptyBlocks:
     def test_empty_block_gets_zero_record(self):
         gb = GeneratedBlock(
             block=parse_block("", "empty"),
-            program=None,
+            source=None,
             statements=3,
             variables=2,
             constants=1,

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import driver
 from repro.driver import VerificationError, compile_program, compile_source
 from repro.frontend.ast import run_program
 from repro.frontend.lowering import lower_program
@@ -13,7 +14,19 @@ from repro.ir.ops import Opcode
 from repro.machine.machine import MachineDescription
 from repro.machine.pipeline import PipelineDesc
 from repro.machine.presets import get_machine
+from repro.sched.nop_insertion import InitialConditions
+from repro.simulator.core import HazardError
 from repro.simulator.register_machine import RegisterMachine
+
+#: One slow unpipelined memory unit, shared by Load and Store.
+SLOW_MEMORY = MachineDescription(
+    "slow-memory",
+    [PipelineDesc("memory", 1, latency=6, enqueue_time=6)],
+    {Opcode.LOAD: {1}, Opcode.STORE: {1}},
+)
+
+#: A Store in block 0 keeps the memory unit busy into block 1.
+STRADDLING = "a = x * x; barrier; b = y * y;"
 
 
 class TestBarrierParsing:
@@ -90,9 +103,8 @@ class TestCompileProgram:
     def test_register_machine_memory_checked_in_every_block(
         self, sim_machine, monkeypatch
     ):
-        # The simulator's memory is what threads between blocks, so a
-        # wrong register in block 1's assembly text surfaces only if the
-        # register machine's own stores are compared.
+        # A wrong register in block 1's assembly text surfaces only if
+        # the register machine's own stores are compared.
         run_text = RegisterMachine.run_text
 
         def wrong_b(self, text, memory=None, **kwargs):
@@ -157,17 +169,20 @@ class TestCompileProgram:
         straddling a barrier: block 0's final Store keeps the unit busy
         into block 1, whose leading Load must absorb the carried
         occupancy — more NOPs than on an idle machine."""
-        machine = MachineDescription(
-            "slow-memory",
-            [PipelineDesc("memory", 1, latency=6, enqueue_time=6)],
-            {Opcode.LOAD: {1}, Opcode.STORE: {1}},
-        )
         compiled = compile_program(
-            "a = x * x; barrier; b = y * y;", machine,
-            verify_memory={"x": 2, "y": 3},
+            STRADDLING, SLOW_MEMORY, verify_memory={"x": 2, "y": 3}
         )
-        isolated = compile_source("b = y * y;", machine)
+        isolated = compile_source("b = y * y;", SLOW_MEMORY)
         assert compiled.blocks[1].total_nops > isolated.total_nops
+
+    def test_verification_checks_the_hand_off(self, monkeypatch):
+        """verify_program runs the blocks as one stream, not under the
+        carry-in conditions scheduling used: a block scheduled on an idle
+        machine after the straddling Store fails it."""
+        monkeypatch.setattr(driver, "_carry_out", lambda result, machine: InitialConditions())
+        compile_program(STRADDLING, SLOW_MEMORY)  # compiles, unverified
+        with pytest.raises(HazardError, match="under-padded"):
+            compile_program(STRADDLING, SLOW_MEMORY, verify_memory={"x": 2, "y": 3})
 
     def test_barriers_cost_scheduling_freedom(self, sim_machine):
         """The same statements with and without barriers: the partitioned
