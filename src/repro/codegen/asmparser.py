@@ -23,10 +23,10 @@ Accepted syntax, per line::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..ir.ops import Opcode
+from ..record import Record, setslot
 
 
 class AsmSyntaxError(ValueError):
@@ -55,17 +55,21 @@ _REG_RE = re.compile(r"^R(\d+)$")
 _WAIT_RE = re.compile(r"^\[wait=(\d+)\]\s*(.*)$")
 
 
-@dataclass(frozen=True)
-class AsmInstruction:
+class AsmInstruction(Record):
     """One parsed instruction (NOPs become ``wait`` on the successor)."""
 
-    opcode: Opcode
-    dest_reg: Optional[int] = None  # destination register, if any
-    src_regs: Tuple[int, ...] = ()
-    variable: Optional[str] = None  # LD source / ST destination
-    immediate: Optional[int] = None
-    wait: int = 0  # NOPs / wait-count preceding this instruction
-    line_no: int = 0
+    __slots__ = ("opcode", "dest_reg", "src_regs", "variable", "immediate", "wait", "line_no")
+
+    def __init__(self, opcode: Opcode, dest_reg: Optional[int] = None,
+                 src_regs: Tuple[int, ...] = (), variable: Optional[str] = None,
+                 immediate: Optional[int] = None, wait: int = 0, line_no: int = 0):
+        setslot(self, "opcode", opcode)
+        setslot(self, "dest_reg", dest_reg)  # destination register, if any
+        setslot(self, "src_regs", src_regs)
+        setslot(self, "variable", variable)  # LD source / ST destination
+        setslot(self, "immediate", immediate)
+        setslot(self, "wait", wait)  # NOPs / wait-count preceding this instruction
+        setslot(self, "line_no", line_no)
 
     def __str__(self) -> str:
         prefix = f"[wait={self.wait}] " if self.wait else ""

@@ -33,13 +33,13 @@ cycle-accurate simulator, which is how tests close the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.ops import Opcode
 from ..ir.tuples import ConstOperand, RefOperand
 from ..machine.machine import DelayDiscipline
+from ..record import Record, setslot
 from ..regalloc.allocator import RegisterAllocation
 from ..sched.nop_insertion import ScheduleTiming
 
@@ -52,15 +52,18 @@ _MNEMONICS = {
 }
 
 
-@dataclass(frozen=True)
-class AssemblyProgram:
+class AssemblyProgram(Record):
     """Generated assembly for one scheduled block."""
 
-    name: str
-    discipline: DelayDiscipline
-    lines: Tuple[str, ...]
-    num_registers_used: int
-    nop_count: int
+    __slots__ = ("name", "discipline", "lines", "num_registers_used", "nop_count")
+
+    def __init__(self, name: str, discipline: DelayDiscipline, lines: Tuple[str, ...],
+                 num_registers_used: int, nop_count: int):
+        setslot(self, "name", name)
+        setslot(self, "discipline", discipline)
+        setslot(self, "lines", lines)
+        setslot(self, "num_registers_used", num_registers_used)
+        setslot(self, "nop_count", nop_count)
 
     def __str__(self) -> str:
         return "\n".join(self.lines)

@@ -30,6 +30,7 @@ from .ir.block import BasicBlock
 from .ir.dag import DependenceDAG
 from .ir.tuples import IRTuple, RefOperand
 from .machine.machine import DelayDiscipline, MachineDescription
+from .record import Record, setslot
 from .sched.list_scheduler import list_schedule, program_order
 from .sched.nop_insertion import (
     InitialConditions,
@@ -53,8 +54,6 @@ _BACK_END, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".opt": ("optimize_block",),
     ".regalloc.allocator": ("allocate_registers",),
     ".regalloc.liveness": ("max_live",),
-    ".regalloc.spill": ("insert_spill_code",),
-    ".sched.heuristics": ("greedy_schedule", "gross_schedule"),
     ".simulator.core": ("PipelineSimulator",),
     ".simulator.register_machine": ("RegisterMachine",),
 })
@@ -255,6 +254,8 @@ def _back_end(
         # Section 3.1: create spill code up front so program order fits
         # the register file, then constrain the scheduler to stay within
         # it — post-scheduling allocation then never needs new spills.
+        from .regalloc.spill import insert_spill_code
+
         block = insert_spill_code(block, num_registers).block
         options = replace(options, max_live=num_registers)
     dag = DependenceDAG(block)
@@ -279,10 +280,12 @@ def _back_end(
         timing = compute_timing(
             dag, multi.order, machine, assignment=assignment, initial=initial
         )
-    elif scheduler == "gross":
-        timing = gross_schedule(dag, machine, initial=initial)
-    elif scheduler == "greedy":
-        timing = greedy_schedule(dag, machine, initial=initial)
+    elif scheduler in ("gross", "greedy"):
+        # The heuristic baselines only: a default compile never loads them.
+        from .sched.heuristics import greedy_schedule, gross_schedule
+
+        heuristic = gross_schedule if scheduler == "gross" else greedy_schedule
+        timing = heuristic(dag, machine, initial=initial)
     else:
         order = list_schedule(dag) if scheduler == "list" else program_order(dag)
         timing = compute_timing(dag, order, machine, initial=initial)
@@ -310,13 +313,15 @@ def _back_end(
 # ----------------------------------------------------------------------
 # Multi-block programs (barrier;)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProgramCompilation:
+class ProgramCompilation(Record):
     """Compilation of a barrier-partitioned program."""
 
-    program: Program
-    blocks: tuple  # of CompilationResult, in order
-    machine: MachineDescription
+    __slots__ = ("program", "blocks", "machine")
+
+    def __init__(self, program: Program, blocks: tuple, machine: MachineDescription):
+        setslot(self, "program", program)
+        setslot(self, "blocks", blocks)  # of CompilationResult, in order
+        setslot(self, "machine", machine)
 
     @property
     def total_nops(self) -> int:
@@ -466,17 +471,20 @@ def verify_program(
 # ----------------------------------------------------------------------
 # Loops (for i in 0..N { ... })
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LoopCompilation:
+class LoopCompilation(Record):
     """Everything the driver produced for one source loop."""
 
-    program: Program
-    loop: "LoopBlock"  # lowered body + derived carried dependences
-    result: "ModuloScheduleResult"
-    machine: MachineDescription
-    #: Independent steady-state certificate (always checked; a
-    #: compilation with a rejected certificate never leaves the driver).
-    certificate: "LoopCertificateReport"
+    __slots__ = ("program", "loop", "result", "machine", "certificate")
+
+    def __init__(self, program: Program, loop: "LoopBlock", result: "ModuloScheduleResult",
+                 machine: MachineDescription, certificate: "LoopCertificateReport"):
+        setslot(self, "program", program)
+        setslot(self, "loop", loop)  # lowered body + derived carried dependences
+        setslot(self, "result", result)
+        setslot(self, "machine", machine)
+        #: Independent steady-state certificate (always checked; a
+        #: compilation with a rejected certificate never leaves the driver).
+        setslot(self, "certificate", certificate)
 
     @property
     def ii(self) -> int:

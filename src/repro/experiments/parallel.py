@@ -94,7 +94,7 @@ def _corrupt_records(records: List[BlockRecord]) -> List[BlockRecord]:
     """Damage a record payload so the parent's validation must catch it."""
     if not records:
         return records
-    first = dataclasses.replace(records[0], final_nops=records[0].seed_nops + 7)
+    first = records[0]._replace(final_nops=records[0].seed_nops + 7)
     return [first] + records[1:]
 
 

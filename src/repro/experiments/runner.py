@@ -19,19 +19,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable, List, Mapping, Optional
 
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..machine.presets import paper_simulation_machine
-from ..resilience.budget import (
-    STEP_CURTAILED,
-    STEP_LIST_SEED,
-    STEP_OPTIMAL,
-    STEP_SPLIT,
-    BudgetManager,
-)
+from ..record import Record, setslot
+from ..resilience.ladder import STEP_CURTAILED, STEP_LIST_SEED, STEP_OPTIMAL, STEP_SPLIT
 from ..sched.list_scheduler import list_schedule, program_order
 from ..sched.nop_insertion import ScheduleTiming, compute_timing
 from ..sched.search import SearchOptions, SearchResult, schedule_block
@@ -39,6 +34,7 @@ from ..telemetry import Telemetry
 from ..verify import certificate
 
 if TYPE_CHECKING:
+    from ..resilience.budget import BudgetManager
     from ..synth.generator import GeneratedBlock
     from ..synth.population import PopulationSpec
 
@@ -58,8 +54,7 @@ def population_size(default_scale: float = 0.125) -> int:
     return max(1, round(PAPER_BLOCKS * scale))
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(Record, uncompared=("elapsed_seconds",)):
     """Everything the experiments need to know about one scheduled block.
 
     ``elapsed_seconds`` is excluded from equality/hashing: two runs of
@@ -68,26 +63,33 @@ class BlockRecord:
     the serial runner.
     """
 
-    index: int
-    size: int  # instructions (tuples) in the block
-    statements: int
-    initial_nops: int  # mu of the front end's program order (Figure 4 "initial")
-    seed_nops: int  # mu of the list schedule (step [1]'s incumbent)
-    final_nops: int  # mu of the search's best schedule
-    omega_calls: int
-    completed: bool  # condition [1]: provably optimal
-    #: The search hit its wall-clock deadline (or the run budget was
-    #: exhausted, or the block was quarantined after repeated worker
-    #: failures) and ``final_nops`` is a deterministic fallback — the
-    #: split-windows schedule or the list-schedule seed — not the search
-    #: incumbent.  Degraded records are never ``completed`` — Table 7 and
-    #: the verify oracle must count them as truncated, never as optimal.
-    degraded: bool = False
-    #: Which rung of the degradation ladder published this record — one
-    #: of ``repro.resilience.budget.LADDER`` (``""`` only on records
-    #: predating the resilience layer).
-    ladder: str = ""
-    elapsed_seconds: float = field(default=0.0, compare=False)
+    __slots__ = ("index", "size", "statements", "initial_nops", "seed_nops", "final_nops",
+                 "omega_calls", "completed", "degraded", "ladder", "elapsed_seconds")
+
+    def __init__(self, index: int, size: int, statements: int, initial_nops: int, seed_nops: int,
+                 final_nops: int, omega_calls: int, completed: bool, degraded: bool = False,
+                 ladder: str = "", elapsed_seconds: float = 0.0):
+        setslot(self, "index", index)
+        setslot(self, "size", size)  # instructions (tuples) in the block
+        setslot(self, "statements", statements)
+        # mu of the front end's program order (Figure 4 "initial")
+        setslot(self, "initial_nops", initial_nops)
+        setslot(self, "seed_nops", seed_nops)  # mu of the list schedule (step [1]'s incumbent)
+        setslot(self, "final_nops", final_nops)  # mu of the search's best schedule
+        setslot(self, "omega_calls", omega_calls)
+        setslot(self, "completed", completed)  # condition [1]: provably optimal
+        #: The search hit its wall-clock deadline (or the run budget was
+        #: exhausted, or the block was quarantined after repeated worker
+        #: failures) and ``final_nops`` is a deterministic fallback — the
+        #: split-windows schedule or the list-schedule seed — not the search
+        #: incumbent.  Degraded records are never ``completed`` — Table 7 and
+        #: the verify oracle must count them as truncated, never as optimal.
+        setslot(self, "degraded", degraded)
+        #: Which rung of the degradation ladder published this record — one
+        #: of ``repro.resilience.ladder.LADDER`` (``""`` only on records
+        #: predating the resilience layer).
+        setslot(self, "ladder", ladder)
+        setslot(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def nops_removed(self) -> int:
@@ -157,8 +159,7 @@ def list_seed_record(
     )
 
 
-@dataclass(frozen=True)
-class LadderOutcome:
+class LadderOutcome(Record):
     """What one trip down the degradation ladder published.
 
     ``result`` is the raw search outcome; ``timing``/``final_nops`` are
@@ -169,13 +170,18 @@ class LadderOutcome:
     ``None``.
     """
 
-    result: SearchResult
-    timing: ScheduleTiming
-    final_nops: int
-    omega_calls: int
-    ladder: str
-    degraded: bool
-    cache_status: Optional[str] = None
+    __slots__ = ("result", "timing", "final_nops", "omega_calls", "ladder", "degraded",
+                 "cache_status")
+
+    def __init__(self, result: SearchResult, timing: ScheduleTiming, final_nops: int,
+                 omega_calls: int, ladder: str, degraded: bool, cache_status: Optional[str] = None):
+        setslot(self, "result", result)
+        setslot(self, "timing", timing)
+        setslot(self, "final_nops", final_nops)
+        setslot(self, "omega_calls", omega_calls)
+        setslot(self, "ladder", ladder)
+        setslot(self, "degraded", degraded)
+        setslot(self, "cache_status", cache_status)
 
 
 def ladder_schedule(

@@ -10,10 +10,10 @@ two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Tuple, Union
 
 from ..ir.ops import Opcode
+from ..record import Record, setslot
 
 if TYPE_CHECKING:
     # Typing only: ``fractions`` loads ``decimal``; a Div evaluates
@@ -23,40 +23,41 @@ if TYPE_CHECKING:
 Value = Union[int, "Fraction"]
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    value: int
+class Constant(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setslot(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class VarRead:
-    name: str
+class VarRead(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setslot(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
-    op: str  # "-"
-    operand: "Expr"
+class Unary(Record):
+    __slots__ = ("op", "operand")
 
-    def __post_init__(self) -> None:
-        if self.op != "-":
-            raise ValueError(f"unsupported unary operator {self.op!r}")
+    def __init__(self, op: str, operand: "Expr"):
+        if op != "-":
+            raise ValueError(f"unsupported unary operator {op!r}")
+        setslot(self, "op", op)
+        setslot(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"(-{self.operand})"
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class Binary(Record):
+    __slots__ = ("op", "left", "right")
 
     _OPCODES = {
         "+": Opcode.ADD,
@@ -65,9 +66,12 @@ class Binary:
         "/": Opcode.DIV,
     }
 
-    def __post_init__(self) -> None:
-        if self.op not in self._OPCODES:
-            raise ValueError(f"unsupported binary operator {self.op!r}")
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        if op not in self._OPCODES:
+            raise ValueError(f"unsupported binary operator {op!r}")
+        setslot(self, "op", op)
+        setslot(self, "left", left)
+        setslot(self, "right", right)
 
     @property
     def opcode(self) -> Opcode:
@@ -80,10 +84,12 @@ class Binary:
 Expr = Union[Constant, VarRead, Unary, Binary]
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
-    target: str
-    value: Expr
+class Assignment(Record):
+    __slots__ = ("target", "value")
+
+    def __init__(self, target: str, value: Expr):
+        setslot(self, "target", target)
+        setslot(self, "value", value)
 
     def __str__(self) -> str:
         return f"{self.target} = {self.value};"
@@ -104,8 +110,7 @@ def _walk_reads(expr: Expr, visit) -> None:
         _walk_reads(expr.right, visit)
 
 
-@dataclass(frozen=True, slots=True)
-class ForLoop:
+class ForLoop(Record):
     """A bounded counting loop: ``for var in start..stop { body }``.
 
     Semantics: the loop variable is a *scoped binding* — it counts
@@ -116,10 +121,7 @@ class ForLoop:
     variable but never assign it, and loops do not nest.
     """
 
-    var: str
-    start: Bound
-    stop: Bound
-    body: Tuple[Assignment, ...]
+    __slots__ = ("var", "start", "stop", "body")
 
     def __init__(self, var: str, start: Bound, stop: Bound, body):
         body = tuple(body)
@@ -137,10 +139,10 @@ class ForLoop:
         for bound in (start, stop):
             if isinstance(bound, int) and bound < 0:
                 raise ValueError("loop bounds must be non-negative")
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "body", body)
+        setslot(self, "var", var)
+        setslot(self, "start", start)
+        setslot(self, "stop", stop)
+        setslot(self, "body", body)
 
     @property
     def reads_var(self) -> bool:
@@ -174,8 +176,7 @@ def resolve_bound(bound: Bound, env: Mapping[str, Value]) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class Barrier:
+class Barrier(Record):
     """A basic-block boundary (``barrier;``).
 
     Instructions never move across a barrier; the scheduler handles the
@@ -184,6 +185,8 @@ class Barrier:
     no-op: all values flow between blocks through memory.
     """
 
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "barrier;"
 
@@ -191,15 +194,14 @@ class Barrier:
 Statement = Union[Assignment, Barrier, ForLoop]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A straight-line program: assignments, optionally partitioned
     into basic blocks by :class:`Barrier` statements."""
 
-    statements: Tuple["Statement", ...]
+    __slots__ = ("statements",)
 
     def __init__(self, statements):
-        object.__setattr__(self, "statements", tuple(statements))
+        setslot(self, "statements", tuple(statements))
 
     def __len__(self) -> int:
         return len(self.statements)

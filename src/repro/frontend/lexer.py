@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import List
+
+from ..record import Record, setslot
 
 
 class TokenKind(enum.Enum):
@@ -39,12 +40,14 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, column: int):
+        setslot(self, "kind", kind)
+        setslot(self, "text", text)
+        setslot(self, "line", line)
+        setslot(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})@{self.line}:{self.column}"

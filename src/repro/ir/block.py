@@ -13,9 +13,9 @@ targets must name variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
+from ..record import Record, setslot
 from .ops import Opcode
 from .tuples import IRTuple, RefOperand, const_operand, ref_operand, var_operand
 
@@ -24,8 +24,7 @@ class BlockValidationError(ValueError):
     """Raised when a basic block's tuples are not internally consistent."""
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+class BasicBlock(Record):
     """An immutable basic block of tuple code.
 
     Parameters
@@ -36,11 +35,10 @@ class BasicBlock:
         Optional label, used only for diagnostics.
     """
 
-    tuples: tuple[IRTuple, ...]
-    name: str = "block"
-    #: Position by reference number, set only on blocks whose tuples are
-    #: not numbered 1..n in order (elsewhere position is ``ident - 1``).
-    _index: ClassVar[Optional[Dict[int, int]]] = None
+    #: ``_index``: position by reference number, a dict only on blocks
+    #: whose tuples are not numbered 1..n in order (elsewhere ``None``,
+    #: and position is ``ident - 1``).
+    __slots__ = ("tuples", "name", "_index")
 
     def __init__(self, tuples: Iterable[IRTuple], name: str = "block"):
         self._fill(tuples, name)
@@ -56,10 +54,10 @@ class BasicBlock:
 
     def _fill(self, tuples: Iterable[IRTuple], name: str) -> None:
         tuples = tuple(tuples)
-        object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "name", name)
-        if any(t.ident != i for i, t in enumerate(tuples, 1)):
-            object.__setattr__(self, "_index", {t.ident: i for i, t in enumerate(tuples)})
+        setslot(self, "tuples", tuples)
+        setslot(self, "name", name)
+        dense = all(t.ident == i for i, t in enumerate(tuples, 1))
+        setslot(self, "_index", None if dense else {t.ident: i for i, t in enumerate(tuples)})
 
     def _position(self, ident: int) -> Optional[int]:
         if self._index is not None:

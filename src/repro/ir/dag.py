@@ -35,10 +35,10 @@ uniformly to every edge in ``rho`` (section 4.2.2 step [6]); see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..record import Record, setslot
 from .block import BasicBlock
 from .ops import Opcode
 
@@ -47,13 +47,15 @@ from .ops import Opcode
 COUNT_CAPPED = -1
 
 
-@dataclass(frozen=True, slots=True)
-class DependenceEdge:
+class DependenceEdge(Record):
     """A dependence of ``consumer`` on ``producer`` (by reference number)."""
 
-    producer: int
-    consumer: int
-    kind: str  # "flow" | "anti" | "output"
+    __slots__ = ("producer", "consumer", "kind")
+
+    def __init__(self, producer: int, consumer: int, kind: str):
+        setslot(self, "producer", producer)
+        setslot(self, "consumer", consumer)
+        setslot(self, "kind", kind)  # "flow" | "anti" | "output"
 
     def __str__(self) -> str:
         return f"{self.producer} -{self.kind}-> {self.consumer}"

@@ -17,10 +17,10 @@ commutations performed by the optimizer cannot be confused with rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Union
 
+from ..record import Record, setslot
 from .block import BasicBlock
 from .ops import Opcode
 from .tuples import ConstOperand, IRTuple, RefOperand, VarOperand
@@ -32,12 +32,14 @@ class UndefinedVariableError(KeyError):
     """A Load read a variable with no value in the environment."""
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(Record):
     """Outcome of interpreting a block."""
 
-    memory: Dict[str, Value]
-    tuple_values: Dict[int, Value]
+    __slots__ = ("memory", "tuple_values")
+
+    def __init__(self, memory: Dict[str, Value], tuple_values: Dict[int, Value]):
+        setslot(self, "memory", memory)
+        setslot(self, "tuple_values", tuple_values)
 
     def value_of(self, ident: int) -> Value:
         return self.tuple_values[ident]

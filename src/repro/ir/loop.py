@@ -18,9 +18,9 @@ so all carried dependences have distance 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from ..record import Record, setslot
 from .block import BasicBlock
 from .dag import DependenceDAG
 from .interp import run_block
@@ -30,17 +30,17 @@ from .tuples import IRTuple, RefOperand
 Bound = Union[int, str]
 
 
-@dataclass(frozen=True, slots=True)
-class LoopCarriedDep:
+class LoopCarriedDep(Record):
     """A dependence of ``consumer`` (iteration ``i + distance``) on
     ``producer`` (iteration ``i``), both body tuple reference numbers."""
 
-    producer: int
-    consumer: int
-    kind: str  # "flow" | "anti" | "output"
-    distance: int = 1
+    __slots__ = ("producer", "consumer", "kind", "distance")
 
-    def __post_init__(self) -> None:
+    def __init__(self, producer: int, consumer: int, kind: str, distance: int = 1):
+        setslot(self, "producer", producer)
+        setslot(self, "consumer", consumer)
+        setslot(self, "kind", kind)  # "flow" | "anti" | "output"
+        setslot(self, "distance", distance)
         if self.distance < 1:
             raise ValueError("carried dependences need distance >= 1")
 
@@ -101,8 +101,7 @@ def derive_carried_dependences(body: BasicBlock) -> Tuple[LoopCarriedDep, ...]:
     return tuple(carried)
 
 
-@dataclass(frozen=True)
-class LoopBlock:
+class LoopBlock(Record):
     """One bounded loop, lowered: body tuples + carried dependences.
 
     ``loop_var`` is ``None`` when the body never reads the counter (the
@@ -111,14 +110,15 @@ class LoopBlock:
     executing the loop requires ``var`` to be seeded with ``start``.
     """
 
-    body: BasicBlock
-    carried: Tuple[LoopCarriedDep, ...]
-    loop_var: Optional[str] = None
-    start: Bound = 0
-    stop: Bound = 0
+    __slots__ = ("body", "carried", "loop_var", "start", "stop")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "carried", tuple(self.carried))
+    def __init__(self, body: BasicBlock, carried: Tuple[LoopCarriedDep, ...],
+                 loop_var: Optional[str] = None, start: Bound = 0, stop: Bound = 0):
+        setslot(self, "body", body)
+        setslot(self, "carried", tuple(carried))
+        setslot(self, "loop_var", loop_var)
+        setslot(self, "start", start)
+        setslot(self, "stop", stop)
         idents = set(self.body.idents)
         for dep in self.carried:
             if dep.producer not in idents or dep.consumer not in idents:

@@ -19,45 +19,47 @@ A tuple with no operand in a slot stores ``None`` (the paper's ∅).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
+from ..record import Record, setslot
 from .ops import Opcode
 
 
-@dataclass(frozen=True, slots=True)
-class VarOperand:
+class VarOperand(Record):
     """A reference to a named, unambiguous memory variable."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
+    def __init__(self, name: str):
+        if not name or not isinstance(name, str):
             raise ValueError("variable operand requires a non-empty name")
+        setslot(self, "name", name)
 
     def __str__(self) -> str:
         return f"#{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class ConstOperand:
+class ConstOperand(Record):
     """A literal constant value (integer, as in the paper's examples)."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        setslot(self, "value", value)
 
     def __str__(self) -> str:
         return f'"{self.value}"'
 
 
-@dataclass(frozen=True, slots=True)
-class RefOperand:
+class RefOperand(Record):
     """The result of another tuple, identified by its reference number."""
 
-    ref: int
+    __slots__ = ("ref",)
 
-    def __post_init__(self) -> None:
-        if self.ref < 1:
+    def __init__(self, ref: int):
+        if ref < 1:
             raise ValueError("tuple reference numbers start at 1")
+        setslot(self, "ref", ref)
 
     def __str__(self) -> str:
         return str(self.ref)
@@ -97,8 +99,7 @@ def const_operand(value: int) -> ConstOperand:
     return _shared(_CONSTS, ConstOperand, value)
 
 
-@dataclass(frozen=True, slots=True)
-class IRTuple:
+class IRTuple(Record):
     """One instruction ``(i, O, alpha, beta)`` of the intermediate form.
 
     Instances are immutable; optimization passes build new tuples rather
@@ -107,14 +108,16 @@ class IRTuple:
     and optimized blocks hold shared operands (:func:`ref_operand`).
     """
 
-    ident: int
-    op: Opcode
-    alpha: Optional[Operand] = None
-    beta: Optional[Operand] = None
+    __slots__ = ("ident", "op", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.ident < 1:
+    def __init__(self, ident: int, op: Opcode, alpha: Optional[Operand] = None,
+                 beta: Optional[Operand] = None):
+        if ident < 1:
             raise ValueError("tuple reference numbers start at 1")
+        setslot(self, "ident", ident)
+        setslot(self, "op", op)
+        setslot(self, "alpha", alpha)
+        setslot(self, "beta", beta)
         self._check_shape()
 
     # ------------------------------------------------------------------
@@ -134,13 +137,8 @@ class IRTuple:
         elif op in (Opcode.COPY, Opcode.NEG):
             if not isinstance(self.alpha, RefOperand) or self.beta is not None:
                 raise ValueError(f"{op.value} expects a single tuple reference")
-        else:  # binary arithmetic
-            if not isinstance(self.alpha, RefOperand) or not isinstance(
-                self.beta, RefOperand
-            ):
-                raise ValueError(
-                    f"{op.value} expects two tuple-reference operands"
-                )
+        elif not (isinstance(self.alpha, RefOperand) and isinstance(self.beta, RefOperand)):
+            raise ValueError(f"{op.value} expects two tuple-reference operands")
 
     # ------------------------------------------------------------------
     @property

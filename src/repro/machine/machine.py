@@ -24,10 +24,10 @@ over the assignment instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional
 
 from ..ir.ops import Opcode
+from ..record import Record, setslot
 from .pipeline import PipelineDesc
 
 if TYPE_CHECKING:
@@ -62,8 +62,7 @@ class MachineValidationError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class MachineDescription:
+class MachineDescription(Record):
     """A pipelined target machine (paper Tables 2+3 or 4+5).
 
     Parameters
@@ -77,9 +76,7 @@ class MachineDescription:
         mapping use no pipeline (the empty set).
     """
 
-    name: str
-    pipelines: Tuple[PipelineDesc, ...]
-    op_map: Mapping[Opcode, FrozenSet[int]]
+    __slots__ = ("name", "pipelines", "op_map", "_by_ident")
 
     def __init__(
         self,
@@ -87,9 +84,9 @@ class MachineDescription:
         pipelines: Iterable[PipelineDesc],
         op_map: Mapping[Opcode, Iterable[int]],
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pipelines", tuple(pipelines))
-        object.__setattr__(
+        setslot(self, "name", name)
+        setslot(self, "pipelines", tuple(pipelines))
+        setslot(
             self,
             "op_map",
             # Empty sets are normalized away: "not mapped" and "mapped to
@@ -100,7 +97,7 @@ class MachineDescription:
                 if frozenset(pids)
             },
         )
-        object.__setattr__(
+        setslot(
             self, "_by_ident", {p.ident: p for p in self.pipelines}
         )
         self._validate()

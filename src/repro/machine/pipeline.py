@@ -16,19 +16,19 @@ latency`` (section 2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import Record, setslot
 
 
-@dataclass(frozen=True, slots=True)
-class PipelineDesc:
+class PipelineDesc(Record):
     """One row of a pipeline description table (paper Tables 2 and 4)."""
 
-    function: str
-    ident: int
-    latency: int
-    enqueue_time: int
+    __slots__ = ("function", "ident", "latency", "enqueue_time")
 
-    def __post_init__(self) -> None:
+    def __init__(self, function: str, ident: int, latency: int, enqueue_time: int):
+        setslot(self, "function", function)
+        setslot(self, "ident", ident)
+        setslot(self, "latency", latency)
+        setslot(self, "enqueue_time", enqueue_time)
         if self.ident < 1:
             raise ValueError("pipeline identifiers start at 1")
         if self.latency < 1:

@@ -18,10 +18,10 @@ scheduling instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
+from ..record import Record, setslot
 from .liveness import live_ranges
 
 
@@ -29,13 +29,15 @@ class AllocationError(RuntimeError):
     """Not enough registers for a spill-free allocation of this order."""
 
 
-@dataclass(frozen=True)
-class RegisterAllocation:
+class RegisterAllocation(Record):
     """Mapping of value-producing tuples to register numbers (0-based)."""
 
-    order: Tuple[int, ...]
-    registers: Dict[int, int]  # tuple ident -> register number
-    num_registers_used: int
+    __slots__ = ("order", "registers", "num_registers_used")
+
+    def __init__(self, order: Tuple[int, ...], registers: Dict[int, int], num_registers_used: int):
+        setslot(self, "order", order)
+        setslot(self, "registers", registers)  # tuple ident -> register number
+        setslot(self, "num_registers_used", num_registers_used)
 
     def register_of(self, ident: int) -> int:
         return self.registers[ident]

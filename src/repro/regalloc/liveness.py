@@ -14,19 +14,21 @@ spills).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
+from ..record import Record, setslot
 
 
-@dataclass(frozen=True, slots=True)
-class LiveRange:
+class LiveRange(Record):
     """Half-open-ended live range of one value, in schedule positions."""
 
-    ident: int
-    start: int  # position where the value is defined
-    end: int  # position of the last use (== start when unused)
+    __slots__ = ("ident", "start", "end")
+
+    def __init__(self, ident: int, start: int, end: int):
+        setslot(self, "ident", ident)
+        setslot(self, "start", start)  # position where the value is defined
+        setslot(self, "end", end)  # position of the last use (== start when unused)
 
     @property
     def is_dead(self) -> bool:

@@ -28,12 +28,12 @@ After this pass the block's program-order register pressure is at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from ..ir.block import BasicBlock, BlockBuilder
 from ..ir.ops import Opcode
 from ..ir.tuples import ConstOperand
+from ..record import Record, setslot
 
 #: Prefix of compiler-generated spill temporaries.  The front-end lexer
 #: rejects ``.`` in identifiers, so these can never collide with source
@@ -43,13 +43,15 @@ SPILL_PREFIX = ".spill"
 _INFINITY = float("inf")
 
 
-@dataclass(frozen=True)
-class SpillReport:
+class SpillReport(Record):
     """Outcome of spill-code creation."""
 
-    block: BasicBlock
-    spill_stores: int  # Store tuples inserted
-    reloads: int  # Load/Const tuples inserted to recover evicted values
+    __slots__ = ("block", "spill_stores", "reloads")
+
+    def __init__(self, block: BasicBlock, spill_stores: int, reloads: int):
+        setslot(self, "block", block)
+        setslot(self, "spill_stores", spill_stores)  # Store tuples inserted
+        setslot(self, "reloads", reloads)  # Load/Const tuples inserted to recover evicted values
 
     @property
     def spilled(self) -> bool:

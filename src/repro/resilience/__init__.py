@@ -5,7 +5,8 @@ Five pieces, composed by :mod:`repro.experiments.parallel`, the
 
 * :mod:`repro.resilience.budget` — unified wall-clock / Ω-call / memo
   budgets and the ``optimal-search → curtailed-search → split-windows →
-  list-seed`` degradation ladder.
+  list-seed`` degradation ladder (its rung names in
+  :mod:`repro.resilience.ladder`, which one block's scheduling loads).
 * :mod:`repro.resilience.journal` — append-only, fsync'd checkpoint
   journal of completed block records; ``--resume`` replays it.
 * :mod:`repro.resilience.pool` — the one supervised worker pool:
@@ -20,9 +21,9 @@ Five pieces, composed by :mod:`repro.experiments.parallel`, the
 from .. import _lazy_namespace
 
 __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
-    ".budget": ("LADDER", "STEP_CURTAILED", "STEP_LIST_SEED", "STEP_OPTIMAL", "STEP_SPLIT",
-        "BlockBudget", "BudgetManager"),
+    ".budget": ("BlockBudget", "BudgetManager"),
     ".faults": ("FaultPlan",),
     ".journal": ("Journal", "JournalError", "load_journal"),
+    ".ladder": ("LADDER", "STEP_CURTAILED", "STEP_LIST_SEED", "STEP_OPTIMAL", "STEP_SPLIT"),
     ".supervisor": ("SupervisorConfig", "validate_records"),
 })

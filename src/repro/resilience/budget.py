@@ -32,25 +32,20 @@ a whole population), behind one :class:`BudgetManager`, and defines the
     quarantined); the published schedule is the deterministic list
     schedule itself.
 
-Every rung is recorded on ``BlockRecord.ladder`` and counted in the
-``resilience.ladder.*`` telemetry namespace, so a degraded run is never
-silently indistinguishable from a complete one.
+Every rung (named in :mod:`repro.resilience.ladder`) is recorded on
+``BlockRecord.ladder`` and counted in the ``resilience.ladder.*``
+telemetry namespace, so a degraded run is never silently
+indistinguishable from a complete one.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
+from ..record import Record, setslot
 from ..sched.search import SearchOptions
-
-#: Ladder rungs, best to worst.
-STEP_OPTIMAL = "optimal-search"
-STEP_CURTAILED = "curtailed-search"
-STEP_SPLIT = "split-windows"
-STEP_LIST_SEED = "list-seed"
-LADDER = (STEP_OPTIMAL, STEP_CURTAILED, STEP_SPLIT, STEP_LIST_SEED)
 
 #: Per-window Ω budget of the split-windows rung.  Small enough that the
 #: fallback costs a fraction of the primary search, large enough that a
@@ -61,8 +56,7 @@ DEFAULT_SPLIT_CURTAIL = 2_000
 DEFAULT_SPLIT_WINDOW = 20
 
 
-@dataclass(frozen=True)
-class BlockBudget:
+class BlockBudget(Record):
     """Per-block resource caps (``None`` = uncapped).
 
     ``wall_clock`` bounds the seconds one block may spend in the
@@ -70,11 +64,13 @@ class BlockBudget:
     ``memo_cap`` clamps the dominance-memo entry count (memory).
     """
 
-    wall_clock: Optional[float] = None
-    omega_cap: Optional[int] = None
-    memo_cap: Optional[int] = None
+    __slots__ = ("wall_clock", "omega_cap", "memo_cap")
 
-    def __post_init__(self) -> None:
+    def __init__(self, wall_clock: Optional[float] = None, omega_cap: Optional[int] = None,
+                 memo_cap: Optional[int] = None):
+        setslot(self, "wall_clock", wall_clock)
+        setslot(self, "omega_cap", omega_cap)
+        setslot(self, "memo_cap", memo_cap)
         if self.wall_clock is not None and self.wall_clock <= 0:
             raise ValueError("block wall_clock budget must be positive")
         if self.omega_cap is not None and self.omega_cap < 1:

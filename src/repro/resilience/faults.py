@@ -30,8 +30,9 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional
+
+from ..record import Record, setslot
 
 #: Fault kinds a plan can schedule.
 FAULT_KINDS = ("crash", "hang", "corrupt")
@@ -40,18 +41,21 @@ FAULT_KINDS = ("crash", "hang", "corrupt")
 CRASH_EXIT_CODE = 70
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record):
     """Seeded schedule of worker faults (rates are per chunk *attempt*)."""
 
-    seed: int = 0
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    hang_seconds: float = 30.0
-    max_faults_per_chunk: int = 2
+    __slots__ = ("seed", "crash_rate", "hang_rate", "corrupt_rate", "hang_seconds",
+                 "max_faults_per_chunk")
 
-    def __post_init__(self) -> None:
+    def __init__(self, seed: int = 0, crash_rate: float = 0.0, hang_rate: float = 0.0,
+                 corrupt_rate: float = 0.0, hang_seconds: float = 30.0,
+                 max_faults_per_chunk: int = 2):
+        setslot(self, "seed", seed)
+        setslot(self, "crash_rate", crash_rate)
+        setslot(self, "hang_rate", hang_rate)
+        setslot(self, "corrupt_rate", corrupt_rate)
+        setslot(self, "hang_seconds", hang_seconds)
+        setslot(self, "max_faults_per_chunk", max_faults_per_chunk)
         for name in ("crash_rate", "hang_rate", "corrupt_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

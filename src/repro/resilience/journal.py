@@ -29,7 +29,6 @@ run's — the kill-and-resume invariant pinned by ``tests/test_chaos.py``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -54,12 +53,12 @@ class JournalError(ValueError):
 
 
 def record_to_dict(record: "BlockRecord") -> Dict[str, Any]:
-    return dataclasses.asdict(record)
+    return record._asdict()
 
 
 def record_from_dict(data: Mapping[str, Any]) -> "BlockRecord":
     record_type = _record_type()
-    fields = {f.name for f in dataclasses.fields(record_type)}
+    fields = set(record_type._fields)
     unknown = set(data) - fields
     if unknown:
         raise JournalError(f"unknown record field(s): {sorted(unknown)}")

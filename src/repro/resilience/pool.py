@@ -56,11 +56,13 @@ import time
 from collections import deque
 from multiprocessing import Pipe, Process
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..telemetry import Telemetry
-from .faults import FaultPlan
 from .supervisor import SupervisorConfig
+
+if TYPE_CHECKING:  # a pool without a fault plan never loads it
+    from .faults import FaultPlan
 
 __all__ = ["WorkerPool", "PoolJob", "PoolSaturated", "JobAborted", "JobHandle"]
 

@@ -29,31 +29,32 @@ exactly like a crashed one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .budget import LADDER
+from ..record import Record, setslot
+from .ladder import LADDER
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
+class SupervisorConfig(Record):
     """Tuning knobs of the worker-pool supervisor."""
 
-    #: Seconds a job may go without progress before its worker is
-    #: presumed hung.  Must exceed the worst-case single-block scheduling
-    #: time (bound it with a block wall-clock budget when in doubt).
-    hang_timeout: float = 30.0
-    #: Dispatcher tick for hang deadlines, backoff expiry and respawns
-    #: (worker replies and new jobs wake it at once).
-    poll_interval: float = 0.02
-    #: Failed attempts before a job is degraded (a chunk quarantined).
-    max_retries: int = 3
-    #: Exponential backoff: first retry after ``backoff_base`` seconds.
-    backoff_base: float = 0.25
-    #: Backoff ceiling.
-    backoff_cap: float = 8.0
+    __slots__ = ("hang_timeout", "poll_interval", "max_retries", "backoff_base", "backoff_cap")
 
-    def __post_init__(self) -> None:
+    def __init__(self, hang_timeout: float = 30.0, poll_interval: float = 0.02,
+                 max_retries: int = 3, backoff_base: float = 0.25, backoff_cap: float = 8.0):
+        #: Seconds a job may go without progress before its worker is
+        #: presumed hung.  Must exceed the worst-case single-block scheduling
+        #: time (bound it with a block wall-clock budget when in doubt).
+        setslot(self, "hang_timeout", hang_timeout)
+        #: Dispatcher tick for hang deadlines, backoff expiry and respawns
+        #: (worker replies and new jobs wake it at once).
+        setslot(self, "poll_interval", poll_interval)
+        #: Failed attempts before a job is degraded (a chunk quarantined).
+        setslot(self, "max_retries", max_retries)
+        #: Exponential backoff: first retry after ``backoff_base`` seconds.
+        setslot(self, "backoff_base", backoff_base)
+        #: Backoff ceiling.
+        setslot(self, "backoff_cap", backoff_cap)
         if self.hang_timeout <= 0:
             raise ValueError("hang_timeout must be positive")
         if self.poll_interval <= 0:

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
+from ..record import Record, setslot
 from ..telemetry import prune_counts
 from .bounds import deadline_lateness, downstream_chains, root_bound
 from .nop_insertion import (
@@ -119,17 +119,21 @@ def resolve_engine(engine: str, telemetry=None) -> str:
     return engine
 
 
-@dataclass(frozen=True)
-class FastOutcome:
+class FastOutcome(Record):
     """What the fast DFS hands back to ``schedule_block``."""
 
-    best: ScheduleTiming
-    omega_calls: int
-    improvements: int
-    completed: bool
-    timed_out: bool
-    memo_evicted: int
-    prune_counts: Mapping[str, int]
+    __slots__ = ("best", "omega_calls", "improvements", "completed", "timed_out",
+                 "memo_evicted", "prune_counts")
+
+    def __init__(self, best: ScheduleTiming, omega_calls: int, improvements: int, completed: bool,
+                 timed_out: bool, memo_evicted: int, prune_counts: Mapping[str, int]):
+        setslot(self, "best", best)
+        setslot(self, "omega_calls", omega_calls)
+        setslot(self, "improvements", improvements)
+        setslot(self, "completed", completed)
+        setslot(self, "timed_out", timed_out)
+        setslot(self, "memo_evicted", memo_evicted)
+        setslot(self, "prune_counts", prune_counts)
 
 
 class _Flat:
@@ -847,20 +851,8 @@ def _run_fast_dfs(
                     ready_mask |= 1 << s
             pending = n - depth
 
-    return FastOutcome(
-        best=best_timing,
-        omega_calls=omega_calls,
-        improvements=improvements,
-        completed=completed,
-        timed_out=timed_out,
-        memo_evicted=n_memo_evicted,
-        prune_counts=prune_counts(
-            legality=n_legality,
-            bounds=n_bounds,
-            equivalence=n_equivalence,
-            alpha_beta=n_alpha_beta,
-            curtail=n_curtail,
-            timeout=n_timeout,
-            dominance=n_dominance,
-        ),
-    )
+    counts = prune_counts(legality=n_legality, bounds=n_bounds, equivalence=n_equivalence,
+                          alpha_beta=n_alpha_beta, curtail=n_curtail, timeout=n_timeout,
+                          dominance=n_dominance)
+    return FastOutcome(best_timing, omega_calls, improvements, completed, timed_out,
+                       n_memo_evicted, counts)

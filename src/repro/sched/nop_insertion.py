@@ -54,14 +54,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.dag import DependenceDAG
 from ..machine.machine import UNPIPELINED_LATENCY, MachineDescription
+from ..record import Record, setslot
 
 #: Optional per-tuple pipeline assignment (for the multi-pipeline
 #: extension): maps tuple reference numbers to pipeline identifiers.
 PipelineAssignment = Mapping[int, Optional[int]]
 
 
-@dataclass(frozen=True)
-class InitialConditions:
+class InitialConditions(Record):
     """Carry-in state from preceding blocks (paper footnote 1).
 
     Cycle 0 is the block's first issue slot.
@@ -82,16 +82,15 @@ class InitialConditions:
         §5.3 window's members whose producers sit in earlier windows.
     """
 
-    pipe_free: Mapping[int, int] = None
-    variable_ready: Mapping[str, int] = None
-    tuple_ready: Mapping[int, int] = None
+    __slots__ = ("pipe_free", "variable_ready", "tuple_ready")
 
-    def __post_init__(self) -> None:
-        for label in ("pipe_free", "variable_ready", "tuple_ready"):
-            table = dict(getattr(self, label) or {})
+    def __init__(self, pipe_free: Mapping[int, int] = None,
+                 variable_ready: Mapping[str, int] = None, tuple_ready: Mapping[int, int] = None):
+        for label, table in zip(self.__slots__, (pipe_free, variable_ready, tuple_ready)):
+            table = dict(table or {})
             if any(v < 0 for v in table.values()):
                 raise ValueError(f"{label} cycles must be non-negative")
-            object.__setattr__(self, label, table)
+            setslot(self, label, table)
 
     @property
     def is_trivial(self) -> bool:

@@ -41,13 +41,13 @@ re-derivation lives in ``repro.verify.certificate.check_steady_state``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..ir.dag import DependenceDAG
 from ..ir.loop import LoopBlock, LoopCarriedDep
 from ..machine.machine import MachineDescription, first_pipeline_assignment
+from ..record import Record, setslot
 from ..telemetry import Telemetry
 from .list_scheduler import list_schedule
 from .nop_insertion import (
@@ -93,12 +93,14 @@ def _distance_edges(
     return edges
 
 
-@dataclass(frozen=True)
-class MiiReport:
+class MiiReport(Record):
     """The two-sided minimum-II bound and its components."""
 
-    res_mii: int  #: resource bound: max(n, per-pipeline enqueue pressure)
-    rec_mii: int  #: recurrence bound: max cycle ceil(latencies/distances)
+    __slots__ = ("res_mii", "rec_mii")
+
+    def __init__(self, res_mii: int, rec_mii: int):
+        setslot(self, "res_mii", res_mii)  # max(n, per-pipeline enqueue pressure)
+        setslot(self, "rec_mii", rec_mii)  # max cycle ceil(latencies/distances)
 
     @property
     def mii(self) -> int:
@@ -492,41 +494,44 @@ def _find_kernel(
 # ----------------------------------------------------------------------
 # The result
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ModuloScheduleResult:
+class ModuloScheduleResult(Record):
     """Outcome of one modulo-scheduling run (``ScheduleOutcome``
     protocol: ``schedule`` / ``objective`` / ``provenance`` /
     ``elapsed_seconds`` / ``completed``)."""
 
-    loop: LoopBlock
-    ii: int  #: the achieved initiation interval (the objective)
-    mii: int  #: max(res_mii, rec_mii) — the lower bound searched from
-    res_mii: int
-    rec_mii: int
-    #: ident -> issue offset; instance ``(z, i)`` issues at
-    #: ``i * ii + offsets[z]``.
-    offsets: Mapping[int, int]
-    #: II of the steady-state pipelined *list* schedule (the baseline
-    #: the searched kernel must never lose to).
-    list_ii: int
-    #: Provably optimal: either ``ii == mii`` (met the lower bound) or
-    #: every candidate II below ``ii`` was *completely refuted* by the
-    #: placement search (which decomposes offsets into slots plus exact
-    #: stage feasibility, so a ``None`` answer is a proof, not a miss).
-    completed: bool
-    #: True when the modulo placement search found the kernel; False
-    #: when the steady-state incumbent already matched the best known II.
-    searched: bool
-    placements: int  #: placement attempts across all candidate IIs
-    omega_calls: int  #: Ω calls spent by the seeding block search
-    elapsed_seconds: float
-    assignment: Optional[Mapping[int, Optional[int]]] = None
+    __slots__ = ("loop", "ii", "mii", "res_mii", "rec_mii", "offsets", "list_ii", "completed",
+                 "searched", "placements", "omega_calls", "elapsed_seconds", "assignment")
+
+    def __init__(self, loop: LoopBlock, ii: int, mii: int, res_mii: int, rec_mii: int,
+                 offsets: Mapping[int, int], list_ii: int, completed: bool, searched: bool,
+                 placements: int, omega_calls: int, elapsed_seconds: float,
+                 assignment: Optional[Mapping[int, Optional[int]]] = None):
+        setslot(self, "loop", loop)
+        setslot(self, "ii", ii)  # the achieved initiation interval (the objective)
+        setslot(self, "mii", mii)  # max(res_mii, rec_mii): the bound searched from
+        setslot(self, "res_mii", res_mii)
+        setslot(self, "rec_mii", rec_mii)
+        #: ident -> issue offset; instance ``(z, i)`` issues at
+        #: ``i * ii + offsets[z]``.
+        setslot(self, "offsets", dict(offsets))
+        #: II of the steady-state pipelined *list* schedule (the baseline
+        #: the searched kernel must never lose to).
+        setslot(self, "list_ii", list_ii)
+        #: Provably optimal: either ``ii == mii`` (met the lower bound) or
+        #: every candidate II below ``ii`` was *completely refuted* by the
+        #: placement search (which decomposes offsets into slots plus exact
+        #: stage feasibility, so a ``None`` answer is a proof, not a miss).
+        setslot(self, "completed", completed)
+        #: True when the modulo placement search found the kernel; False
+        #: when the steady-state incumbent already matched the best known II.
+        setslot(self, "searched", searched)
+        setslot(self, "placements", placements)  # attempts over all candidate IIs
+        setslot(self, "omega_calls", omega_calls)  # spent by the seeding block search
+        setslot(self, "elapsed_seconds", elapsed_seconds)
+        setslot(self, "assignment", assignment)
 
     #: Backend provenance (``ScheduleOutcome`` protocol).
     provenance = "modulo"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offsets", dict(self.offsets))
 
     # ------------------------------------------------------------------
     @property
@@ -554,9 +559,7 @@ class ModuloScheduleResult:
         """The kernel window as a :class:`ScheduleTiming`
         (``ScheduleOutcome`` protocol): body tuples in slot order with
         the window's NOP gaps as etas."""
-        pairs = sorted(
-            (off % self.ii, z) for z, off in self.offsets.items()
-        )
+        pairs = sorted((off % self.ii, z) for z, off in self.offsets.items())
         order = tuple(z for _, z in pairs)
         issue_times = tuple(slot for slot, _ in pairs)
         etas = []
@@ -574,13 +577,8 @@ class ModuloScheduleResult:
         instances ever share a cycle."""
         if trip_count < 0:
             raise ValueError("trip_count must be non-negative")
-        entries = [
-            (i * self.ii + off, i, z)
-            for i in range(trip_count)
-            for z, off in self.offsets.items()
-        ]
-        entries.sort()
-        return entries
+        return sorted((i * self.ii + off, i, z)
+                      for i in range(trip_count) for z, off in self.offsets.items())
 
     def prologue(self, trip_count: int) -> List[Tuple[int, int, int]]:
         """Stream entries before the first full kernel window (the
@@ -591,10 +589,7 @@ class ModuloScheduleResult:
     def epilogue(self, trip_count: int) -> List[Tuple[int, int, int]]:
         """Stream entries after the last full kernel window (the
         pipeline drain: cycles ``>= trip_count * II``)."""
-        return [
-            e for e in self.stream(trip_count)
-            if e[0] >= trip_count * self.ii
-        ]
+        return [e for e in self.stream(trip_count) if e[0] >= trip_count * self.ii]
 
     @property
     def kernel_text(self) -> str:

@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Mapping,
@@ -99,6 +98,7 @@ from typing import (
 from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
+from ..record import Record, setslot
 from ..telemetry import Telemetry, prune_counts
 from .list_scheduler import list_schedule, program_order
 from .nop_insertion import (
@@ -222,8 +222,7 @@ def unsupported_backend_option(backend: str, field_name: str) -> ValueError:
     return error
 
 
-@dataclass(frozen=True)
-class ScheduleRequest:
+class ScheduleRequest(Record):
     """One self-contained scheduling problem: what to schedule, on which
     machine, under which configuration.
 
@@ -240,49 +239,52 @@ class ScheduleRequest:
     :class:`~repro.ir.loop.LoopBlock` for modulo loop scheduling.
     """
 
-    problem: Union[DependenceDAG, BasicBlock, LoopBlock]
-    machine: MachineDescription
-    options: SearchOptions = SearchOptions()
-    backend: str = "search"
-    engine: Optional[str] = None
-    assignment: Optional[PipelineAssignment] = None
-    seed: Optional[Tuple[int, ...]] = None
-    initial_conditions: Optional[InitialConditions] = None
-    ilp_options: Optional[object] = None
+    __slots__ = ("problem", "machine", "options", "backend", "engine", "assignment", "seed",
+                 "initial_conditions", "ilp_options", "_dag")
 
-    def __post_init__(self) -> None:
+    def __init__(self, problem: Union[DependenceDAG, BasicBlock, LoopBlock],
+                 machine: MachineDescription, options: SearchOptions = SearchOptions(),
+                 backend: str = "search", engine: Optional[str] = None,
+                 assignment: Optional[PipelineAssignment] = None,
+                 seed: Optional[Tuple[int, ...]] = None,
+                 initial_conditions: Optional[InitialConditions] = None,
+                 ilp_options: Optional[object] = None):
+        setslot(self, "problem", problem)
+        setslot(self, "machine", machine)
+        setslot(self, "options", options)
+        setslot(self, "backend", backend)
+        setslot(self, "engine", engine)
+        setslot(self, "assignment", assignment)
+        setslot(self, "seed", None if seed is None else tuple(seed))
+        setslot(self, "initial_conditions", initial_conditions)
+        setslot(self, "ilp_options", ilp_options)
+        setslot(self, "_dag", None)
         if self.is_loop:
             # Loop requests only: block requests never load the loop IR.
             from ..ir.loop import LoopBlock
 
-            if not isinstance(self.problem, LoopBlock):
-                raise TypeError(
-                    "problem must be a DependenceDAG, BasicBlock or LoopBlock, "
-                    f"not {type(self.problem).__name__}"
-                )
-        if self.backend not in ("search", "ilp"):
-            raise ValueError(
-                f"unknown scheduling backend {self.backend!r} "
-                "(expected 'search' or 'ilp')"
-            )
-        if self.engine is not None:
-            check_engine(self.engine)
-        if self.seed is not None:
-            object.__setattr__(self, "seed", tuple(self.seed))
+            if not isinstance(problem, LoopBlock):
+                raise TypeError("problem must be a DependenceDAG, BasicBlock or LoopBlock, "
+                                f"not {type(problem).__name__}")
+        if backend not in ("search", "ilp"):
+            raise ValueError(f"unknown scheduling backend {backend!r} (expected 'search' or 'ilp')")
+        if engine is not None:
+            check_engine(engine)
 
     @property
     def is_loop(self) -> bool:
         return not isinstance(self.problem, (DependenceDAG, BasicBlock))
 
-    @cached_property
+    @property
     def dag(self) -> DependenceDAG:
-        """The problem as a dependence DAG (built on demand from a block;
-        a loop request exposes its *body* DAG)."""
-        if isinstance(self.problem, DependenceDAG):
-            return self.problem
-        if self.is_loop:
-            return DependenceDAG(self.problem.body)
-        return DependenceDAG(self.problem)
+        """The problem as a dependence DAG (built once, on demand, from a
+        block; a loop request exposes its *body* DAG)."""
+        if self._dag is None:
+            problem = self.problem
+            if not isinstance(problem, DependenceDAG):
+                problem = DependenceDAG(problem.body if self.is_loop else problem)
+            setslot(self, "_dag", problem)
+        return self._dag
 
     @property
     def loop(self) -> LoopBlock:

@@ -42,7 +42,6 @@ from typing import List, Optional
 from ..cliutil import common_flags
 from ..ioutil import atomic_write_json
 from ..resilience.budget import BudgetManager
-from ..resilience.faults import FaultPlan
 from ..resilience.pool import WorkerPool
 from ..resilience.supervisor import SupervisorConfig
 from ..sched.search import SearchOptions
@@ -166,6 +165,8 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
             parser.error(str(exc))
     fault_plan = None
     if args.chaos:
+        from ..resilience.faults import FaultPlan  # chaos runs only
+
         try:
             fault_plan = FaultPlan.parse(args.chaos)
         except ValueError as exc:

@@ -52,11 +52,11 @@ collide; any latency/enqueue/dependence mutation separates).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
+from ..record import Record, setslot
 from ..sched.core import _Flat
 from ..sched.list_scheduler import list_schedule, program_order
 from ..sched.nop_insertion import (
@@ -100,8 +100,7 @@ _OPTION_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """A scheduling problem reduced to its canonical dense tables.
 
     ``key`` is the cache key (sha256 hex digest over the canonical
@@ -110,9 +109,12 @@ class CanonicalForm:
     result is translated into the caller's namespace on a hit.
     """
 
-    key: str
-    n: int
-    idents: Tuple[int, ...]
+    __slots__ = ("key", "n", "idents")
+
+    def __init__(self, key: str, n: int, idents: Tuple[int, ...]):
+        setslot(self, "key", key)
+        setslot(self, "n", n)
+        setslot(self, "idents", idents)
 
     def __str__(self) -> str:
         return f"CanonicalForm({self.key[:12]}…, n={self.n})"

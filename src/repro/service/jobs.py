@@ -22,7 +22,8 @@ from ..ir.textual import parse_block
 from ..machine.machine import MachineDescription
 from ..machine.presets import get_machine
 from ..machine.serialize import machine_from_dict
-from ..resilience.budget import STEP_LIST_SEED, BudgetManager
+from ..resilience.budget import BudgetManager
+from ..resilience.ladder import STEP_LIST_SEED
 from ..resilience.pool import JobHandle
 from ..sched.list_scheduler import list_schedule
 from ..sched.nop_insertion import compute_timing

@@ -26,13 +26,13 @@ so value correctness can be asserted against the reference interpreter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..ir.interp import Value, _step
 from ..machine.machine import MachineDescription
+from ..record import Record, setslot
 from ..sched.nop_insertion import (
     InitialConditions,
     PipelineAssignment,
@@ -57,17 +57,22 @@ class InterlockMode(enum.Enum):
 NOP = None
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(Record):
     """Result of simulating one basic block."""
 
-    mode: InterlockMode
-    issue_cycles: Tuple[int, ...]  # issue cycle of each real instruction
-    order: Tuple[int, ...]  # tuple idents in issue order
-    total_cycles: int  # cycle after the last *issue* (issue span)
-    completion_cycle: int  # cycle when the last result drains
-    stall_cycles: int  # cycles lost to interlocks / NOPs
-    memory: Dict[str, Value]
+    __slots__ = ("mode", "issue_cycles", "order", "total_cycles", "completion_cycle",
+                 "stall_cycles", "memory")
+
+    def __init__(self, mode: InterlockMode, issue_cycles: Tuple[int, ...], order: Tuple[int, ...],
+                 total_cycles: int, completion_cycle: int, stall_cycles: int,
+                 memory: Dict[str, Value]):
+        setslot(self, "mode", mode)
+        setslot(self, "issue_cycles", issue_cycles)  # issue cycle of each real instruction
+        setslot(self, "order", order)  # tuple idents in issue order
+        setslot(self, "total_cycles", total_cycles)  # cycle after the last *issue* (issue span)
+        setslot(self, "completion_cycle", completion_cycle)  # cycle when the last result drains
+        setslot(self, "stall_cycles", stall_cycles)  # cycles lost to interlocks / NOPs
+        setslot(self, "memory", memory)
 
     def issue_cycle_of(self, ident: int) -> int:
         return self.issue_cycles[self.order.index(ident)]

@@ -25,12 +25,12 @@ violations raise :class:`RegisterHazardError`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..codegen.asmparser import AsmInstruction, parse_assembly
 from ..ir.ops import Opcode
 from ..machine.machine import UNPIPELINED_LATENCY, MachineDescription
+from ..record import Record, setslot
 from ..sched.nop_insertion import InitialConditions
 
 
@@ -38,15 +38,19 @@ class RegisterHazardError(RuntimeError):
     """The assembly under-waited: a hazard reached the register machine."""
 
 
-@dataclass(frozen=True)
-class RegisterTrace:
+class RegisterTrace(Record):
     """Result of executing an assembly program."""
 
-    total_cycles: int  # cycle after the last issue
-    stall_cycles: int  # waits consumed (padded) or stalls inserted (implicit)
-    memory: Dict[str, object]
-    registers: Dict[int, object]
-    issue_cycles: Tuple[int, ...]
+    __slots__ = ("total_cycles", "stall_cycles", "memory", "registers", "issue_cycles")
+
+    def __init__(self, total_cycles: int, stall_cycles: int, memory: Dict[str, object],
+                 registers: Dict[int, object], issue_cycles: Tuple[int, ...]):
+        setslot(self, "total_cycles", total_cycles)  # cycle after the last issue
+        # waits consumed (padded) or stalls inserted (implicit)
+        setslot(self, "stall_cycles", stall_cycles)
+        setslot(self, "memory", memory)
+        setslot(self, "registers", registers)
+        setslot(self, "issue_cycles", issue_cycles)
 
 
 class RegisterMachine:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
+from ..record import Record, setslot
 
 if TYPE_CHECKING:
     from ..frontend.ast import Constant, Expr, Program, VarRead
@@ -124,20 +124,24 @@ def generate_program(
     return Program([statement() for _ in range(statements)])
 
 
-@dataclass(frozen=True)
-class GeneratedBlock:
+class GeneratedBlock(Record):
     """A synthetic benchmark block and its provenance.
 
     ``source`` is the program the block was built from, when given;
     :func:`generate_block` keeps none, since ``program`` regenerates it."""
 
-    block: BasicBlock
-    source: Optional[Program]
-    statements: int
-    variables: int
-    constants: int
-    seed: int
-    profile: Optional[GeneratorProfile] = None
+    __slots__ = ("block", "source", "statements", "variables", "constants", "seed", "profile")
+
+    def __init__(self, block: BasicBlock, source: Optional[Program], statements: int,
+                 variables: int, constants: int, seed: int,
+                 profile: Optional[GeneratorProfile] = None):
+        setslot(self, "block", block)
+        setslot(self, "source", source)
+        setslot(self, "statements", statements)
+        setslot(self, "variables", variables)
+        setslot(self, "constants", constants)
+        setslot(self, "seed", seed)
+        setslot(self, "profile", profile)
 
     @property
     def program(self) -> Program:

@@ -232,7 +232,19 @@ def _enumerate_kernel(
     ii: int,
     attempts: List[int],
 ) -> Optional[Dict[int, int]]:
-    """Complete search for offsets feasible at ``ii`` (None if refuted)."""
+    """Complete search for offsets feasible at ``ii`` (None if refuted).
+
+    Two cuts keep it exhaustive.  The first tuple is pinned to slot 0:
+    adding one constant to every offset of a feasible kernel rotates
+    every slot by the same amount, so the slots stay distinct modulo
+    ``ii``, the pipeline windows stay disjoint and every dependence
+    difference is unchanged.  And the tuples are placed in order, each
+    partial assignment checked on the placed tuples' stages under the
+    longest offset gaps that dependence paths through unplaced tuples
+    force between them: a completion only adds constraints, so a
+    positive cycle there refutes them all.  Every other choice is still
+    enumerated.
+    """
     enqueue = {
         z: (0 if sigma[z] is None
             else machine.pipeline(sigma[z]).enqueue_time)
@@ -242,31 +254,53 @@ def _enumerate_kernel(
     used: set = set()
     busy: Dict[int, set] = {}
 
-    def stages_feasible() -> Optional[Dict[int, int]]:
-        """Difference constraints on stages: longest-path Bellman–Ford."""
-        attempts[0] += 1
-        stage = {z: 0 for z in idents}
-        for _ in range(len(idents) + 1):
+    def gaps(placed: Sequence[int]) -> List[Tuple[int, int, int]]:
+        """``(a, b, w)``: ``offset(b) >= offset(a) + w`` along the longest
+        dependence path from ``a`` to ``b`` whose inner tuples are all
+        unplaced (Floyd–Warshall; ``ii`` is at least the recurrence
+        bound, so no path gains around a cycle)."""
+        gap: Dict[Tuple[int, int], int] = {}
+
+        def widen(a: int, b: int, w: int) -> None:
+            gap[a, b] = max(gap.get((a, b), w), w)
+
+        for p, c, d in edges:
+            widen(p, c, latency[p] - d * ii)
+        for m in idents:
+            if m not in placed:
+                into = [(a, w) for (a, b), w in gap.items() if b == m]
+                out = [(c, w) for (b, c), w in gap.items() if b == m]
+                for a, w in into:
+                    for c, v in out:
+                        widen(a, c, w + v)
+        return [(a, b, w) for (a, b), w in gap.items() if a in placed and b in placed]
+
+    def stages_feasible(k: int) -> Optional[Dict[int, int]]:
+        """Offsets of the first ``k`` placed tuples, None if the stage
+        constraints hold a positive cycle (longest-path Bellman–Ford)."""
+        if k == len(idents):
+            attempts[0] += 1
+        placed = idents[:k]
+        stage = {z: 0 for z in placed}
+        for _ in range(k + 1):
             changed = False
-            for p, c, d in edges:
-                # offset = stage*ii + slot; the dependence needs
-                # stage(c) >= stage(p) + ceil((lat - d*ii + s(p) - s(c)) / ii)
-                need = -(-(latency[p] - d * ii + slots[p] - slots[c]) // ii)
+            for p, c, w in closure[k]:
+                # offset = stage*ii + slot; the gap needs
+                # stage(c) >= stage(p) + ceil((w + s(p) - s(c)) / ii)
+                need = -(-(w + slots[p] - slots[c]) // ii)
                 if stage[p] + need > stage[c]:
                     stage[c] = stage[p] + need
                     changed = True
             if not changed:
                 lift = -min(stage.values())
-                return {z: (stage[z] + lift) * ii + slots[z] for z in idents}
+                return {z: (stage[z] + lift) * ii + slots[z] for z in placed}
         return None  # positive cycle: no stage assignment exists
 
     def place(k: int) -> Optional[Dict[int, int]]:
-        if k == len(idents):
-            return stages_feasible()
         z = idents[k]
         pid = sigma[z]
         pipe_busy = busy.setdefault(pid, set()) if pid is not None else None
-        for s in range(ii):
+        for s in range(ii) if k else (0,):
             if s in used:
                 continue
             if pid is not None:
@@ -277,7 +311,9 @@ def _enumerate_kernel(
             used.add(s)
             if pid is not None:
                 pipe_busy.update(window)
-            found = place(k + 1)
+            found = stages_feasible(k + 1)
+            if found is not None and k + 1 < len(idents):
+                found = place(k + 1)
             if found is not None:
                 return found
             used.discard(s)
@@ -286,6 +322,7 @@ def _enumerate_kernel(
                 pipe_busy.difference_update(window)
         return None
 
+    closure = [gaps(idents[:k]) for k in range(len(idents) + 1)]
     return place(0)
 
 

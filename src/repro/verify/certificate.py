@@ -37,12 +37,12 @@ Checked properties, in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.ops import Opcode
 from ..machine.machine import MachineDescription
+from ..record import Record, setslot
 
 #: Result-availability delay of an operation that uses no pipeline
 #: (restated from the paper's step [2], not imported from the scheduler).
@@ -85,14 +85,17 @@ def derive_dependences(block: BasicBlock) -> Dict[int, FrozenSet[int]]:
 # ----------------------------------------------------------------------
 # Independent sigma resolution
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One reason a claimed schedule fails certification."""
 
-    kind: str  # permutation | assignment | dependence | under-padded | over-padded
-    position: int  # index into the order; -1 for schedule-level failures
-    ident: int  # tuple reference number; -1 for schedule-level failures
-    detail: str
+    __slots__ = ("kind", "position", "ident", "detail")
+
+    def __init__(self, kind: str, position: int, ident: int, detail: str):
+        # permutation | assignment | dependence | under-padded | over-padded
+        setslot(self, "kind", kind)
+        setslot(self, "position", position)  # index into the order; -1 for schedule-level failures
+        setslot(self, "ident", ident)  # tuple reference number; -1 for schedule-level failures
+        setslot(self, "detail", detail)
 
     def __str__(self) -> str:
         where = f" at position {self.position}" if self.position >= 0 else ""
@@ -165,18 +168,23 @@ def resolve_sigma(
 # ----------------------------------------------------------------------
 # The certificate check
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Record):
     """Outcome of independently re-checking one claimed schedule."""
 
-    ok: bool
-    violations: Tuple[Violation, ...]
-    order: Tuple[int, ...]
-    claimed_etas: Tuple[int, ...]
-    #: η values this module recomputed (empty on structural failure).
-    required_etas: Tuple[int, ...]
-    claimed_nops: int
-    required_nops: int
+    __slots__ = ("ok", "violations", "order", "claimed_etas", "required_etas", "claimed_nops",
+                 "required_nops")
+
+    def __init__(self, ok: bool, violations: Tuple[Violation, ...], order: Tuple[int, ...],
+                 claimed_etas: Tuple[int, ...], required_etas: Tuple[int, ...], claimed_nops: int,
+                 required_nops: int):
+        setslot(self, "ok", ok)
+        setslot(self, "violations", violations)
+        setslot(self, "order", order)
+        setslot(self, "claimed_etas", claimed_etas)
+        #: η values this module recomputed (empty on structural failure).
+        setslot(self, "required_etas", required_etas)
+        setslot(self, "claimed_nops", claimed_nops)
+        setslot(self, "required_nops", required_nops)
 
     def summary(self) -> str:
         if self.ok:
@@ -348,23 +356,11 @@ def _shifted_copy(block: BasicBlock, stride: int, copies: int) -> BasicBlock:
     from ..ir.tuples import IRTuple, RefOperand
 
     def shift(operand, offset):
-        if isinstance(operand, RefOperand):
-            return RefOperand(operand.ref + offset)
-        return operand
+        return RefOperand(operand.ref + offset) if isinstance(operand, RefOperand) else operand
 
-    tuples = []
-    for j in range(copies):
-        offset = j * stride
-        for t in block:
-            tuples.append(
-                IRTuple(
-                    t.ident + offset,
-                    t.op,
-                    shift(t.alpha, offset),
-                    shift(t.beta, offset),
-                )
-            )
-    return BasicBlock(tuple(tuples), name=f"{block.name}@x{copies}")
+    tuples = [IRTuple(t.ident + j * stride, t.op, shift(t.alpha, j * stride),
+                      shift(t.beta, j * stride)) for j in range(copies) for t in block]
+    return BasicBlock(tuples, name=f"{block.name}@x{copies}")
 
 
 def _loop_dependences(
@@ -458,18 +454,21 @@ def _recurrence_violated(
     return any(dist[p] + w > dist[c] for p, c, w in weight)
 
 
-@dataclass(frozen=True)
-class LoopCertificateReport:
+class LoopCertificateReport(Record):
     """Outcome of independently re-checking one claimed modulo schedule."""
 
-    ok: bool
-    violations: Tuple[Violation, ...]
-    ii: int
-    offsets: Mapping[str, int]  # keyed by str(ident) for stable hashing
-    #: This module's own lower bound on any II of the loop.
-    ii_lower_bound: int
-    #: Iterations materialized and replayed through ``check_schedule``.
-    replayed_iterations: int
+    __slots__ = ("ok", "violations", "ii", "offsets", "ii_lower_bound", "replayed_iterations")
+
+    def __init__(self, ok: bool, violations: Tuple[Violation, ...], ii: int,
+                 offsets: Mapping[str, int], ii_lower_bound: int, replayed_iterations: int):
+        setslot(self, "ok", ok)
+        setslot(self, "violations", violations)
+        setslot(self, "ii", ii)
+        setslot(self, "offsets", offsets)  # keyed by str(ident) for stable hashing
+        #: This module's own lower bound on any II of the loop.
+        setslot(self, "ii_lower_bound", ii_lower_bound)
+        #: Iterations materialized and replayed through ``check_schedule``.
+        setslot(self, "replayed_iterations", replayed_iterations)
 
     def summary(self) -> str:
         if self.ok:
@@ -520,33 +519,21 @@ def check_steady_state(
     idents = body.idents
     offsets = dict(offsets)
 
+    def rejected(lower: int) -> LoopCertificateReport:
+        return LoopCertificateReport(False, tuple(violations), ii,
+                                     {str(k): v for k, v in offsets.items()}, lower, 0)
+
     # 1. Structure.
     if ii < 1:
-        violations.append(
-            Violation("structure", -1, -1, f"initiation interval {ii} < 1")
-        )
+        violations.append(Violation("structure", -1, -1, f"initiation interval {ii} < 1"))
     if sorted(offsets) != sorted(idents):
-        violations.append(
-            Violation(
-                "structure", -1, -1,
-                f"offsets cover {sorted(offsets)} but the body is "
-                f"{sorted(idents)}",
-            )
-        )
+        violations.append(Violation("structure", -1, -1, f"offsets cover {sorted(offsets)} "
+                                    f"but the body is {sorted(idents)}"))
     else:
-        for z in idents:
-            if offsets[z] < 0:
-                violations.append(
-                    Violation(
-                        "structure", -1, z,
-                        f"tuple {z} has negative offset {offsets[z]}",
-                    )
-                )
+        violations += (Violation("structure", -1, z, f"tuple {z} has negative offset {offsets[z]}")
+                       for z in idents if offsets[z] < 0)
     if violations:
-        return LoopCertificateReport(
-            False, tuple(violations), ii,
-            {str(k): v for k, v in offsets.items()}, -1, 0,
-        )
+        return rejected(-1)
 
     slot = {z: offsets[z] % ii for z in idents}
     by_slot: Dict[int, List[int]] = {}
@@ -554,31 +541,19 @@ def check_steady_state(
         by_slot.setdefault(slot[z], []).append(z)
     for s, zs in sorted(by_slot.items()):
         if len(zs) > 1:
-            violations.append(
-                Violation(
-                    "single-issue", -1, zs[1],
-                    f"tuples {zs} all occupy kernel slot {s} "
-                    f"(offsets {[offsets[z] for z in zs]} modulo {ii})",
-                )
-            )
+            violations.append(Violation(
+                "single-issue", -1, zs[1], f"tuples {zs} all occupy kernel slot {s} "
+                f"(offsets {[offsets[z] for z in zs]} modulo {ii})"))
 
     # 2. The independent lower bound.
     try:
         lower = loop_ii_lower_bound(body, machine, assignment)
     except ValueError as exc:
         violations.append(Violation("assignment", -1, -1, str(exc)))
-        return LoopCertificateReport(
-            False, tuple(violations), ii,
-            {str(k): v for k, v in offsets.items()}, -1, 0,
-        )
+        return rejected(-1)
     if ii < lower:
-        violations.append(
-            Violation(
-                "bound", -1, -1,
-                f"claimed II {ii} is below the independent lower bound "
-                f"{lower}",
-            )
-        )
+        violations.append(Violation(
+            "bound", -1, -1, f"claimed II {ii} is below the independent lower bound {lower}"))
 
     # 3. Dependence spacing with iteration distances.
     sigma, _ = resolve_sigma(body, machine, assignment)
@@ -591,14 +566,10 @@ def check_steady_state(
         have = offsets[consumer] + d * ii
         need = offsets[producer] + latency[producer]
         if have < need:
-            violations.append(
-                Violation(
-                    "dependence", -1, consumer,
-                    f"tuple {consumer} at offset {offsets[consumer]} "
-                    f"(+{d}*II) starts {need - have} cycle(s) before its "
-                    f"distance-{d} predecessor {producer} completes",
-                )
-            )
+            violations.append(Violation(
+                "dependence", -1, consumer, f"tuple {consumer} at offset {offsets[consumer]} "
+                f"(+{d}*II) starts {need - have} cycle(s) before its "
+                f"distance-{d} predecessor {producer} completes"))
 
     # 4. Cyclic enqueue windows modulo II.
     by_pipe: Dict[int, List[int]] = {}
@@ -613,21 +584,13 @@ def check_steady_state(
             if len(ordered) == 1:
                 gap = ii
             if gap < enqueue:
-                violations.append(
-                    Violation(
-                        "enqueue", -1, b,
-                        f"pipeline {pid} windows of tuples {a} and {b} "
-                        f"overlap: slots {slot[a]} and {slot[b]} are "
-                        f"{gap} apart modulo {ii} but enqueue takes "
-                        f"{enqueue}",
-                    )
-                )
+                violations.append(Violation(
+                    "enqueue", -1, b, f"pipeline {pid} windows of tuples {a} and {b} "
+                    f"overlap: slots {slot[a]} and {slot[b]} are {gap} apart modulo {ii} "
+                    f"but enqueue takes {enqueue}"))
 
     if violations:
-        return LoopCertificateReport(
-            False, tuple(violations), ii,
-            {str(k): v for k, v in offsets.items()}, lower, 0,
-        )
+        return rejected(lower)
 
     # 5. Replay: materialize the flat stream of K overlapped iterations
     # and push it through the straight-line certificate at the claimed
@@ -638,11 +601,7 @@ def check_steady_state(
     k = max(iterations, stages + 1, 3)
     stride = max(idents)
     unrolled = _shifted_copy(body, stride, k)
-    entries = sorted(
-        (i * ii + offsets[z], z + i * stride)
-        for i in range(k)
-        for z in idents
-    )
+    entries = sorted((i * ii + offsets[z], z + i * stride) for i in range(k) for z in idents)
     order = [ident for _, ident in entries]
     etas: List[int] = []
     previous = -1
@@ -654,19 +613,9 @@ def check_steady_state(
         assignment=_replicate_assignment(assignment, idents, stride, k),
         require_minimal=False,
     )
-    violations.extend(
-        Violation("replay", v.position, v.ident, v.detail)
-        for v in replay.violations
-    )
-
-    return LoopCertificateReport(
-        ok=not violations,
-        violations=tuple(violations),
-        ii=ii,
-        offsets={str(z): offsets[z] for z in idents},
-        ii_lower_bound=lower,
-        replayed_iterations=k,
-    )
+    violations += (Violation("replay", v.position, v.ident, v.detail) for v in replay.violations)
+    return LoopCertificateReport(not violations, tuple(violations), ii,
+                                 {str(z): offsets[z] for z in idents}, lower, k)
 
 
 def _replicate_assignment(
@@ -677,9 +626,5 @@ def _replicate_assignment(
 ) -> Optional[Mapping[int, Optional[int]]]:
     if assignment is None:
         return None
-    out: Dict[int, Optional[int]] = {}
-    for j in range(copies):
-        for z in idents:
-            if z in assignment:
-                out[z + j * stride] = assignment[z]
-    return out
+    return {z + j * stride: assignment[z]
+            for j in range(copies) for z in idents if z in assignment}

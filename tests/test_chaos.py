@@ -11,6 +11,7 @@ Kept deliberately small (tens of blocks, seconds of wall clock) so the
 suite runs in CI; the fault *rates* are high to compensate.
 """
 
+import functools
 import os
 import signal
 import subprocess
@@ -34,6 +35,7 @@ from repro.telemetry import Telemetry
 SEED = 7
 BLOCKS = 40
 OPTIONS = SearchOptions(curtail=2_000)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Hang injection sleeps far longer than the supervisor's patience, so a
 #: "hang" fault is always detected by heartbeat staleness, never waited out.
@@ -174,7 +176,7 @@ class TestKillAndResume:
         ]
         proc = subprocess.Popen(
             base_cmd + ["--journal", journal],
-            cwd="/root/repo", env=env, start_new_session=True,
+            cwd=ROOT, env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         )
         try:
@@ -206,7 +208,7 @@ class TestKillAndResume:
 
         resumed = subprocess.run(
             base_cmd + ["--resume", journal],
-            cwd="/root/repo", env=env, capture_output=True, text=True,
+            cwd=ROOT, env=env, capture_output=True, text=True,
             timeout=600,
         )
         assert resumed.returncode == 0, resumed.stderr
@@ -214,7 +216,71 @@ class TestKillAndResume:
 
         _, finished, _ = load_journal(journal)
         assert sorted(finished) == list(range(300))
-        full = run_population(
-            300, master_seed=SEED, options=OPTIONS
+        assert [finished[i] for i in range(300)] == _uninterrupted(300)
+
+    #: How long an orphaned worker may take to notice its parent died: it
+    #: finishes the block it is scheduling (bounded by --curtail 2000).
+    EXIT_WITHIN = 10.0
+
+    def test_sigkill_mid_chunk_then_resume_matches_uninterrupted_run(self, tmp_path):
+        """``kill -9`` of the run's parent while its two workers are
+        inside chunks: no cleanup runs, yet both workers exit, and
+        ``--resume`` completes the journal to an uninterrupted run's
+        records."""
+        from .test_service_libraries import _children
+        from .test_service_pool import _running
+
+        journal = str(tmp_path / "killed.journal")
+        env = dict(os.environ, PYTHONPATH="src", REPRO_SCALE="1")
+        base_cmd = [
+            sys.executable, "-m", "repro.console", "experiments", "table7",
+            "--blocks", "300", "--seed", str(SEED), "--curtail", "2000", "--workers", "2",
+        ]
+        proc = subprocess.Popen(
+            base_cmd + ["--journal", journal], cwd=ROOT, env=env,
+            start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
-        assert [finished[i] for i in range(300)] == full
+        workers = []
+        try:
+            deadline = time.monotonic() + 120
+            while not workers or len(load_journal(journal)[1]) < 10:
+                assert proc.poll() is None, "run finished before it could be killed"
+                assert time.monotonic() < deadline, "journal never reached 10 records"
+                time.sleep(0.05)
+                if os.path.exists(journal):
+                    workers = _children(proc.pid)
+            assert len(workers) == 2
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + self.EXIT_WITHIN
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            alive = [pid for pid in workers if _running(pid)]
+            assert not alive, f"workers {alive} outlived a SIGKILLed parent by {self.EXIT_WITHIN} s"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stderr.close()
+        assert proc.returncode == -signal.SIGKILL
+
+        _, partial, _ = load_journal(journal)
+        assert 10 <= len(partial) < 300
+        resumed = subprocess.run(
+            base_cmd + ["--resume", journal], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=600,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert "resuming" in resumed.stdout
+        _, finished, _ = load_journal(journal)
+        assert sorted(finished) == list(range(300))
+        assert [finished[i] for i in range(300)] == _uninterrupted(300)
+
+
+@functools.lru_cache(maxsize=None)
+def _uninterrupted(blocks):
+    """A fault-free serial run's records, as the CLI runs it."""
+    return run_population(blocks, master_seed=SEED, options=OPTIONS)

@@ -8,7 +8,6 @@ to the serial runner).
 """
 
 import json
-from dataclasses import asdict, replace
 
 import pytest
 
@@ -30,7 +29,7 @@ SEED = 2024
 def records_json(records):
     """Canonical JSON for a record list, wall-clock zeroed."""
     return json.dumps(
-        [asdict(replace(r, elapsed_seconds=0.0)) for r in records],
+        [r._replace(elapsed_seconds=0.0)._asdict() for r in records],
         sort_keys=True,
     )
 

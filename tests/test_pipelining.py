@@ -12,7 +12,7 @@ scheduler beats the steady state of the plain list schedule outright.
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import lower_loop, parse_program
@@ -24,7 +24,7 @@ from repro.sched.pipelining import (
     schedule_loop,
     steady_state_offsets,
 )
-from repro.sched.search import ScheduleRequest, SearchOptions
+from repro.sched.search import ScheduleRequest
 from repro.synth.loops import LOOP_KERNELS, get_loop_kernel
 from repro.telemetry import Telemetry
 from repro.verify.brute import brute_force_min_ii
@@ -374,6 +374,10 @@ def test_fuzz_searched_never_loses_and_always_certifies(source, machine_name):
     source=random_loops(),
     machine_name=st.sampled_from(("paper-simulation", "deep-memory")),
 )
+# Draws whose enumeration once ran for tens of seconds (over a million
+# slot assignments before the tight recurrence closed).
+@example(source="for i in 0..3 { c = c * c; b = a * b; }", machine_name="deep-memory")
+@example(source="for i in 0..5 { c = a - c; a = c * a; }", machine_name="deep-memory")
 def test_fuzz_search_matches_brute_force(source, machine_name):
     loop = _lower(source)
     assume(len(loop.body) <= 7)

@@ -1,8 +1,6 @@
 """Tests for multi-block programs: barrier parsing, splitting, and the
 compile_program driver (footnote 1 made user-facing)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro import driver
@@ -111,7 +109,7 @@ class TestCompileProgram:
             trace = run_text(self, text, memory, **kwargs)
             if "b" in trace.memory:
                 wrong = {**trace.memory, "b": trace.memory["b"] + 1}
-                trace = replace(trace, memory=wrong)
+                trace = trace._replace(memory=wrong)
             return trace
 
         monkeypatch.setattr(RegisterMachine, "run_text", wrong_b)

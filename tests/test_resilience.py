@@ -6,7 +6,6 @@ covers the resilience building blocks themselves plus the degradation
 ladder's per-rung record contract.
 """
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -163,7 +162,7 @@ class TestJournal:
         path = str(tmp_path / "run.journal")
         with Journal.create(path, CONFIG) as journal:
             journal.append([_record(0)])
-            payload = dataclasses.asdict(_record(1))
+            payload = _record(1)._asdict()
             payload["bogus"] = 1
             journal._fh.write(json.dumps(payload) + "\n")
             # An interior unknown-field line (not a torn tail) must raise.
@@ -295,13 +294,13 @@ class TestSupervisorPolicy:
         assert validate_records(good, [0, 1]) is None
         assert "not a record list" in validate_records("junk", [0])
         assert "assigned blocks" in validate_records(good, [0, 2])
-        bad_nops = [dataclasses.replace(good[0], final_nops=good[0].seed_nops + 1)]
+        bad_nops = [good[0]._replace(final_nops=good[0].seed_nops + 1)]
         assert "worse" in validate_records(bad_nops, [0])
-        negative = [dataclasses.replace(good[0], omega_calls=-1)]
+        negative = [good[0]._replace(omega_calls=-1)]
         assert "negative" in validate_records(negative, [0])
-        conflicted = [dataclasses.replace(good[0], completed=True, degraded=True)]
+        conflicted = [good[0]._replace(completed=True, degraded=True)]
         assert "exclusive" in validate_records(conflicted, [0])
-        unladdered = [dataclasses.replace(good[0], ladder="rocket")]
+        unladdered = [good[0]._replace(ladder="rocket")]
         assert "ladder" in validate_records(unladdered, [0])
 
 
@@ -470,7 +469,7 @@ class TestPooledPopulation:
         real = certificate.check_schedule
 
         def rejecting(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), ok=False)
+            return real(*args, **kwargs)._replace(ok=False)
 
         # Patched before the pool forks, so every worker inherits it.
         monkeypatch.setattr(certificate, "check_schedule", rejecting)

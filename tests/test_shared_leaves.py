@@ -245,8 +245,8 @@ def test_held_population_keeps_no_waste(monkeypatch):
     keys = {VarOperand: set(), ConstOperand: set()}
     for gb in held:
         assert gb.block.idents == tuple(range(1, len(gb.block) + 1))
-        assert "_index" not in vars(gb.block) and gb.block._index is None
-        assert not any(isinstance(v, Program) for v in vars(gb).values())
+        assert not hasattr(gb.block, "__dict__") and gb.block._index is None
+        assert not any(isinstance(v, Program) for v in gb._asdict().values())
         for t in gb.block:
             kind = type(t.alpha)
             if kind in objects:

@@ -10,13 +10,8 @@ from repro.ir.ops import Opcode
 from repro.ir.textual import parse_block
 from repro.machine.machine import MachineDescription, first_pipeline_assignment
 from repro.machine.pipeline import PipelineDesc
-from repro.resilience.budget import (
-    DEFAULT_SPLIT_CURTAIL,
-    STEP_LIST_SEED,
-    STEP_SPLIT,
-    BlockBudget,
-    BudgetManager,
-)
+from repro.resilience.budget import DEFAULT_SPLIT_CURTAIL, BlockBudget, BudgetManager
+from repro.resilience.ladder import STEP_LIST_SEED, STEP_SPLIT
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.nop_insertion import (
     IncrementalTimingState,
