@@ -78,7 +78,8 @@ _exports, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".sched": ("InitialConditions", "ModuloScheduleResult", "ScheduleOutcome", "ScheduleRequest",
         "SearchOptions", "SearchResult", "compute_timing", "list_schedule",
         "min_initiation_interval", "schedule_block", "schedule_loop"),
-    ".verify.certificate": ("check_schedule", "check_steady_state"),
+    ".verify.certificate": ("check_schedule",),
+    ".verify.steady_state": ("check_steady_state",),
     ".service": ("CacheIntegrityError", "CanonicalForm", "ScheduleCache", "SchedulingService",
         "ServiceClient", "ServiceClientError", "ServiceError", "create_server",
         "fingerprint_problem"),

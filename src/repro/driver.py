@@ -40,11 +40,11 @@ from .sched.nop_insertion import (
     compute_timing,
 )
 from .sched.search import SearchOptions, SearchResult, schedule_block
-from .telemetry import Telemetry
 
 if TYPE_CHECKING:
     from .codegen.assembly import AssemblyProgram
     from .regalloc.allocator import RegisterAllocation
+    from .telemetry import Telemetry
 
 #: The straight-line back end, which a loop compilation never runs: its
 #: names load on first use, as module globals, so perf's traced run and

@@ -30,13 +30,13 @@ from ..resilience.ladder import STEP_CURTAILED, STEP_LIST_SEED, STEP_OPTIMAL, ST
 from ..sched.list_scheduler import list_schedule, program_order
 from ..sched.nop_insertion import ScheduleTiming, compute_timing
 from ..sched.search import SearchOptions, SearchResult, schedule_block
-from ..telemetry import Telemetry
 from ..verify import certificate
 
 if TYPE_CHECKING:
     from ..resilience.budget import BudgetManager
     from ..synth.generator import GeneratedBlock
     from ..synth.population import PopulationSpec
+    from ..telemetry import Telemetry
 
 #: The paper's population size.
 PAPER_BLOCKS = 16_000

@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 from ..ir.dag import COUNT_CAPPED, DependenceDAG
 from ..machine.machine import MachineDescription
 from ..machine.presets import paper_simulation_machine
-from ..sched.exhaustive import LEGAL_COUNT_CAP, exhaustive_search_size
+from ..sched.exhaustive import LEGAL_COUNT_CAP, count_legal_orders, exhaustive_search_size
 from ..sched.search import SearchOptions, schedule_block
 from ..synth.population import sample_population
 from .report import format_table, to_csv
@@ -156,7 +156,7 @@ def run(
     rows: List[Table1Row] = []
     for dag in _blocks_of_sizes(sizes, master_seed):
         n = len(dag)
-        legal = dag.count_legal_orders(LEGAL_COUNT_CAP)
+        legal = count_legal_orders(dag, LEGAL_COUNT_CAP)
         paper_result = schedule_block(
             dag, machine, SearchOptions.paper(curtail=curtail)
         )

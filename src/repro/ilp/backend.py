@@ -22,8 +22,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from ..prunes import prune_counts
 from ..sched.search import SearchResult
-from ..telemetry import prune_counts
 from .bnb import IlpOptions, branch_and_bound
 from .encoder import ModelTables, TimeIndexedModel
 

@@ -9,9 +9,11 @@ algorithm needs:
 * ``earliest(z)`` / ``latest(z)`` — Definitions 6 and 7: bounds on the
   schedule position of ``z`` implied by the dependence structure;
 * transitive ancestor/descendant sets, heights and depths (used by the
-  list scheduler's priorities);
-* counting/enumeration of legal schedules (topological orders), used to
-  reproduce the "Pruning Illegal Calls" column of Table 1.
+  list scheduler's priorities).
+
+Counting and enumerating the legal schedules (topological orders), for
+the "Pruning Illegal Calls" column of Table 1, lives with the other
+exhaustive baselines in :mod:`repro.sched.exhaustive`.
 
 Dependence kinds
 ----------------
@@ -36,14 +38,15 @@ uniformly to every edge in ``rho`` (section 4.2.2 step [6]); see
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..record import Record, setslot
 from .block import BasicBlock
 from .ops import Opcode
 
 
-#: Result of legal-schedule counting when the cap was hit.
+#: Result of legal-schedule counting
+#: (:func:`repro.sched.exhaustive.count_legal_orders`) when the cap was hit.
 COUNT_CAPPED = -1
 
 
@@ -248,100 +251,6 @@ class DependenceDAG:
             for t in self.idents
             for p in self._preds[t]
         )
-
-    def iter_legal_orders(self, limit: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-        """Yield every topological order of the DAG (up to ``limit``).
-
-        Orders are produced in lexicographic order of program-order
-        positions.  This realizes the "pruning illegal" baseline of
-        section 2.3: an exhaustive search restricted to legal schedules.
-        """
-        n = len(self.block)
-        produced = 0
-        indegree = {i: len(self._preds[i]) for i in self.idents}
-        ready = [i for i in self.idents if indegree[i] == 0]
-        prefix: List[int] = []
-
-        def rec() -> Iterator[Tuple[int, ...]]:
-            nonlocal produced
-            if len(prefix) == n:
-                produced += 1
-                yield tuple(prefix)
-                return
-            # Iterate over a snapshot: the ready list mutates during recursion.
-            for ident in sorted(ready, key=self.block.position_of):
-                if limit is not None and produced >= limit:
-                    return
-                ready.remove(ident)
-                prefix.append(ident)
-                opened = []
-                for s in self._succs[ident]:
-                    indegree[s] -= 1
-                    if indegree[s] == 0:
-                        ready.append(s)
-                        opened.append(s)
-                yield from rec()
-                for s in opened:
-                    ready.remove(s)
-                for s in self._succs[ident]:
-                    indegree[s] += 1
-                prefix.pop()
-                ready.append(ident)
-
-        yield from rec()
-
-    def count_legal_orders(self, cap: int = 10_000_000) -> int:
-        """Count topological orders of the DAG.
-
-        Returns :data:`COUNT_CAPPED` when the count exceeds ``cap`` —
-        Table 1 of the paper reports such entries as ``>9,999,000``.
-
-        Uses memoization over *downsets* (the set of already-scheduled
-        tuples), which collapses the n! permutations into a number of
-        states bounded by the DAG's antichain structure.
-        """
-        idents = self.idents
-        n = len(idents)
-        if n == 0:
-            return 1
-        bit = {ident: 1 << k for k, ident in enumerate(idents)}
-        pred_masks = {
-            ident: sum(bit[p] for p in self._preds[ident]) for ident in idents
-        }
-        memo: Dict[int, int] = {}
-        full = (1 << n) - 1
-
-        def count(scheduled: int) -> int:
-            if scheduled == full:
-                return 1
-            hit = memo.get(scheduled)
-            if hit is not None:
-                return hit
-            total = 0
-            for ident in idents:
-                b = bit[ident]
-                if scheduled & b:
-                    continue
-                if pred_masks[ident] & ~scheduled:
-                    continue
-                total += count(scheduled | b)
-                if total > cap:
-                    memo[scheduled] = total
-                    return total
-            memo[scheduled] = total
-            return total
-
-        # Deep DAGs recurse one level per instruction; keep Python's
-        # default limit out of the way for blocks of a few hundred tuples.
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, n * 10 + 1000))
-        try:
-            total = count(0)
-        finally:
-            sys.setrecursionlimit(old_limit)
-        return COUNT_CAPPED if total > cap else total
 
     # ------------------------------------------------------------------
     def to_networkx(self):

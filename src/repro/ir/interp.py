@@ -17,15 +17,19 @@ commutations performed by the optimizer cannot be confused with rounding.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
 
 from ..record import Record, setslot
 from .block import BasicBlock
 from .ops import Opcode
 from .tuples import ConstOperand, IRTuple, RefOperand, VarOperand
 
-Value = Union[int, Fraction]
+if TYPE_CHECKING:
+    # Typing only: ``fractions`` loads ``decimal``; a Div evaluates
+    # through ``Opcode.evaluate``, which imports it on first use.
+    from fractions import Fraction
+
+Value = Union[int, "Fraction"]
 
 
 class UndefinedVariableError(KeyError):
@@ -113,12 +117,9 @@ def blocks_equivalent(
 
     This is the observational-equivalence relation used to validate the
     optimizer (which deletes and renumbers tuples, so tuple values are not
-    comparable — only memory is).
+    comparable — only memory is).  Values compare by number, so an
+    ``int`` equals the ``Fraction`` of the same value.
     """
     ra = run_block(a, memory, order_a)
     rb = run_block(b, memory, order_b)
-    return _normalize(ra.memory) == _normalize(rb.memory)
-
-
-def _normalize(memory: Mapping[str, Value]) -> Dict[str, Fraction]:
-    return {k: Fraction(v) for k, v in memory.items()}
+    return ra.memory == rb.memory

@@ -3,7 +3,7 @@
 This package holds the third search engine of the repository's engine
 lattice (``fast`` / ``reference`` / ``native``): a
 self-contained C99 port of the flattened DFS in
-:mod:`repro.sched.core`, compiled at first use from the adjacent
+:mod:`repro.sched.dfs`, compiled at first use from the adjacent
 ``kernel.c`` with the system C compiler and bound through ``ctypes`` —
 no new Python dependency.  The §5.3 windows of
 :func:`repro.sched.splitting.schedule_block_split` run on the same DFS.

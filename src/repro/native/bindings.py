@@ -21,12 +21,13 @@ before giving up.
 from __future__ import annotations
 
 import ctypes
+import sys
 import threading
 import time
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
-from ..telemetry import prune_counts
+from ..prunes import prune_counts
 from . import build
 from .build import NativeBuildError
 
@@ -34,6 +35,7 @@ __all__ = [
     "load_kernel",
     "native_available",
     "unavailable_reason",
+    "warn_native_fallback",
     "native_dfs",
 ]
 
@@ -61,6 +63,7 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _load_error: Optional[str] = None
+_native_fallback_warned = False
 
 
 def _reset() -> None:
@@ -139,6 +142,18 @@ def unavailable_reason() -> str:
     return "native kernel unavailable"
 
 
+def warn_native_fallback(reason: str) -> None:
+    """Print the one-line native->fast fallback notice (once per process)."""
+    global _native_fallback_warned
+    if not _native_fallback_warned:
+        _native_fallback_warned = True
+        print(
+            f"repro: engine 'native' unavailable ({reason}); "
+            "falling back to 'fast' (results are bit-for-bit identical)",
+            file=sys.stderr,
+        )
+
+
 # ---------------------------------------------------------------------
 # Marshalling helpers
 # ---------------------------------------------------------------------
@@ -176,7 +191,7 @@ def _zeros(count: int) -> array:
 
 
 # ---------------------------------------------------------------------
-# The DFS (drop-in for repro.sched.core._run_fast_dfs)
+# The DFS (drop-in for repro.sched.dfs.run_fast_dfs)
 # ---------------------------------------------------------------------
 
 
@@ -194,7 +209,7 @@ def native_dfs(
     max_latency: int,
     stop_at: int,
 ):
-    """Run the C DFS; same signature and contract as ``_run_fast_dfs``.
+    """Run the C DFS; same signature and contract as ``run_fast_dfs``.
 
     Every ``FastOutcome`` field is bit-for-bit what the Python fast DFS
     would produce (the kernel mirrors it decision for decision); the

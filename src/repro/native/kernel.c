@@ -1,8 +1,8 @@
 /* Native hot core of the branch-and-bound search (engine="native").
  *
- * A C port of the flattened search loop in repro/sched/core.py:
+ * A C port of the flattened search loop in repro/sched/dfs.py:
  *
- *   repro_dfs   <-> _run_fast_dfs    (the pruned DFS of schedule_block)
+ *   repro_dfs   <-> run_fast_dfs     (the pruned DFS of schedule_block)
  *
  * The section 5.3 windows of schedule_block_split run on this same DFS,
  * one sub-block per window, with earlier windows passed in as carry-in
@@ -549,7 +549,7 @@ enum {
     ST_LEN
 };
 
-/* The pruned DFS of schedule_block (mirror of _run_fast_dfs).
+/* The pruned DFS of schedule_block (mirror of run_fast_dfs).
  *
  * CSR pairs (xxx_off has n+1 entries) carry the dense predecessor,
  * successor and register-operand lists.  pipe_last0/var_bound use the

@@ -10,8 +10,8 @@ __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
     "..verify.brute": ("sequential_etas",),
     ".list_scheduler": ("list_schedule", "program_order"),
     ".heuristics": ("greedy_schedule", "gross_schedule"),
-    ".exhaustive": ("LEGAL_COUNT_CAP", "LegalSearchResult", "count_legal_schedules",
-        "exhaustive_search_size", "legal_only_search"),
+    ".exhaustive": ("LEGAL_COUNT_CAP", "LegalSearchResult", "count_legal_orders",
+        "exhaustive_search_size", "iter_legal_orders", "legal_only_search"),
     ".search": ("DEFAULT_CURTAIL", "ScheduleOutcome", "ScheduleRequest", "SearchOptions",
         "SearchResult", "schedule_block", "unsupported_backend_option"),
     ".pipelining": ("DEFAULT_PLACEMENT_BUDGET", "MiiReport", "ModuloScheduleResult",

@@ -80,7 +80,7 @@ class MultiScheduleResult:
     completed: bool
     elapsed_seconds: float
     timed_out: bool = False
-    #: Prune events by kind (see ``repro.telemetry.PRUNE_KINDS``).
+    #: Prune events by kind (see ``repro.prunes.PRUNE_KINDS``).
     prune_counts: Mapping[str, int] = field(default_factory=dict)
 
     @property

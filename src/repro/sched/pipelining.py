@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import time
 from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..ir.dag import DependenceDAG
 from ..ir.loop import LoopBlock, LoopCarriedDep
 from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..record import Record, setslot
-from ..telemetry import Telemetry
 from .list_scheduler import list_schedule
 from .nop_insertion import (
     InitialConditions,
@@ -59,6 +58,9 @@ from .nop_insertion import (
     compute_timing,
 )
 from .search import ScheduleRequest, SearchOptions, schedule_block
+
+if TYPE_CHECKING:
+    from ..telemetry import Telemetry
 
 #: Placement attempts the modulo search may spend in one
 #: :func:`schedule_loop` call, shared by every candidate II it tries.

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
-from ..telemetry import prune_counts
+from ..prunes import prune_counts
 from .bounds import downstream_chains, pipe_edf_lateness, root_bound, unit_edf_lateness
 from .core import _Flat
 from .heuristics import greedy_schedule, gross_schedule

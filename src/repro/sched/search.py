@@ -99,7 +99,6 @@ from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
 from ..record import Record, setslot
-from ..telemetry import Telemetry, prune_counts
 from .list_scheduler import list_schedule, program_order
 from .nop_insertion import (
     InitialConditions,
@@ -110,6 +109,7 @@ from .nop_insertion import (
 
 if TYPE_CHECKING:
     from ..ir.loop import LoopBlock
+    from ..telemetry import Telemetry
 
 #: Default curtail point; the paper found λ on the order of 1,000
 #: sufficient for the vast majority of blocks and used values "always
@@ -333,7 +333,7 @@ class SearchResult:
     timed_out: bool = False  # truncated by the wall-clock deadline
     #: Dominance-memo entries evicted (FIFO) to honor ``max_memo_entries``.
     memo_evicted: int = 0
-    #: Prune events by kind (see ``repro.telemetry.PRUNE_KINDS``).
+    #: Prune events by kind (see ``repro.prunes.PRUNE_KINDS``).
     prune_counts: Mapping[str, int] = field(default_factory=dict)
 
     #: Backend provenance (:class:`ScheduleOutcome` protocol).  The ILP
@@ -581,24 +581,21 @@ def schedule_block(
     # identical seed pricing, incumbents, candidate order, prune
     # decisions, Ω accounting and memo policy — so every field of the
     # result except elapsed_seconds is bit-for-bit equal.  Each engine's
-    # module loads only when that engine runs.
+    # module loads only when that engine runs; fast and native share
+    # run_fast_search's preamble, and native passes in its C DFS
+    # (resolve_engine above has already turned an unavailable native
+    # into fast).
     # ------------------------------------------------------------------
-    if engine_name == "fast":
+    if engine_name != "reference":
         from .core import run_fast_search
 
+        dfs = None
+        if engine_name == "native":
+            from ..native.bindings import native_dfs as dfs
         return _done(
             run_fast_search(
                 dag, machine, resolver, options, initial, seed,
-                fits_budget, start,
-            )
-        )
-    if engine_name == "native":
-        from .core import run_native_search
-
-        return _done(
-            run_native_search(
-                dag, machine, resolver, options, initial, seed,
-                fits_budget, start,
+                fits_budget, start, dfs=dfs,
             )
         )
 

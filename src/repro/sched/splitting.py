@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
-from ..telemetry import Telemetry, prune_counts
+from ..prunes import prune_counts
 from .list_scheduler import list_schedule
 from .nop_insertion import (
     IncrementalTimingState,
@@ -41,6 +41,9 @@ from .nop_insertion import (
     SigmaResolver,
 )
 from .search import SearchOptions, check_engine, schedule_block
+
+if TYPE_CHECKING:
+    from ..telemetry import Telemetry
 
 #: The paper's suggested window size.
 DEFAULT_WINDOW = 20
@@ -55,7 +58,7 @@ class SplitScheduleResult:
     omega_calls: int
     all_windows_completed: bool
     elapsed_seconds: float
-    #: Prune events summed over all windows (``repro.telemetry.PRUNE_KINDS``).
+    #: Prune events summed over all windows (``repro.prunes.PRUNE_KINDS``).
     prune_counts: Mapping[str, int] = field(default_factory=dict)
 
     @property

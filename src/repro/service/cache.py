@@ -60,13 +60,14 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from ..ioutil import atomic_write_json
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription, first_pipeline_assignment
+from ..prunes import PRUNE_KINDS
 from ..sched.nop_insertion import (
     InitialConditions,
     PipelineAssignment,
     ScheduleTiming,
 )
 from ..sched.search import SearchOptions, SearchResult, schedule_block
-from ..telemetry import PRUNE_KINDS, Telemetry
+from ..telemetry import Telemetry
 from ..verify import certificate
 from .fingerprint import CanonicalForm, fingerprint_problem
 

@@ -179,29 +179,10 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
+from .prunes import PRUNE_KINDS
+
 #: Version tag of the serialized payload.
 SCHEMA = "repro-telemetry/1"
-
-#: Every prune-event kind the searches report.  ``as_dict`` payloads that
-#: went through :meth:`Telemetry.record_search` always carry all of them
-#: (zero-filled), so downstream tooling can rely on the keys existing.
-PRUNE_KINDS = (
-    "legality",
-    "bounds",
-    "equivalence",
-    "alpha_beta",
-    "curtail",
-    "timeout",
-    "dominance",
-)
-
-
-def prune_counts(**kinds: int) -> Dict[str, int]:
-    """A fully-populated prune-count mapping (unknown kinds rejected)."""
-    unknown = set(kinds) - set(PRUNE_KINDS)
-    if unknown:
-        raise ValueError(f"unknown prune kinds: {sorted(unknown)}")
-    return {kind: int(kinds.get(kind, 0)) for kind in PRUNE_KINDS}
 
 
 class Telemetry:

@@ -11,6 +11,9 @@ package is the trust anchor that does not share that code:
   dependences from the raw tuples, re-resolves pipeline assignments from
   the machine tables, and recomputes every NOP count positionally; it
   imports nothing from ``repro.sched``.
+* :mod:`repro.verify.steady_state` — the same rules for loops: a claimed
+  modulo schedule checked against re-derived cyclic dependences and
+  enqueue windows, then replayed through the block certificate.
 * :mod:`repro.verify.brute` — complete enumerations built on the
   certificate's rules: the minimum NOP count of a small block and the
   minimum initiation interval of a tiny loop body.
@@ -33,9 +36,9 @@ from .. import _lazy_namespace
 __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".brute": ("BruteForceIIResult", "BruteForceResult", "brute_force_min_ii",
         "brute_force_optimum"),
-    ".certificate": ("CertificateReport", "LoopCertificateReport", "Violation", "check_schedule",
-        "check_steady_state", "loop_ii_lower_bound"),
+    ".certificate": ("CertificateReport", "Violation", "check_schedule"),
     ".fuzz": ("FuzzResult", "adversarial_machines", "run_fuzz"),
     ".loops": ("LoopOracleReport", "check_loop", "run_loop_suite"),
     ".oracle": ("Discrepancy", "OracleReport", "check_block", "replay_report"),
+    ".steady_state": ("LoopCertificateReport", "check_steady_state", "loop_ii_lower_bound"),
 })

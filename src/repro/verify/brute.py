@@ -23,13 +23,8 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.block import BasicBlock
 from ..machine.machine import MachineDescription
-from .certificate import (
-    _NO_PIPE_DELAY,
-    _loop_dependences,
-    derive_dependences,
-    loop_ii_lower_bound,
-    resolve_sigma,
-)
+from .certificate import _NO_PIPE_DELAY, derive_dependences, resolve_sigma
+from .steady_state import _loop_dependences, loop_ii_lower_bound
 
 if TYPE_CHECKING:
     from ..ir.dag import DependenceDAG

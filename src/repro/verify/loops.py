@@ -47,7 +47,7 @@ from ..sched.pipelining import ModuloScheduleResult, schedule_loop
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .brute import brute_force_min_ii
-from .certificate import check_steady_state
+from .steady_state import check_steady_state
 from .oracle import DEFAULT_REPORT_DIR, Discrepancy
 
 #: Bodies larger than this skip the brute-force ground-truth layer.

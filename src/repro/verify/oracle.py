@@ -55,7 +55,7 @@ from ..ir.textual import format_block, parse_block
 from ..ioutil import atomic_write_json, atomic_write_text
 from ..machine.machine import MachineDescription, first_pipeline_assignment
 from ..machine.serialize import machine_from_dict, machine_to_dict
-from ..sched.exhaustive import legal_only_search
+from ..sched.exhaustive import count_legal_orders, legal_only_search
 from ..sched.list_scheduler import list_schedule
 from ..sched.multi import schedule_block_multi
 from ..sched.nop_insertion import compute_timing
@@ -331,7 +331,7 @@ def check_block(
     # ------------------------------------------------------------------
     # Exhaustive ground truth (small blocks only).
     # ------------------------------------------------------------------
-    n_orders = dag.count_legal_orders(cap=brute_cap)
+    n_orders = count_legal_orders(dag, cap=brute_cap)
     exhaustive = brute = None
     if n_orders != COUNT_CAPPED:
         exhaustive = legal_only_search(dag, machine, assignment=assignment)

@@ -29,7 +29,7 @@ from repro.ilp import IlpOptions
 from repro.ir.dag import COUNT_CAPPED, DependenceDAG
 from repro.machine.machine import first_pipeline_assignment
 from repro.machine.presets import get_machine, paper_simulation_machine
-from repro.sched.exhaustive import legal_only_search
+from repro.sched.exhaustive import count_legal_orders, legal_only_search
 from repro.sched.nop_insertion import SigmaResolver
 from repro.sched.search import SearchOptions, root_lower_bound, schedule_block
 from repro.synth.kernels import KERNELS
@@ -204,7 +204,7 @@ def test_kernels_across_machine_sweep(machine):
         )
         if full.completed and paper.completed:
             assert full.final_nops == paper.final_nops, name
-        n_orders = dag.count_legal_orders(cap=TEST_BRUTE_CAP)
+        n_orders = count_legal_orders(dag, cap=TEST_BRUTE_CAP)
         if n_orders != COUNT_CAPPED:
             exhaustive = legal_only_search(dag, machine, assignment=assignment)
             assert exhaustive.exhausted, name

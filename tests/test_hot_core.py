@@ -14,12 +14,19 @@ These tests pin that contract:
 * wide ready frontiers, carry-in conditions and windowed splits of
   large blocks;
 * the engine switch itself (options validation, per-call override, the
-  split scheduler's engine parameter, the removed ``vector`` name).
+  split scheduler's engine parameter, the removed ``vector`` name);
+* the DFS module loading only for a block the root bound leaves open.
 """
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+import repro
 import repro.sched.core as core
 from repro.experiments.runner import schedule_generated_block
 from repro.ir.block import BlockBuilder
@@ -334,3 +341,51 @@ def test_vector_alias_runs_fast(monkeypatch, capsys):
     assert split_vec.omega_calls == split_fast.omega_calls
     assert split_vec.all_windows_completed == split_fast.all_windows_completed
     assert dict(split_vec.prune_counts) == dict(split_fast.prune_counts)
+
+
+# ----------------------------------------------------------------------
+# The DFS module loads only past the root bound
+# ----------------------------------------------------------------------
+_SCHEDULE_ONE = """
+import json, sys
+from repro.ir.dag import DependenceDAG
+from repro.ir.textual import parse_block
+from repro.machine.presets import get_machine
+from repro.sched.search import schedule_block
+
+def fields(r):
+    return (r.best, r.initial, r.omega_calls, r.completed, r.improvements,
+            r.proved_by_bound, r.timed_out, r.memo_evicted, dict(r.prune_counts))
+
+dag = DependenceDAG(parse_block(sys.stdin.read()))
+machine = get_machine("paper-simulation")
+fast = schedule_block(dag, machine, engine="fast")
+loaded = "repro.sched.dfs" in sys.modules
+reference = schedule_block(dag, machine, engine="reference")
+print(json.dumps({"proved_by_bound": fast.proved_by_bound, "dfs_loaded": loaded,
+                  "same": fields(fast) == fields(reference)}))
+"""
+
+
+@pytest.mark.parametrize("text, closed", [
+    ("1: Load #a\n2: Load #b\n3: Mul 1, 2\n4: Store #c, 3", True),
+    ("1: Load #b\n2: Load #c\n3: Mul 1, 2\n4: Store #a, 3\n5: Add 1, 3\n6: Store #d, 5", False),
+], ids=["closed-at-root", "open-at-root"])
+def test_dfs_module_loads_only_past_the_root_bound(text, closed):
+    """In a fresh interpreter, a block its root bound closes never loads
+    ``repro.sched.dfs``; one the bound leaves open loads it, and the
+    fast engine still equals the reference field for field."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCHEDULE_ONE],
+        input=text,
+        env=dict(os.environ, PYTHONPATH=src_dir, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    report = json.loads(out.stdout)
+    assert report["proved_by_bound"] is closed
+    assert report["dfs_loaded"] is not closed
+    assert report["same"]

@@ -31,6 +31,7 @@ from repro.ilp import (
 from repro.ilp.simplex import PIVOT_LIMIT, UNBOUNDED
 from repro.ir.dag import COUNT_CAPPED, DependenceDAG
 from repro.sched.core import _Flat
+from repro.sched.exhaustive import count_legal_orders
 from repro.sched.nop_insertion import SigmaResolver
 from repro.sched.search import SearchOptions, schedule_block
 from repro.verify.brute import brute_force_optimum
@@ -291,7 +292,7 @@ def test_ilp_matches_brute_force_optimum(block, machine):
     if not machine.is_deterministic:
         machine = machine.fixed_assignment()
     dag = DependenceDAG(block)
-    assume(dag.count_legal_orders(cap=ENUM_CAP) != COUNT_CAPPED)
+    assume(count_legal_orders(dag, cap=ENUM_CAP) != COUNT_CAPPED)
     ilp = schedule_block_ilp(
         dag, machine, ilp_options=IlpOptions(max_nodes=600)
     )

@@ -2,9 +2,10 @@
 
 The package ``__init__``s are lazy namespaces and cold code (the split
 rung, the population sampler, the brute-force oracles, the reference
-engine, the driver's straight-line back end) sits in its own modules or
-loads on first use, so an entry point pays only for the modules its
-call reaches.
+engine, the fast DFS behind the root bound, the loop certificate, the
+driver's straight-line back end) sits in its own modules or loads on
+first use, so an entry point pays only for the modules its call
+reaches.
 Each row runs one entry point in a fresh interpreter and lists the
 modules it must not load (``fnmatch`` patterns; a pattern also covers
 the module's submodules), minus named exceptions.  A row may also cap
@@ -140,9 +141,13 @@ _COLD = ("repro.frontend.lowering", "repro.opt", "repro.synth.population", "repr
          "repro.sched.splitting", "repro.sched.multi", "repro.ir.loop", "repro.verify.brute",
          "repro.sched.reference")
 
+#: ``fractions`` loads ``decimal`` and libmpdec; only a ``Div`` that runs
+#: needs it.
+_FRACTIONS = ("fractions", "decimal", "_decimal")
+
 #: Modules that map a shared library of their own: ``hashlib`` maps
 #: OpenSSL's libcrypto, ``fractions`` loads ``decimal`` and libmpdec.
-_NATIVE_LIBS = ("hashlib", "_hashlib", "fractions", "decimal", "_decimal")
+_NATIVE_LIBS = ("hashlib", "_hashlib", *_FRACTIONS)
 
 #: The straight-line back end: a loop compilation runs none of it.
 _STRAIGHT_LINE = ("repro.codegen", "repro.opt", "repro.regalloc", "repro.simulator",
@@ -165,7 +170,7 @@ BUDGETS = {
     # nor the reference engine.  The split's windows run on the block
     # search, so the split rung adds little source of its own.
     "search-path-no-numpy": Row(_SEARCH_PATH, forbidden=("numpy", "repro.sched.reference"),
-                                max_lines=6_055),
+                                max_lines=5_290),
     "import-repro": Row("import repro\n_report()", forbidden=("repro.*",)),
     "console-help": Row(
         "import repro.console\nrepro.console.main(['--help'])\n_report()",
@@ -195,17 +200,21 @@ BUDGETS = {
     # One block's trip down the ladder needs the rung names, not the
     # budgets; a plain compile runs neither the spill pre-pass nor the
     # heuristic baselines; the daemon loads fault injection only under
-    # ``--chaos``.
+    # ``--chaos``.  The searches count their prunes without the
+    # telemetry registry, a block its root bound closes never loads the
+    # DFS, and only a loop loads the loop certificate.
     "population-first-call": Row(
         *_first_call("population",
                      {"text": _BLOCK, "name": "b0", "machine": "paper-simulation"}),
         forbidden=("multiprocessing", "repro.driver", "repro.analysis", "repro.sched.pipelining",
                    "repro.ilp", "repro.native", "repro.service", "numpy", "repro.experiments.*",
-                   "repro.ir.interp", "fractions", "decimal", "_decimal",
-                   "repro.resilience.budget", *_COLD),
+                   "repro.ir.interp", *_FRACTIONS, "repro.resilience.budget", "repro.telemetry",
+                   "repro.sched.dfs", "repro.verify.steady_state", *_COLD),
         allowed=("repro.experiments.runner",),
-        max_lines=6_300, max_dataclasses=3,
+        max_lines=5_040, max_dataclasses=3,
     ),
+    # This block's root bound (3 NOPs) leaves its seed (4) open, so the
+    # call runs the DFS and loads ``repro.sched.dfs``; no ``Div`` runs.
     "compile-first-call": Row(
         *_first_call("compile", {"source": "a = b * c; d = a + b;", "machine": "paper-simulation",
                                  "barrier": False, "memory": {"b": 2, "c": 3}}),
@@ -213,8 +222,9 @@ BUDGETS = {
                    "repro.verify", "repro.sched.pipelining", "repro.sched.interblock",
                    "repro.sched.splitting", "repro.sched.multi", "repro.ir.loop", "repro.ilp",
                    "repro.native", "repro.analysis", "repro.sched.reference", "multiprocessing",
-                   "numpy", "repro.regalloc.spill", "repro.sched.heuristics"),
-        max_lines=7_160, max_dataclasses=4,
+                   "numpy", "repro.regalloc.spill", "repro.sched.heuristics", "repro.telemetry",
+                   *_FRACTIONS),
+        max_lines=6_570, max_dataclasses=4,
     ),
     "loops-first-call": Row(
         *_first_call("loops", {"source": "for i in 0..8 { p = a * b; a = a + b; }",
@@ -223,8 +233,9 @@ BUDGETS = {
                    "repro.verify.brute", "repro.verify.oracle", "repro.verify.loops",
                    "repro.sched.splitting", "repro.sched.multi", "repro.sched.interblock",
                    "repro.ilp", "repro.native", "repro.analysis", "repro.sched.reference",
-                   "multiprocessing", "numpy", *_STRAIGHT_LINE),
-        max_lines=7_470, max_dataclasses=4,
+                   "multiprocessing", "numpy", "repro.sched.dfs", "repro.telemetry", *_FRACTIONS,
+                   *_STRAIGHT_LINE),
+        max_lines=6_690, max_dataclasses=4,
     ),
     # The daemon speaks its HTTP subset on socketserver: none of
     # http.server's stack (http.client, email, ssl, html, mimetypes).
@@ -234,8 +245,8 @@ BUDGETS = {
         forbidden=("repro.frontend", "repro.driver", "repro.sched.pipelining", "repro.ir.interp",
                    "repro.ilp", "repro.native", "repro.analysis", "repro.synth", "numpy", "http",
                    "email", "ssl", "html", "mimetypes", "repro.resilience.faults", *_NATIVE_LIBS,
-                   *_COLD),
-        max_lines=9_310, max_dataclasses=3,
+                   "repro.verify.steady_state", *_COLD),
+        max_lines=8_430, max_dataclasses=3,
     ),
     # A client of the daemon loads the protocol's payload helpers, not
     # the daemon, its cache, the schedulers or the worker pool.
@@ -296,3 +307,26 @@ def test_traced_layers_resolve():
         if cls:
             obj = getattr(obj, cls)
         assert hasattr(obj, attr), f"{owner}:{attr}"
+
+
+def test_loop_certificate_calls_go_through_the_traced_module(monkeypatch):
+    """``compile_loop`` reaches the loop certificate, and its replay the
+    block certificate, through ``repro.verify.certificate``: wrappers
+    installed there, as perf's traced run installs them, see both
+    calls although the loop certificate lives in its own module."""
+    import repro.verify.certificate as certificate
+    from repro.driver import compile_loop
+    from repro.machine.presets import get_machine
+
+    calls = []
+    for name in ("check_steady_state", "check_schedule"):
+        original = getattr(certificate, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(certificate, name, wrapper)
+    compile_loop("for i in 0..4 { v = v * d; }", get_machine("paper-simulation"))
+    assert calls.count("check_steady_state") == 1
+    assert "check_schedule" in calls

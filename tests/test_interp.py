@@ -14,6 +14,7 @@ from repro.ir.interp import (
 )
 from repro.ir.textual import parse_block
 from repro.ir.tuples import const, div, store
+from repro.sched.exhaustive import iter_legal_orders
 
 from .strategies import blocks, memories
 
@@ -93,4 +94,4 @@ def test_any_legal_reorder_preserves_memory(block, memory):
 def _some_orders(dag, k):
     import itertools
 
-    return itertools.islice(dag.iter_legal_orders(), k)
+    return itertools.islice(iter_legal_orders(dag), k)

@@ -15,6 +15,7 @@ from repro.machine.pipeline import PipelineDesc
 from repro.machine.presets import PRESETS, asymmetric_units_machine, get_machine
 from repro.sched.bounds import downstream_chains, root_bound
 from repro.sched.core import _Flat
+from repro.sched.exhaustive import iter_legal_orders
 from repro.sched.multi import round_robin_assignment, schedule_block_multi
 from repro.sched.nop_insertion import compute_timing
 from repro.sched.reference import RelaxedResolver
@@ -129,7 +130,7 @@ def _brute_force_multi(dag, machine):
         pids = sorted(machine.pipelines_for(op))
         per_tuple_choices.append(pids if pids else [None])
     best = None
-    for order in dag.iter_legal_orders():
+    for order in iter_legal_orders(dag):
         for combo in itertools.product(*per_tuple_choices):
             assignment = dict(zip(idents, combo))
             nops = compute_timing(

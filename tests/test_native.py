@@ -329,7 +329,7 @@ def no_compiler(monkeypatch):
     """A process view with no C compiler and a pristine warning flag."""
     monkeypatch.setattr(build, "find_compiler", lambda: None)
     bindings._reset()
-    monkeypatch.setattr(core, "_native_fallback_warned", False)
+    monkeypatch.setattr(bindings, "_native_fallback_warned", False)
     yield
     bindings._reset()
 
@@ -383,7 +383,7 @@ def test_compile_failure_is_memoized(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
     monkeypatch.setattr(build, "kernel_source_path", lambda: str(bad_src))
     bindings._reset()
-    monkeypatch.setattr(core, "_native_fallback_warned", False)
+    monkeypatch.setattr(bindings, "_native_fallback_warned", False)
     calls = []
     real_run = build.subprocess.run
 

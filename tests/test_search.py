@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
-from repro.sched.exhaustive import legal_only_search
+from repro.sched.exhaustive import iter_legal_orders, legal_only_search
 from repro.sched.nop_insertion import compute_timing
 from repro.sched.search import DEFAULT_CURTAIL, SearchOptions, schedule_block
 
@@ -290,7 +290,7 @@ def test_max_live_search_is_optimal_among_pressure_legal_orders(block):
     budget = max(3, pressure_of(block))  # program order always fits
     candidates = [
         order
-        for order in dag.iter_legal_orders()
+        for order in iter_legal_orders(dag)
         if pressure_of(block, order) <= budget
     ]
     truth = min(

@@ -14,10 +14,11 @@ from repro.cli import main as compile_main
 from repro.experiments.cli import main as experiments_main
 from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
+from repro.prunes import PRUNE_KINDS, prune_counts
 from repro.sched.multi import schedule_block_multi
 from repro.sched.search import SearchOptions, schedule_block
 from repro.sched.splitting import schedule_block_split
-from repro.telemetry import PRUNE_KINDS, SCHEMA, Telemetry, prune_counts
+from repro.telemetry import SCHEMA, Telemetry
 
 #: Disable every optional prune except alpha-beta + equivalence, and fix
 #: candidate order, so the hand-derivations below are exact.
