@@ -50,7 +50,6 @@ class AblationRow:
     avg_omega: float
     median_omega: float
     avg_final_nops: float
-    avg_seconds: float
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,10 @@ class A1Result:
     def render(self) -> str:
         table = format_table(
             ["configuration", "% complete", "avg omega", "median omega",
-             "avg final NOPs", "avg s/block"],
+             "avg final NOPs"],
             [
                 (r.label, f"{r.completed_pct:.1f}", r.avg_omega,
-                 r.median_omega, r.avg_final_nops, f"{r.avg_seconds:.4f}")
+                 r.median_omega, r.avg_final_nops)
                 for r in self.rows
             ],
             title=(
@@ -85,10 +84,10 @@ class A1Result:
     def csv(self) -> str:
         return to_csv(
             ["configuration", "completed_pct", "avg_omega", "median_omega",
-             "avg_final_nops", "avg_seconds"],
+             "avg_final_nops"],
             [
                 (r.label, r.completed_pct, r.avg_omega, r.median_omega,
-                 r.avg_final_nops, r.avg_seconds)
+                 r.avg_final_nops)
                 for r in self.rows
             ],
         )
@@ -116,14 +115,12 @@ def run_a1(
         options = replace(base, curtail=curtail)
         omegas: List[int] = []
         finals: List[int] = []
-        seconds: List[float] = []
         done = 0
         finals_map: Dict[int, int] = {}
         for idx, dag in enumerate(dags):
             result = schedule_block(dag, machine, options)
             omegas.append(result.omega_calls)
             finals.append(result.final_nops)
-            seconds.append(result.elapsed_seconds)
             if result.completed:
                 done += 1
                 finals_map[idx] = result.final_nops
@@ -136,7 +133,6 @@ def run_a1(
                 avg_omega=mean(omegas),
                 median_omega=omegas_sorted[len(omegas_sorted) // 2],
                 avg_final_nops=mean(finals),
-                avg_seconds=mean(seconds),
             )
         )
     consistent = True

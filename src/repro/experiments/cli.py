@@ -1,14 +1,15 @@
 """Command-line entry point: ``repro experiments``.
 
 Regenerates the paper's tables and figures (plus the ablations and
-extensions) and prints them as text; ``--csv DIR`` additionally writes
-machine-readable CSVs.
+extensions) and prints them as text; ``--out DIR`` also writes each
+table to ``DIR/<name>.txt`` and ``DIR/csv/<name>.csv``.  ``results/`` is
+written this way (see EXPERIMENTS.md).
 
 Examples::
 
     repro experiments all
     repro experiments table7 --blocks 2000
-    repro experiments table1 fig4 --csv results/
+    repro experiments all --engine native --out results
     repro experiments table7 --workers 8 --stats-json stats.json
     REPRO_SCALE=1 repro experiments all --workers 0   # full run, all cores
 
@@ -71,9 +72,11 @@ ALL_EXPERIMENTS = ("table1",) + POPULATION_EXPERIMENTS + (
 )
 
 
-def _write_csv(directory: str, name: str, text: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    atomic_write_text(os.path.join(directory, f"{name}.csv"), text)
+def _write_result(directory: str, name: str, text: str, csv: str) -> None:
+    csv_dir = os.path.join(directory, "csv")
+    os.makedirs(csv_dir, exist_ok=True)
+    atomic_write_text(os.path.join(directory, f"{name}.txt"), text + "\n")
+    atomic_write_text(os.path.join(csv_dir, f"{name}.csv"), csv)
 
 
 def build_parser(prog: str = "repro-experiments") -> argparse.ArgumentParser:
@@ -118,7 +121,10 @@ def build_parser(prog: str = "repro-experiments") -> argparse.ArgumentParser:
         "(default: 16000 * REPRO_SCALE)",
     )
     parser.add_argument(
-        "--csv", metavar="DIR", default=None, help="also write CSVs to DIR"
+        "--out",
+        metavar="DIR",
+        default=None,
+        help="also write each table to DIR/<name>.txt and DIR/csv/<name>.csv",
     )
     parser.add_argument(
         "--workers",
@@ -392,11 +398,12 @@ def _render_experiments(wanted, args, records, results) -> None:
             raise AssertionError(name)
         elapsed = time.perf_counter() - start
         print(f"=== {name} ({elapsed:.1f}s) " + "=" * max(0, 50 - len(name)))
-        print(result.render())
+        text = result.render()
+        print(text)
         print()
         results[name] = result
-        if args.csv:
-            _write_csv(args.csv, name, result.csv())
+        if args.out:
+            _write_result(args.out, name, text, result.csv())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,14 +32,17 @@ class TestExecution:
         assert out.count("[population] scheduling") == 1
         assert "Table 7" in out and "Figure 5" in out
 
-    def test_csv_output(self, tmp_path, capsys):
+    def test_out_writes_render_and_csv(self, tmp_path, capsys):
         rc = main(
-            ["fig5", "--blocks", "20", "--csv", str(tmp_path), "--seed", "3"]
+            ["fig5", "--blocks", "20", "--out", str(tmp_path), "--seed", "3"]
         )
         assert rc == 0
-        csv_path = tmp_path / "fig5.csv"
-        assert csv_path.exists()
-        assert "bucket_start" in csv_path.read_text()
+        printed = capsys.readouterr().out
+        text = (tmp_path / "fig5.txt").read_text()
+        assert text.startswith("Figure 5")
+        # The .txt is the printed table, byte for byte.
+        assert f"\n{text}\n" in printed
+        assert "bucket_start" in (tmp_path / "csv" / "fig5.csv").read_text()
 
     def test_non_population_experiment_skips_population(self, capsys):
         rc = main(["table1"])

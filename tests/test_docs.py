@@ -80,9 +80,12 @@ class TestReadme:
         assert result.search.completed
 
     def test_results_directory_references_exist(self):
-        # README points at results/table1.txt; the bench suite creates it.
-        text = read("README.md")
-        assert "results/table1.txt" in text
+        # `repro experiments --out results` writes the cited files; a
+        # renamed or deleted one leaves a dangling citation.
+        assert "results/table1.txt" in read("README.md")
+        for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/paper-mapping.md"):
+            for path in re.findall(r"results/[\w./-]+\.(?:txt|csv)", read(doc)):
+                assert (ROOT / path).is_file(), f"{doc} cites missing {path}"
 
 
 class TestPaperMapping:

@@ -222,6 +222,8 @@ class TestStalls:
         assert sum(result.optimal.values()) <= sum(result.naive.values())
         # Dependence dominates naive stalls on this machine.
         assert result.naive.get("dependence", 0) > result.naive.get("conflict", 0)
+        # Scheduling removes most of them.
+        assert result.removed_pct("dependence") > 80.0
         text = result.render()
         assert "stall cause" in text and "removed" in text
         assert "cause" in result.csv()
