@@ -20,14 +20,11 @@ The groups:
   :func:`machine_to_dict` / :func:`machine_from_dict`).
 - **Scheduling** — :func:`schedule_block` (the branch-and-bound search
   behind :class:`SearchOptions` / :class:`SearchResult`),
-  :func:`list_schedule`, :func:`compute_timing` (the Ω procedure), and
-  :func:`schedule_block_ilp` (the time-indexed ILP witness behind
-  :class:`IlpOptions` / :class:`IlpSearchResult`).  A problem plus its
-  configuration can travel as one :class:`ScheduleRequest`, accepted by
-  :func:`schedule_block`, :func:`schedule_loop` and
-  :func:`fingerprint_problem` alike; every result type satisfies the
-  :class:`ScheduleOutcome` protocol (``schedule`` / ``objective`` /
-  ``provenance`` / ``elapsed_seconds`` / ``completed``).
+  :func:`list_schedule` and :func:`compute_timing` (the Ω procedure).
+  ``schedule_block(..., backend="ilp")`` runs the time-indexed ILP
+  witness instead (:class:`IlpOptions` / :class:`IlpSearchResult`).
+  Every scheduling entry point takes the problem as ``(dag, machine,
+  options, ...)``; ``options.engine`` picks the search engine.
 - **Loop scheduling** — :func:`schedule_loop` (modulo software
   pipelining over :class:`LoopBlock`, producing
   :class:`ModuloScheduleResult`) and :func:`min_initiation_interval`
@@ -74,10 +71,10 @@ _exports, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".machine.presets": ("PRESETS",),
     ".machine.serialize": ("load_machine", "save_machine", "machine_from_dict",
         "machine_to_dict"),
-    ".ilp": ("IlpOptions", "IlpSearchResult", "schedule_block_ilp"),
-    ".sched": ("InitialConditions", "ModuloScheduleResult", "ScheduleOutcome", "ScheduleRequest",
-        "SearchOptions", "SearchResult", "compute_timing", "list_schedule",
-        "min_initiation_interval", "schedule_block", "schedule_loop"),
+    ".ilp": ("IlpOptions", "IlpSearchResult"),
+    ".sched": ("InitialConditions", "ModuloScheduleResult", "SearchOptions", "SearchResult",
+        "compute_timing", "list_schedule", "min_initiation_interval", "schedule_block",
+        "schedule_loop"),
     ".verify.certificate": ("check_schedule",),
     ".verify.steady_state": ("check_steady_state",),
     ".service": ("CacheIntegrityError", "CanonicalForm", "ScheduleCache", "SchedulingService",

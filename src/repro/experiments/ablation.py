@@ -99,6 +99,7 @@ def run_a1(
     master_seed: int = 1990,
     machine: Optional[MachineDescription] = None,
     spec: PopulationSpec = PopulationSpec(),
+    engine: str = "fast",
 ) -> A1Result:
     if machine is None:
         machine = paper_simulation_machine()
@@ -112,7 +113,7 @@ def run_a1(
     # optimality-consistency cross-check.
     completed_finals: List[Dict[int, int]] = []
     for label, base in A1_CONFIGS:
-        options = replace(base, curtail=curtail)
+        options = replace(base, curtail=curtail, engine=engine)
         omegas: List[int] = []
         finals: List[int] = []
         done = 0
@@ -199,6 +200,7 @@ def run_a2(
     master_seed: int = 1990,
     machine: Optional[MachineDescription] = None,
     spec: PopulationSpec = PopulationSpec(),
+    engine: str = "fast",
 ) -> A2Result:
     """Find truncated blocks at a modest λ, then raise λ and watch.
 
@@ -209,7 +211,7 @@ def run_a2(
     if machine is None:
         machine = paper_simulation_machine()
     truncated: List[Tuple[DependenceDAG, int]] = []
-    base = SearchOptions(curtail=base_curtail)
+    base = SearchOptions(curtail=base_curtail, engine=engine)
     for gb in sample_population(n_blocks, master_seed, spec):
         if len(gb.block) == 0:
             continue
@@ -220,7 +222,7 @@ def run_a2(
 
     rows: List[A2Row] = []
     for multiplier in multipliers:
-        options = SearchOptions(curtail=base_curtail * multiplier)
+        options = replace(base, curtail=base_curtail * multiplier)
         still = 0
         improved = 0
         finals: List[int] = []

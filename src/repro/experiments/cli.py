@@ -54,7 +54,7 @@ from . import (
     table1,
     table7,
 )
-from .parallel import run_population_parallel
+from .parallel import env_workers, run_population_parallel
 from .runner import population_size
 
 #: Experiments that share the single population run.
@@ -189,13 +189,14 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-experiments") -> i
             parser.error(f"cannot write --stats-json {args.stats_json}: {exc}")
 
     if args.workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
-    elif args.workers == 0:
-        workers = os.cpu_count() or 1
-    else:
-        workers = args.workers
-    if workers < 1:
+        try:
+            workers = env_workers() or 1
+        except ValueError as exc:
+            parser.error(str(exc))
+    elif args.workers < 0:
         parser.error("--workers must be >= 0")
+    else:
+        workers = args.workers or os.cpu_count() or 1
 
     if args.journal and args.resume and args.journal != args.resume:
         parser.error("--journal and --resume must name the same file")
@@ -362,8 +363,9 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-experiments") -> i
 def _render_experiments(wanted, args, records, results) -> None:
     for name in wanted:
         start = time.perf_counter()
+        engine = args.engine
         if name == "table1":
-            result = table1.run()
+            result = table1.run(engine=engine)
         elif name == "table7":
             result = table7.run_from_records(records, args.curtail)
         elif name == "fig1":
@@ -377,23 +379,23 @@ def _render_experiments(wanted, args, records, results) -> None:
         elif name == "fig7":
             result = fig7.run_from_records(records)
         elif name == "ablation-a1":
-            result = ablation.run_a1()
+            result = ablation.run_a1(engine=engine)
         elif name == "ablation-a2":
-            result = ablation.run_a2()
+            result = ablation.run_a2(engine=engine)
         elif name == "ablation-a3":
-            result = prepass.run_a3()
+            result = prepass.run_a3(engine=engine)
         elif name == "kernels":
-            result = kernels.run()
+            result = kernels.run(engine=engine)
         elif name == "loops":
-            result = loops.run()
+            result = loops.run(engine=engine)
         elif name == "stalls":
-            result = stalls.run()
+            result = stalls.run(engine=engine)
         elif name == "machines":
-            result = machines.run()
+            result = machines.run(engine=engine)
         elif name == "extension-x1":
-            result = extension.run_x1()
+            result = extension.run_x1(engine=engine)
         elif name == "extension-x2":
-            result = extension.run_x2()
+            result = extension.run_x2(engine=engine)
         else:  # pragma: no cover
             raise AssertionError(name)
         elapsed = time.perf_counter() - start

@@ -17,7 +17,7 @@ splitting scheduler, comparing NOPs and Ω calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
@@ -101,12 +101,13 @@ def run_x1(
     master_seed: int = 2023,
     machines: Optional[List[MachineDescription]] = None,
     spec: PopulationSpec = PopulationSpec(),
+    engine: str = "fast",
 ) -> X1Result:
     if machines is None:
         from ..machine.presets import asymmetric_units_machine
 
         machines = [paper_example_machine(), asymmetric_units_machine()]
-    options = SearchOptions(curtail=curtail)
+    options = SearchOptions(curtail=curtail, engine=engine)
     rows: List[X1Row] = []
     joint_never_loses = True
     for machine in machines:
@@ -231,6 +232,7 @@ def run_x2(
     curtail: int = 50_000,
     master_seed: int = 7,
     machine: Optional[MachineDescription] = None,
+    engine: str = "fast",
 ) -> X2Result:
     """Schedule large blocks three ways: monolithically with the paper's
     prune set (the 1990 situation section 5.3 worries about),
@@ -249,6 +251,8 @@ def run_x2(
         min_constants=4,
         max_constants=10,
     )
+    paper = replace(SearchOptions.paper(curtail), engine=engine)
+    full = SearchOptions(curtail=curtail, engine=engine)
     paper_mono: List[Tuple[int, int, bool]] = []
     full_mono: List[Tuple[int, int, bool]] = []
     split: List[Tuple[int, int, bool]] = []
@@ -260,12 +264,13 @@ def run_x2(
             break
         dag = DependenceDAG(gb.block)
         sizes.append(len(dag))
-        p = schedule_block(dag, machine, SearchOptions.paper(curtail=curtail))
+        p = schedule_block(dag, machine, paper)
         paper_mono.append((p.final_nops, p.omega_calls, p.completed))
-        f = schedule_block(dag, machine, SearchOptions(curtail=curtail))
+        f = schedule_block(dag, machine, full)
         full_mono.append((f.final_nops, f.omega_calls, f.completed))
         s = schedule_block_split(
-            dag, machine, window=window, curtail_per_window=curtail // 10
+            dag, machine, window=window, curtail_per_window=curtail // 10,
+            engine=engine,
         )
         split.append((s.total_nops, s.omega_calls, s.all_windows_completed))
 

@@ -16,6 +16,7 @@ from typing import List, Optional
 from ..driver import compile_source
 from ..machine.machine import MachineDescription
 from ..machine.presets import paper_simulation_machine
+from ..sched.search import SearchOptions
 from ..synth.kernels import KERNELS
 from .report import format_table, to_csv
 
@@ -85,6 +86,7 @@ class KernelsResult:
 def run(
     machine: Optional[MachineDescription] = None,
     kernels: tuple = KERNELS,
+    engine: str = "fast",
 ) -> KernelsResult:
     if machine is None:
         machine = paper_simulation_machine()
@@ -98,6 +100,7 @@ def run(
                 kernel.source,
                 machine,
                 scheduler=scheduler,
+                options=SearchOptions(engine=engine),
                 verify_memory=kernel.memory,
                 name=kernel.name,
             )

@@ -20,6 +20,7 @@ from typing import List, Optional
 from ..driver import compile_loop
 from ..machine.machine import MachineDescription
 from ..machine.presets import paper_simulation_machine
+from ..sched.search import SearchOptions
 from ..synth.loops import LOOP_KERNELS
 from .report import format_table, to_csv
 
@@ -123,6 +124,7 @@ class LoopsResult:
 def run(
     machine: Optional[MachineDescription] = None,
     kernels: tuple = LOOP_KERNELS,
+    engine: str = "fast",
 ) -> LoopsResult:
     if machine is None:
         machine = paper_simulation_machine()
@@ -131,6 +133,7 @@ def run(
         compiled = compile_loop(
             kernel.source,
             machine,
+            options=SearchOptions(engine=engine),
             verify_memory=kernel.memory,
             name=kernel.name,
         )

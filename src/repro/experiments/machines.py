@@ -114,10 +114,11 @@ def run(
     master_seed: int = 1990,
     machines: Optional[Sequence[MachineDescription]] = None,
     spec: PopulationSpec = PopulationSpec(),
+    engine: str = "fast",
 ) -> MachinesResult:
     if machines is None:
         machines = sweep_machines()
-    options = SearchOptions(curtail=curtail)
+    options = SearchOptions(curtail=curtail, engine=engine)
     dags = [
         DependenceDAG(gb.block)
         for gb in sample_population(n_blocks, master_seed, spec)

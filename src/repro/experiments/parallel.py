@@ -82,12 +82,22 @@ from .runner import (
 CHUNKS_PER_WORKER = 8
 
 
+def env_workers() -> Optional[int]:
+    """``REPRO_WORKERS`` as a worker count (0 = all cores), or None when
+    it is unset or empty.  Any value but a non-negative integer
+    raises ``ValueError`` naming the variable."""
+    env = os.environ.get("REPRO_WORKERS", "").strip()
+    if not env:
+        return None
+    if not env.isdecimal():
+        raise ValueError(f"REPRO_WORKERS must be a non-negative integer, not {env!r}")
+    return int(env) or os.cpu_count() or 1
+
+
 def default_workers() -> int:
     """Worker count: ``REPRO_WORKERS`` if set, else the machine's cores."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    workers = env_workers()
+    return workers if workers is not None else os.cpu_count() or 1
 
 
 def _corrupt_records(records: List[BlockRecord]) -> List[BlockRecord]:

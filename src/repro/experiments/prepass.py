@@ -94,6 +94,7 @@ def run_a3(
     master_seed: int = 1990,
     machine: Optional[MachineDescription] = None,
     spec: PopulationSpec = PopulationSpec(),
+    engine: str = "fast",
 ) -> A3Result:
     """Run the prepass-vs-postpass sweep.
 
@@ -104,7 +105,7 @@ def run_a3(
     """
     if machine is None:
         machine = paper_simulation_machine()
-    options = SearchOptions(curtail=curtail)
+    options = SearchOptions(curtail=curtail, engine=engine)
     blocks = [
         gb.block
         for gb in sample_population(n_blocks, master_seed, spec)

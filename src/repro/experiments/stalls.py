@@ -101,10 +101,11 @@ def run(
     master_seed: int = 1990,
     machine: Optional[MachineDescription] = None,
     spec: PopulationSpec = PopulationSpec(),
+    engine: str = "fast",
 ) -> StallsResult:
     if machine is None:
         machine = paper_simulation_machine()
-    options = SearchOptions(curtail=curtail)
+    options = SearchOptions(curtail=curtail, engine=engine)
     naive_totals: Dict[str, int] = {}
     optimal_totals: Dict[str, int] = {}
     count = 0

@@ -33,7 +33,7 @@ no size correlation (structure, not size, governs the space — section
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..ir.dag import COUNT_CAPPED, DependenceDAG
@@ -149,20 +149,19 @@ def run(
     master_seed: int = 1701,
     machine: Optional[MachineDescription] = None,
     curtail: int = 200_000,
+    engine: str = "fast",
 ) -> Table1Result:
     """Run the Table 1 experiment."""
     if machine is None:
         machine = paper_simulation_machine()
+    paper = replace(SearchOptions.paper(curtail), engine=engine)
+    full = SearchOptions(curtail=curtail, engine=engine)
     rows: List[Table1Row] = []
     for dag in _blocks_of_sizes(sizes, master_seed):
         n = len(dag)
         legal = count_legal_orders(dag, LEGAL_COUNT_CAP)
-        paper_result = schedule_block(
-            dag, machine, SearchOptions.paper(curtail=curtail)
-        )
-        full_result = schedule_block(
-            dag, machine, SearchOptions(curtail=curtail)
-        )
+        paper_result = schedule_block(dag, machine, paper)
+        full_result = schedule_block(dag, machine, full)
         rows.append(
             Table1Row(
                 size=n,

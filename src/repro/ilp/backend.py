@@ -39,9 +39,6 @@ class IlpSearchResult(SearchResult):
     a true optimality gap.
     """
 
-    #: Backend provenance (``ScheduleOutcome`` protocol).
-    provenance = "ilp"
-
     #: Root LP optimum in NOPs (makespan relaxation minus ``n - 1``).
     lp_relaxation: float = 0.0
     #: Certified lower bound on the optimal NOP count.
@@ -170,30 +167,4 @@ def run_ilp_search(
         lower_bound=lower_bound,
         nodes=outcome.nodes,
         lp_pivots=outcome.pivots,
-    )
-
-
-def schedule_block_ilp(
-    dag,
-    machine,
-    options=None,
-    ilp_options: Optional[IlpOptions] = None,
-    assignment=None,
-    seed=None,
-    initial_conditions=None,
-    telemetry=None,
-) -> IlpSearchResult:
-    """Convenience wrapper: ``schedule_block(..., backend="ilp")``."""
-    from ..sched.search import SearchOptions, schedule_block
-
-    return schedule_block(
-        dag,
-        machine,
-        options if options is not None else SearchOptions(),
-        assignment=assignment,
-        seed=seed,
-        initial_conditions=initial_conditions,
-        telemetry=telemetry,
-        backend="ilp",
-        ilp_options=ilp_options,
     )

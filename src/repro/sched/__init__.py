@@ -12,8 +12,8 @@ __all__, __getattr__, __dir__ = _lazy_namespace(globals(), {
     ".heuristics": ("greedy_schedule", "gross_schedule"),
     ".exhaustive": ("LEGAL_COUNT_CAP", "LegalSearchResult", "count_legal_orders",
         "exhaustive_search_size", "iter_legal_orders", "legal_only_search"),
-    ".search": ("DEFAULT_CURTAIL", "ScheduleOutcome", "ScheduleRequest", "SearchOptions",
-        "SearchResult", "schedule_block", "unsupported_backend_option"),
+    ".search": ("DEFAULT_CURTAIL", "SearchOptions", "SearchResult", "schedule_block",
+        "unsupported_backend_option"),
     ".pipelining": ("DEFAULT_PLACEMENT_BUDGET", "MiiReport", "ModuloScheduleResult",
         "min_initiation_interval", "modulo_feasible", "schedule_loop", "steady_state_offsets"),
     ".multi": ("MultiScheduleResult", "round_robin_assignment", "schedule_block_multi"),

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from operator import add
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..ir.dag import DependenceDAG
 from ..ir.loop import LoopBlock, LoopCarriedDep
@@ -52,12 +52,11 @@ from .list_scheduler import list_schedule
 from .nop_insertion import (
     InitialConditions,
     PipelineAssignment,
-    ScheduleTiming,
     SigmaResolver,
     carry_out,
     compute_timing,
 )
-from .search import ScheduleRequest, SearchOptions, schedule_block
+from .search import SearchOptions, schedule_block
 
 if TYPE_CHECKING:
     from ..telemetry import Telemetry
@@ -497,9 +496,7 @@ def _find_kernel(
 # The result
 # ----------------------------------------------------------------------
 class ModuloScheduleResult(Record):
-    """Outcome of one modulo-scheduling run (``ScheduleOutcome``
-    protocol: ``schedule`` / ``objective`` / ``provenance`` /
-    ``elapsed_seconds`` / ``completed``)."""
+    """Outcome of one modulo-scheduling run."""
 
     __slots__ = ("loop", "ii", "mii", "res_mii", "rec_mii", "offsets", "list_ii", "completed",
                  "searched", "placements", "omega_calls", "elapsed_seconds", "assignment")
@@ -532,15 +529,7 @@ class ModuloScheduleResult(Record):
         setslot(self, "elapsed_seconds", elapsed_seconds)
         setslot(self, "assignment", assignment)
 
-    #: Backend provenance (``ScheduleOutcome`` protocol).
-    provenance = "modulo"
-
     # ------------------------------------------------------------------
-    @property
-    def objective(self) -> int:
-        """The minimized integer — the initiation interval."""
-        return self.ii
-
     @property
     def stage_count(self) -> int:
         """Stages (iterations simultaneously in flight in steady state)."""
@@ -555,21 +544,6 @@ class ModuloScheduleResult(Record):
         for z, off in self.offsets.items():
             slots[off % self.ii] = z
         return tuple(slots)
-
-    @property
-    def schedule(self) -> ScheduleTiming:
-        """The kernel window as a :class:`ScheduleTiming`
-        (``ScheduleOutcome`` protocol): body tuples in slot order with
-        the window's NOP gaps as etas."""
-        pairs = sorted((off % self.ii, z) for z, off in self.offsets.items())
-        order = tuple(z for _, z in pairs)
-        issue_times = tuple(slot for slot, _ in pairs)
-        etas = []
-        previous = -1
-        for slot in issue_times:
-            etas.append(slot - previous - 1)
-            previous = slot
-        return ScheduleTiming(order, tuple(etas), issue_times)
 
     # ------------------------------------------------------------------
     def stream(self, trip_count: int) -> List[Tuple[int, int, int]]:
@@ -620,23 +594,16 @@ class ModuloScheduleResult(Record):
 # The entry point
 # ----------------------------------------------------------------------
 def schedule_loop(
-    loop: Union[LoopBlock, ScheduleRequest],
-    machine: Optional[MachineDescription] = None,
+    loop: LoopBlock,
+    machine: MachineDescription,
     options: SearchOptions = SearchOptions(),
     assignment: Optional[PipelineAssignment] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: Optional[str] = None,
     backend: str = "search",
     ilp_options=None,
     placement_budget: int = DEFAULT_PLACEMENT_BUDGET,
 ) -> ModuloScheduleResult:
     """Find a minimum-II modulo schedule of ``loop`` for ``machine``.
-
-    Accepts either a :class:`~repro.ir.loop.LoopBlock` with the legacy
-    keyword arguments or a complete
-    :class:`~repro.sched.search.ScheduleRequest` carrying one (the
-    unified request API; only ``telemetry`` / ``placement_budget`` may
-    be combined with a request).
 
     The procedure:
 
@@ -644,7 +611,7 @@ def schedule_loop(
     2. price two always-feasible incumbents by steady-state fixpoint
        (:func:`steady_state_offsets`): the list-schedule order (whose II
        becomes ``list_ii``) and the ``schedule_block``-optimal body
-       order — ``engine``/``backend``/``options`` select and configure
+       order — ``backend``/``options`` select and configure
        the underlying block engine exactly as for straight-line code;
     3. for each candidate ``II`` from MII up to the incumbent, run the
        complete modulo placement search (:func:`_find_kernel`) seeded
@@ -656,41 +623,6 @@ def schedule_loop(
     optimality proofs.  ``ii <= list_ii`` holds by construction.
     """
     start = time.perf_counter()
-    if isinstance(loop, ScheduleRequest):
-        request = loop
-        overridden = [
-            name
-            for name, value, default in (
-                ("machine", machine, None),
-                ("options", options, SearchOptions()),
-                ("assignment", assignment, None),
-                ("engine", engine, None),
-                ("backend", backend, "search"),
-                ("ilp_options", ilp_options, None),
-            )
-            if value != default
-        ]
-        if overridden:
-            raise ValueError(
-                "pass either a ScheduleRequest or the legacy keyword "
-                f"arguments, not both (also given: {', '.join(overridden)})"
-            )
-        if not request.is_loop:
-            raise TypeError(
-                "this request's problem is not a LoopBlock; use "
-                "schedule_block for straight-line problems"
-            )
-        machine = request.machine
-        options = request.options
-        assignment = request.assignment
-        engine = request.engine
-        backend = request.backend
-        ilp_options = request.ilp_options
-        loop = request.loop
-    if machine is None:
-        raise TypeError(
-            "machine is required unless a ScheduleRequest is passed"
-        )
     if len(loop.body) == 0:
         raise ValueError("cannot modulo-schedule an empty loop body")
 
@@ -712,7 +644,6 @@ def schedule_loop(
         options,
         assignment=assignment,
         telemetry=telemetry,
-        engine=engine,
         backend=backend,
         ilp_options=ilp_options,
     )

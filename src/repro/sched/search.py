@@ -84,21 +84,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
-from ..record import Record, setslot
 from .list_scheduler import list_schedule, program_order
 from .nop_insertion import (
     InitialConditions,
@@ -108,7 +98,6 @@ from .nop_insertion import (
 )
 
 if TYPE_CHECKING:
-    from ..ir.loop import LoopBlock
     from ..telemetry import Telemetry
 
 #: Default curtail point; the paper found λ on the order of 1,000
@@ -222,103 +211,6 @@ def unsupported_backend_option(backend: str, field_name: str) -> ValueError:
     return error
 
 
-class ScheduleRequest(Record):
-    """One self-contained scheduling problem: what to schedule, on which
-    machine, under which configuration.
-
-    The unified request form accepted by :func:`schedule_block`, the new
-    loop entry :func:`repro.sched.pipelining.schedule_loop`, and the
-    service fingerprint path
-    (:func:`repro.service.fingerprint.fingerprint_problem`) — one object
-    to build, log, and hand around instead of a sprawl of keyword
-    arguments.  The legacy keyword signatures remain as thin wrappers
-    that build a request internally; nothing is deprecated.
-
-    ``problem`` is a :class:`~repro.ir.dag.DependenceDAG` or
-    :class:`~repro.ir.block.BasicBlock` for block scheduling, or a
-    :class:`~repro.ir.loop.LoopBlock` for modulo loop scheduling.
-    """
-
-    __slots__ = ("problem", "machine", "options", "backend", "engine", "assignment", "seed",
-                 "initial_conditions", "ilp_options", "_dag")
-
-    def __init__(self, problem: Union[DependenceDAG, BasicBlock, LoopBlock],
-                 machine: MachineDescription, options: SearchOptions = SearchOptions(),
-                 backend: str = "search", engine: Optional[str] = None,
-                 assignment: Optional[PipelineAssignment] = None,
-                 seed: Optional[Tuple[int, ...]] = None,
-                 initial_conditions: Optional[InitialConditions] = None,
-                 ilp_options: Optional[object] = None):
-        setslot(self, "problem", problem)
-        setslot(self, "machine", machine)
-        setslot(self, "options", options)
-        setslot(self, "backend", backend)
-        setslot(self, "engine", engine)
-        setslot(self, "assignment", assignment)
-        setslot(self, "seed", None if seed is None else tuple(seed))
-        setslot(self, "initial_conditions", initial_conditions)
-        setslot(self, "ilp_options", ilp_options)
-        setslot(self, "_dag", None)
-        if self.is_loop:
-            # Loop requests only: block requests never load the loop IR.
-            from ..ir.loop import LoopBlock
-
-            if not isinstance(problem, LoopBlock):
-                raise TypeError("problem must be a DependenceDAG, BasicBlock or LoopBlock, "
-                                f"not {type(problem).__name__}")
-        if backend not in ("search", "ilp"):
-            raise ValueError(f"unknown scheduling backend {backend!r} (expected 'search' or 'ilp')")
-        if engine is not None:
-            check_engine(engine)
-
-    @property
-    def is_loop(self) -> bool:
-        return not isinstance(self.problem, (DependenceDAG, BasicBlock))
-
-    @property
-    def dag(self) -> DependenceDAG:
-        """The problem as a dependence DAG (built once, on demand, from a
-        block; a loop request exposes its *body* DAG)."""
-        if self._dag is None:
-            problem = self.problem
-            if not isinstance(problem, DependenceDAG):
-                problem = DependenceDAG(problem.body if self.is_loop else problem)
-            setslot(self, "_dag", problem)
-        return self._dag
-
-    @property
-    def loop(self) -> LoopBlock:
-        if not self.is_loop:
-            raise TypeError("this request's problem is not a LoopBlock")
-        return self.problem
-
-
-@runtime_checkable
-class ScheduleOutcome(Protocol):
-    """The protocol every scheduling result satisfies.
-
-    :class:`SearchResult`, :class:`repro.ilp.backend.IlpSearchResult`
-    and :class:`repro.sched.pipelining.ModuloScheduleResult` all expose:
-
-    * ``schedule`` — the winning :class:`ScheduleTiming` (for a loop
-      result, the steady-state kernel window);
-    * ``objective`` — the minimized integer (total NOPs for blocks, the
-      initiation interval for loops);
-    * ``provenance`` — which backend produced it (``"search"``,
-      ``"ilp"``, ``"modulo"``);
-    * ``elapsed_seconds`` / ``completed`` — wall time and whether the
-      result is provably optimal.
-
-    ``isinstance(result, ScheduleOutcome)`` works at runtime.
-    """
-
-    schedule: ScheduleTiming
-    objective: int
-    provenance: str
-    elapsed_seconds: float
-    completed: bool
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of one optimal-scheduling run."""
@@ -336,27 +228,10 @@ class SearchResult:
     #: Prune events by kind (see ``repro.prunes.PRUNE_KINDS``).
     prune_counts: Mapping[str, int] = field(default_factory=dict)
 
-    #: Backend provenance (:class:`ScheduleOutcome` protocol).  The ILP
-    #: subclass overrides this with ``"ilp"``, the modulo scheduler's
-    #: result carries ``"modulo"``.
-    provenance = "search"
-
     @property
     def optimal(self) -> bool:
         """Provably optimal (alias of ``completed``)."""
         return self.completed
-
-    @property
-    def schedule(self) -> ScheduleTiming:
-        """The winning timing (:class:`ScheduleOutcome` protocol; alias
-        of ``best``)."""
-        return self.best
-
-    @property
-    def objective(self) -> int:
-        """The minimized integer — total NOPs (:class:`ScheduleOutcome`
-        protocol; alias of ``final_nops``)."""
-        return self.best.total_nops
 
     @property
     def initial_nops(self) -> int:
@@ -407,14 +282,13 @@ class _Curtailed(Exception):
 
 
 def schedule_block(
-    dag: Union[DependenceDAG, ScheduleRequest],
-    machine: Optional[MachineDescription] = None,
+    dag: Union[DependenceDAG, BasicBlock],
+    machine: MachineDescription,
     options: SearchOptions = SearchOptions(),
     assignment: Optional[PipelineAssignment] = None,
     seed: Optional[Sequence[int]] = None,
     initial_conditions: Optional[InitialConditions] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: Optional[str] = None,
     backend: str = "search",
     ilp_options=None,
 ) -> SearchResult:
@@ -423,16 +297,19 @@ def schedule_block(
     Parameters
     ----------
     dag:
-        Dependence DAG of the block to schedule — or a complete
-        :class:`ScheduleRequest`, in which case every other
-        problem-defining parameter must stay at its default (only
-        ``telemetry`` may be combined with a request).
+        Dependence DAG of the block to schedule (a
+        :class:`~repro.ir.block.BasicBlock` is lowered to one).
     machine:
         Target machine description; must be deterministic (every
         operation on at most one pipeline) unless ``assignment`` pins
         each tuple's pipeline (used by the multi-pipeline extension).
     options:
-        Search configuration (curtail point, prune toggles).
+        Search configuration (curtail point, prune toggles, engine).
+        ``options.engine`` is one of :data:`ENGINES`.  All engines
+        return bit-for-bit identical results (everything except
+        ``elapsed_seconds``); ``"native"`` degrades to ``"fast"`` when no
+        C compiler is available, with a one-line stderr notice once per
+        process.  See :mod:`repro.sched.core` and :mod:`repro.native`.
     assignment:
         Optional per-tuple pipeline assignment.
     seed:
@@ -444,20 +321,14 @@ def schedule_block(
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` registry; the
         search's prune counters and wall time are folded into it.
-    engine:
-        One of :data:`ENGINES`; overrides ``options.engine``.  All
-        engines return bit-for-bit identical results (everything except
-        ``elapsed_seconds``); ``"native"`` degrades to ``"fast"`` when no
-        C compiler is available, with a one-line stderr notice once per
-        process.  See :mod:`repro.sched.core` and :mod:`repro.native`.
     backend:
         ``"search"`` (this module's branch-and-bound over orders) or
         ``"ilp"`` (the time-indexed ILP witness in :mod:`repro.ilp`,
         which proves the incumbent optimal or beats it and returns an
         ``IlpSearchResult`` carrying its LP dual bound).  The ILP
-        backend supports neither an ``engine`` override nor
-        ``max_live``; both raise the structured ``ValueError`` of
-        :func:`unsupported_backend_option`, naming the field.
+        backend ignores ``options.engine`` and does not support
+        ``max_live``, which raises the structured ``ValueError`` of
+        :func:`unsupported_backend_option`.
     ilp_options:
         Optional :class:`repro.ilp.IlpOptions` budgets; only meaningful
         with ``backend="ilp"``.
@@ -471,47 +342,8 @@ def schedule_block(
         truncated the search and ``best`` is the incumbent.
     """
     start = time.perf_counter()
-    if isinstance(dag, ScheduleRequest):
-        request = dag
-        overridden = [
-            name
-            for name, value, default in (
-                ("machine", machine, None),
-                ("options", options, SearchOptions()),
-                ("assignment", assignment, None),
-                ("seed", seed, None),
-                ("initial_conditions", initial_conditions, None),
-                ("engine", engine, None),
-                ("backend", backend, "search"),
-                ("ilp_options", ilp_options, None),
-            )
-            if value != default
-        ]
-        if overridden:
-            raise ValueError(
-                "pass either a ScheduleRequest or the legacy keyword "
-                f"arguments, not both (also given: {', '.join(overridden)})"
-            )
-        if request.is_loop:
-            raise TypeError(
-                "this request carries a LoopBlock; use "
-                "repro.sched.pipelining.schedule_loop for loop problems"
-            )
-        dag = request.dag
-        machine = request.machine
-        options = request.options
-        assignment = request.assignment
-        seed = request.seed
-        initial_conditions = request.initial_conditions
-        engine = request.engine
-        backend = request.backend
-        ilp_options = request.ilp_options
-    elif isinstance(dag, BasicBlock):
+    if isinstance(dag, BasicBlock):
         dag = DependenceDAG(dag)
-    if machine is None:
-        raise TypeError(
-            "machine is required unless a ScheduleRequest is passed"
-        )
     n = len(dag)
     if backend not in ("search", "ilp"):
         raise ValueError(
@@ -519,9 +351,7 @@ def schedule_block(
         )
     if backend == "ilp" and options.max_live is not None:
         raise unsupported_backend_option("ilp", "max_live")
-    if backend == "ilp" and engine is not None:
-        raise unsupported_backend_option("ilp", "engine")
-    engine_name = check_engine(options.engine if engine is None else engine)
+    engine_name = options.engine
     if engine_name != "reference":
         from .core import resolve_engine
 

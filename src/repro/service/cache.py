@@ -364,7 +364,6 @@ class ScheduleCache:
         seed: Optional[Sequence[int]] = None,
         initial_conditions: Optional[InitialConditions] = None,
         telemetry: Optional[Telemetry] = None,
-        engine: Optional[str] = None,
     ) -> SearchResult:
         """Cached :func:`repro.sched.search.schedule_block`."""
         return self.schedule_with_status(
@@ -375,7 +374,6 @@ class ScheduleCache:
             seed=seed,
             initial_conditions=initial_conditions,
             telemetry=telemetry,
-            engine=engine,
         )[0]
 
     def schedule_with_status(
@@ -387,7 +385,6 @@ class ScheduleCache:
         seed: Optional[Sequence[int]] = None,
         initial_conditions: Optional[InitialConditions] = None,
         telemetry: Optional[Telemetry] = None,
-        engine: Optional[str] = None,
     ) -> Tuple[SearchResult, str]:
         """Like :meth:`schedule`, plus the lookup provenance.
 
@@ -407,7 +404,6 @@ class ScheduleCache:
                 seed=seed,
                 initial_conditions=initial_conditions,
                 telemetry=telemetry,
-                engine=engine,
             )
             return result, BYPASS
 
@@ -426,7 +422,6 @@ class ScheduleCache:
             seed=seed,
             initial_conditions=initial_conditions,
             telemetry=telemetry,
-            engine=engine,
         )
         if telemetry is not None:
             telemetry.count("service.cache.misses")

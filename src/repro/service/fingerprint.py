@@ -64,7 +64,7 @@ from ..sched.nop_insertion import (
     PipelineAssignment,
     SigmaResolver,
 )
-from ..sched.search import ScheduleRequest, SearchOptions
+from ..sched.search import SearchOptions
 
 try:
     # CPython's own SHA-256: ``hashlib`` would map OpenSSL's libcrypto
@@ -214,54 +214,14 @@ def canonical_payload(
 
 
 def fingerprint_problem(
-    dag,
-    machine: Optional[MachineDescription] = None,
+    dag: DependenceDAG,
+    machine: MachineDescription,
     options: SearchOptions = SearchOptions(),
     assignment: Optional[PipelineAssignment] = None,
     seed: Optional[Sequence[int]] = None,
     initial_conditions: Optional[InitialConditions] = None,
 ) -> CanonicalForm:
-    """Hash a scheduling problem into its canonical cache key.
-
-    Accepts either the legacy ``(dag, machine, ...)`` arguments or a
-    complete :class:`~repro.sched.search.ScheduleRequest` as the sole
-    argument (the unified request API) — the same problem produces the
-    same key through either spelling.  Loop requests are rejected: the
-    result cache stores straight-line ``SearchResult`` payloads only.
-    """
-    if isinstance(dag, ScheduleRequest):
-        request = dag
-        overridden = [
-            name
-            for name, value, default in (
-                ("machine", machine, None),
-                ("options", options, SearchOptions()),
-                ("assignment", assignment, None),
-                ("seed", seed, None),
-                ("initial_conditions", initial_conditions, None),
-            )
-            if value != default
-        ]
-        if overridden:
-            raise ValueError(
-                "pass either a ScheduleRequest or the legacy keyword "
-                f"arguments, not both (also given: {', '.join(overridden)})"
-            )
-        if request.is_loop:
-            raise TypeError(
-                "loop scheduling problems are not fingerprinted: the "
-                "result cache stores straight-line SearchResult payloads"
-            )
-        machine = request.machine
-        options = request.options
-        assignment = request.assignment
-        seed = request.seed
-        initial_conditions = request.initial_conditions
-        dag = request.dag
-    if machine is None:
-        raise TypeError(
-            "machine is required unless a ScheduleRequest is passed"
-        )
+    """Hash a scheduling problem into its canonical cache key."""
     payload = canonical_payload(
         dag, machine, options, assignment, seed, initial_conditions
     )

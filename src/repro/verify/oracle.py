@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.block import BasicBlock
@@ -298,9 +298,8 @@ def check_block(
                     schedule_block(
                         dag,
                         machine,
-                        options,
+                        replace(options, engine=twin_engine),
                         assignment=assignment,
-                        engine=twin_engine,
                     ),
                 )
             )

@@ -50,15 +50,12 @@ EXPECTED_SURFACE = sorted(
         "IlpSearchResult",
         "InitialConditions",
         "ModuloScheduleResult",
-        "ScheduleOutcome",
-        "ScheduleRequest",
         "SearchOptions",
         "SearchResult",
         "compute_timing",
         "list_schedule",
         "min_initiation_interval",
         "schedule_block",
-        "schedule_block_ilp",
         "schedule_loop",
         # verification
         "check_schedule",
@@ -96,13 +93,12 @@ def test_every_name_resolves(name):
 def test_facade_agrees_with_submodules():
     # Spot-check that the facade re-exports the real objects, not copies.
     from repro.sched.pipelining import ModuloScheduleResult, schedule_loop
-    from repro.sched.search import ScheduleRequest, schedule_block
+    from repro.sched.search import schedule_block
     from repro.service.cache import ScheduleCache
 
     assert api.schedule_block is schedule_block
     assert api.ScheduleCache is ScheduleCache
     assert api.schedule_loop is schedule_loop
-    assert api.ScheduleRequest is ScheduleRequest
     assert api.ModuloScheduleResult is ModuloScheduleResult
 
 

@@ -184,8 +184,8 @@ def test_search_is_optimal_under_carry_in_releases(block, machine, paper, data):
     options = SearchOptions.paper() if paper else SearchOptions()
     for engine in ENGINES:
         result = schedule_block(
-            dag, machine, options, assignment=assignment,
-            initial_conditions=initial, engine=engine,
+            dag, machine, replace(options, engine=engine),
+            assignment=assignment, initial_conditions=initial,
         )
         assert result.completed and result.final_nops == optimum, engine
         report = check_schedule(
@@ -211,7 +211,7 @@ def test_equivalence_prune_respects_releases(engine, options):
     )
     dag = DependenceDAG(parse_block("1: Load #a\n2: Load #b\n3: Add 1, 2"))
     result = schedule_block(
-        dag, machine, options, engine=engine,
+        dag, machine, replace(options, engine=engine),
         initial_conditions=InitialConditions(variable_ready={"a": 5}),
     )
     assert result.completed

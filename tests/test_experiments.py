@@ -178,12 +178,12 @@ class TestExtensions:
         from repro.experiments import cli
 
         losing = extension.X1Result([], n_blocks=0, joint_never_loses=False)
-        monkeypatch.setattr(extension, "run_x1", lambda: losing)
+        monkeypatch.setattr(extension, "run_x1", lambda **_: losing)
         assert cli.main(["extension-x1"]) == 1
         assert "lost to a pinned policy" in capsys.readouterr().err
         monkeypatch.setattr(
             extension, "run_x1",
-            lambda: extension.X1Result([], n_blocks=0, joint_never_loses=True),
+            lambda **_: extension.X1Result([], n_blocks=0, joint_never_loses=True),
         )
         assert cli.main(["extension-x1"]) == 0
 

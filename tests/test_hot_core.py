@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +70,7 @@ def _run_all(dag, machine, options, assignment=None, **kwargs):
     """Run every engine; assert pairwise bit-for-bit equality."""
     results = {
         name: schedule_block(
-            dag, machine, options, assignment=assignment, engine=name,
+            dag, machine, replace(options, engine=name), assignment=assignment,
             **kwargs,
         )
         for name in ENGINES
@@ -152,15 +153,15 @@ def test_memo_eviction_degrades_gracefully():
     for gb in members:
         dag = DependenceDAG(gb.block)
         fast = schedule_block(
-            dag, machine, options, telemetry=telemetry, engine="fast"
+            dag, machine, replace(options, engine="fast"), telemetry=telemetry
         )
-        ref = schedule_block(dag, machine, options, engine="reference")
-        nat = schedule_block(dag, machine, options, engine="native")
+        ref = schedule_block(dag, machine, replace(options, engine="reference"))
+        nat = schedule_block(dag, machine, replace(options, engine="native"))
         assert _fields(fast) == _fields(ref)
         assert _fields(nat) == _fields(ref)
         evicted_anywhere = evicted_anywhere or fast.memo_evicted > 0
         # A starved memo may only cost omega calls, never quality.
-        full = schedule_block(dag, machine, baseline, engine="fast")
+        full = schedule_block(dag, machine, replace(baseline, engine="fast"))
         assert fast.completed and full.completed
         assert fast.final_nops == full.final_nops
         assert fast.omega_calls >= full.omega_calls
@@ -244,19 +245,7 @@ def test_engine_option_validation():
     machine, members = _population(3, seed=1)
     dag = DependenceDAG(members[0].block)
     with pytest.raises(ValueError, match="unknown search engine"):
-        schedule_block(dag, machine, SearchOptions(), engine="turbo")
-    with pytest.raises(ValueError, match="unknown search engine"):
         schedule_block_split(dag, machine, engine="turbo")
-
-
-def test_engine_override_beats_options():
-    """The per-call ``engine=`` argument overrides ``options.engine``."""
-    machine, members = _population(5, seed=2)
-    dag = DependenceDAG(members[0].block)
-    options = SearchOptions(engine="reference")
-    fast = schedule_block(dag, machine, options, engine="fast")
-    ref = schedule_block(dag, machine, options)
-    assert _fields(fast) == _fields(ref)
 
 
 # ----------------------------------------------------------------------
@@ -318,12 +307,12 @@ def test_vector_alias_runs_fast(monkeypatch, capsys):
     ``search.engine_fallbacks`` count per call."""
     machine, members = _population(6, seed=21)
     dag = DependenceDAG(members[0].block)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
+    fast = schedule_block(dag, machine, SearchOptions(engine="fast"))
     split_fast = schedule_block_split(dag, machine, window=4, engine="fast")
     monkeypatch.setattr(core, "_removed_engine_warned", False)
     telemetry = Telemetry()
     vec1 = schedule_block(
-        dag, machine, SearchOptions(), engine="vector", telemetry=telemetry
+        dag, machine, SearchOptions(engine="vector"), telemetry=telemetry
     )
     vec2 = schedule_block(
         dag, machine, SearchOptions(engine="vector"), telemetry=telemetry
@@ -351,7 +340,7 @@ import json, sys
 from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
 from repro.machine.presets import get_machine
-from repro.sched.search import schedule_block
+from repro.sched.search import SearchOptions, schedule_block
 
 def fields(r):
     return (r.best, r.initial, r.omega_calls, r.completed, r.improvements,
@@ -359,9 +348,9 @@ def fields(r):
 
 dag = DependenceDAG(parse_block(sys.stdin.read()))
 machine = get_machine("paper-simulation")
-fast = schedule_block(dag, machine, engine="fast")
+fast = schedule_block(dag, machine, SearchOptions(engine="fast"))
 loaded = "repro.sched.dfs" in sys.modules
-reference = schedule_block(dag, machine, engine="reference")
+reference = schedule_block(dag, machine, SearchOptions(engine="reference"))
 print(json.dumps({"proved_by_bound": fast.proved_by_bound, "dfs_loaded": loaded,
                   "same": fields(fast) == fields(reference)}))
 """

@@ -25,7 +25,6 @@ from repro.ilp import (
     LinearProgram,
     ModelTables,
     TimeIndexedModel,
-    schedule_block_ilp,
     solve,
 )
 from repro.ilp.simplex import PIVOT_LIMIT, UNBOUNDED
@@ -33,7 +32,7 @@ from repro.ir.dag import COUNT_CAPPED, DependenceDAG
 from repro.sched.core import _Flat
 from repro.sched.exhaustive import count_legal_orders
 from repro.sched.nop_insertion import SigmaResolver
-from repro.sched.search import SearchOptions, schedule_block
+from repro.sched.search import SearchOptions, schedule_block, unsupported_backend_option
 from repro.verify.brute import brute_force_optimum
 from repro.verify.certificate import check_schedule
 
@@ -235,7 +234,7 @@ def test_too_small_horizon_raises(figure3_block, sim_machine):
 def test_ilp_backend_on_figure3(figure3_block, sim_machine):
     dag = DependenceDAG(figure3_block)
     search = schedule_block(dag, sim_machine)
-    ilp = schedule_block_ilp(dag, sim_machine)
+    ilp = schedule_block(dag, sim_machine, backend="ilp")
     assert ilp.completed
     assert ilp.final_nops == search.final_nops == 2
     assert ilp.lower_bound == ilp.final_nops
@@ -253,18 +252,27 @@ def test_ilp_backend_trivial_block(sim_machine):
     from repro.ir import parse_block
 
     dag = DependenceDAG(parse_block("1: Load #a"))
-    ilp = schedule_block_ilp(dag, sim_machine)
+    ilp = schedule_block(dag, sim_machine, backend="ilp")
     assert ilp.completed
     assert ilp.nodes == 0
     assert ilp.lower_bound == ilp.final_nops
 
 
+def test_unsupported_backend_option_shape():
+    error = unsupported_backend_option("ilp", "max_live")
+    assert error.backend == "ilp"
+    assert error.field == "max_live"
+    assert "'ilp'" in str(error) and "'max_live'" in str(error)
+
+
 def test_ilp_backend_rejects_register_budget(figure3_block, sim_machine):
     dag = DependenceDAG(figure3_block)
-    with pytest.raises(ValueError, match="max_live"):
+    with pytest.raises(ValueError, match="max_live") as excinfo:
         schedule_block(
             dag, sim_machine, SearchOptions(max_live=4), backend="ilp"
         )
+    assert excinfo.value.backend == "ilp"
+    assert excinfo.value.field == "max_live"
 
 
 def test_unknown_backend_rejected(figure3_block, sim_machine):
@@ -278,7 +286,7 @@ def test_ilp_never_worse_than_its_seed(figure3_block, sim_machine):
     # Seed with the worst list order (program order): the ILP must match
     # or improve it, and its `initial` records the seed's pricing.
     seed = tuple(dag.idents)
-    ilp = schedule_block_ilp(dag, sim_machine, seed=seed)
+    ilp = schedule_block(dag, sim_machine, seed=seed, backend="ilp")
     assert ilp.initial.order == seed
     assert ilp.final_nops <= ilp.initial_nops
 
@@ -293,8 +301,8 @@ def test_ilp_matches_brute_force_optimum(block, machine):
         machine = machine.fixed_assignment()
     dag = DependenceDAG(block)
     assume(count_legal_orders(dag, cap=ENUM_CAP) != COUNT_CAPPED)
-    ilp = schedule_block_ilp(
-        dag, machine, ilp_options=IlpOptions(max_nodes=600)
+    ilp = schedule_block(
+        dag, machine, backend="ilp", ilp_options=IlpOptions(max_nodes=600)
     )
     brute = brute_force_optimum(block, machine)
     assert brute.exhausted

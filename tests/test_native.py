@@ -22,6 +22,7 @@ skip.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -97,7 +98,7 @@ def test_native_matches_every_engine(block, machine):
     assignment = _assignment_for(dag, machine)
     results = {
         name: schedule_block(
-            dag, machine, SearchOptions(), assignment=assignment, engine=name
+            dag, machine, SearchOptions(engine=name), assignment=assignment
         )
         for name in ("native", "fast", "reference")
     }
@@ -116,16 +117,14 @@ def test_native_matches_paper_prunes(block, machine):
     ref = schedule_block(
         dag,
         machine,
-        SearchOptions.paper(),
+        replace(SearchOptions.paper(), engine="reference"),
         assignment=assignment,
-        engine="reference",
     )
     nat = schedule_block(
         dag,
         machine,
-        SearchOptions.paper(),
+        replace(SearchOptions.paper(), engine="native"),
         assignment=assignment,
-        engine="native",
     )
     assert _fields(nat) == _fields(ref)
 
@@ -154,10 +153,10 @@ def test_native_register_budget_matches():
     for gb in members:
         dag = DependenceDAG(gb.block)
         try:
-            fast = schedule_block(dag, machine, options, engine="fast")
+            fast = schedule_block(dag, machine, replace(options, engine="fast"))
         except ValueError:
             continue  # seed itself exceeds the budget
-        nat = schedule_block(dag, machine, options, engine="native")
+        nat = schedule_block(dag, machine, replace(options, engine="native"))
         assert _fields(nat) == _fields(fast)
         compared += 1
     assert compared, "population never fit a max_live=6 budget"
@@ -174,8 +173,8 @@ def test_native_curtail_truncates_identically():
     saw_truncation = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
-        nat = schedule_block(dag, machine, options, engine="native")
+        fast = schedule_block(dag, machine, replace(options, engine="fast"))
+        nat = schedule_block(dag, machine, replace(options, engine="native"))
         assert _fields(nat) == _fields(fast)
         saw_truncation = saw_truncation or not fast.completed
     assert saw_truncation, "curtail=1 never truncated a search"
@@ -189,8 +188,8 @@ def test_native_time_limit_honored():
     saw_timeout = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
-        nat = schedule_block(dag, machine, options, engine="native")
+        fast = schedule_block(dag, machine, replace(options, engine="fast"))
+        nat = schedule_block(dag, machine, replace(options, engine="native"))
         assert _fields(nat) == _fields(fast)
         if nat.timed_out:
             saw_timeout = True
@@ -206,8 +205,8 @@ def test_native_memo_eviction_matches():
     evicted_anywhere = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
-        nat = schedule_block(dag, machine, options, engine="native")
+        fast = schedule_block(dag, machine, replace(options, engine="fast"))
+        nat = schedule_block(dag, machine, replace(options, engine="native"))
         assert _fields(nat) == _fields(fast)
         evicted_anywhere = evicted_anywhere or nat.memo_evicted > 0
     assert evicted_anywhere, "population never overflowed a 4-entry memo"
@@ -220,8 +219,8 @@ def test_native_memo_disabled():
     options = SearchOptions(max_memo_entries=0)
     for gb in members[:8]:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
-        nat = schedule_block(dag, machine, options, engine="native")
+        fast = schedule_block(dag, machine, replace(options, engine="fast"))
+        nat = schedule_block(dag, machine, replace(options, engine="native"))
         assert _fields(nat) == _fields(fast)
         assert nat.completed
 
@@ -299,8 +298,8 @@ def test_corrupted_cache_entry_recompiles(fresh_cache):
     # And the engine actually runs on the recompiled object.
     machine, members = _population(3, seed=2)
     dag = DependenceDAG(members[0].block)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
-    nat = schedule_block(dag, machine, SearchOptions(), engine="native")
+    fast = schedule_block(dag, machine, SearchOptions(engine="fast"))
+    nat = schedule_block(dag, machine, SearchOptions(engine="native"))
     assert _fields(nat) == _fields(fast)
 
 
@@ -340,10 +339,10 @@ def test_native_fallback_without_compiler(no_compiler, capsys):
     the split path included."""
     machine, members = _population(6, seed=21)
     dag = DependenceDAG(members[0].block)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
+    fast = schedule_block(dag, machine, SearchOptions(engine="fast"))
     split_fast = schedule_block_split(dag, machine, window=4, engine="fast")
-    nat1 = schedule_block(dag, machine, SearchOptions(), engine="native")
-    nat2 = schedule_block(dag, machine, SearchOptions(), engine="native")
+    nat1 = schedule_block(dag, machine, SearchOptions(engine="native"))
+    nat2 = schedule_block(dag, machine, SearchOptions(engine="native"))
     split_nat = schedule_block_split(dag, machine, window=4, engine="native")
     err = capsys.readouterr().err
     assert err.count("falling back to 'fast'") == 1, err
@@ -361,7 +360,7 @@ def test_native_fallback_counts_telemetry(no_compiler, capsys):
     dag = DependenceDAG(members[0].block)
     for _ in range(3):
         schedule_block(
-            dag, machine, SearchOptions(), telemetry=telemetry, engine="native"
+            dag, machine, SearchOptions(engine="native"), telemetry=telemetry
         )
     capsys.readouterr()
     assert telemetry.counters["search.engine_fallbacks"] == 3
@@ -395,9 +394,9 @@ def test_compile_failure_is_memoized(tmp_path, monkeypatch, capsys):
     try:
         machine, members = _population(3, seed=2)
         dag = DependenceDAG(members[0].block)
-        fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
-        nat1 = schedule_block(dag, machine, SearchOptions(), engine="native")
-        nat2 = schedule_block(dag, machine, SearchOptions(), engine="native")
+        fast = schedule_block(dag, machine, SearchOptions(engine="fast"))
+        nat1 = schedule_block(dag, machine, SearchOptions(engine="native"))
+        nat2 = schedule_block(dag, machine, SearchOptions(engine="native"))
         err = capsys.readouterr().err
         assert err.count("falling back to 'fast'") == 1
         assert "C compile failed" in err
@@ -419,7 +418,7 @@ def test_native_is_a_valid_engine_everywhere():
     dag = DependenceDAG(members[0].block)
     options = SearchOptions(engine="native")
     nat = schedule_block(dag, machine, options)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
+    fast = schedule_block(dag, machine, SearchOptions(engine="fast"))
     assert _fields(nat) == _fields(fast)
 
 

@@ -37,7 +37,7 @@ from repro.frontend.ast import (
 )
 from repro.frontend.lexer import Token, TokenKind
 from repro.ir.block import BasicBlock
-from repro.ir.dag import DependenceDAG, DependenceEdge
+from repro.ir.dag import DependenceEdge
 from repro.ir.interp import ExecutionResult
 from repro.ir.loop import LoopBlock, LoopCarriedDep
 from repro.ir.ops import Opcode
@@ -56,7 +56,6 @@ from repro.resilience.supervisor import SupervisorConfig
 from repro.sched.core import FastOutcome
 from repro.sched.nop_insertion import InitialConditions
 from repro.sched.pipelining import MiiReport, ModuloScheduleResult
-from repro.sched.search import ScheduleRequest, SearchOptions
 from repro.service.fingerprint import CanonicalForm
 from repro.simulator.core import InterlockMode, SimulationTrace
 from repro.simulator.register_machine import RegisterTrace
@@ -107,11 +106,6 @@ CASES = [
      ("best", "omega_calls", "improvements", "completed", "timed_out", "memo_evicted",
       "prune_counts"),
      (COMPILED.timing, 5, 1, True, False, 0, {"bounds": 2})),
-    (ScheduleRequest,
-     ("problem", "machine", "options", "backend", "engine", "assignment", "seed",
-      "initial_conditions", "ilp_options"),
-     (BLOCK, MACHINE, SearchOptions(), "search", "fast", None, (1, 2, 3, 4),
-      InitialConditions(), None)),
     (MiiReport, ("res_mii", "rec_mii"), (3, 2)),
     (ModuloScheduleResult,
      ("loop", "ii", "mii", "res_mii", "rec_mii", "offsets", "list_ii", "completed",
@@ -194,7 +188,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 
 def test_every_record_class_is_covered():
     assert {cls for cls, _, _ in CASES} == set(_subclasses(Record))
-    assert len(CASES) == 44
+    assert len(CASES) == 43
 
 
 @pytest.mark.parametrize("cls, fields, args", CASES, ids=IDS)
@@ -269,11 +263,7 @@ def test_private_slots_stay_out_of_the_contract():
     gapped = parse_block("1: Load #a\n3: Store #b, 1")
     assert gapped._index == {1: 0, 3: 1} and BLOCK._index is None
     assert pickle.loads(pickle.dumps(gapped))._index == {1: 0, 3: 1}
-    request = ScheduleRequest(BLOCK, MACHINE)
-    dag = request.dag
-    assert isinstance(dag, DependenceDAG) and request.dag is dag
-    assert request == ScheduleRequest(BLOCK, MACHINE)
-    assert "_dag" not in repr(request) and "_index" not in repr(gapped)
+    assert "_by_ident" not in repr(MACHINE) and "_index" not in repr(gapped)
 
 
 def test_perf_first_call_constructor():
@@ -295,8 +285,6 @@ def test_validation_still_runs_in_the_constructor():
         PipelineDesc("adder", 1, 1, 2)
     with pytest.raises(ValueError):
         InitialConditions(pipe_free={1: -1})
-    with pytest.raises(ValueError):
-        ScheduleRequest(BLOCK, MACHINE, backend="sat")
     with pytest.raises(ValueError):
         FaultPlan(crash_rate=2.0)
     with pytest.raises(ValueError):

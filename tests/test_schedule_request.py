@@ -1,13 +1,10 @@
-"""The unified ScheduleRequest API.
+"""Unsupported backend/option combinations in a scheduling request.
 
-One object — problem, machine, options, backend — accepted everywhere a
-scheduling problem travels: :func:`repro.sched.search.schedule_block`,
-:func:`repro.sched.pipelining.schedule_loop`, and the service
-fingerprint path (:func:`repro.service.fingerprint.fingerprint_problem`).
-The legacy keyword signatures must keep producing bit-identical results,
-and unsupported backend/option combinations must fail with the uniform
-structured error (``error.backend`` / ``error.field``) regardless of
-which field is at fault.
+A request to :func:`repro.sched.search.schedule_block` is a block, a
+machine, search options and a backend.  A combination a backend cannot
+honor must fail with the uniform structured error of
+:func:`repro.sched.search.unsupported_backend_option`
+(``error.backend`` / ``error.field``), whatever else the options say.
 """
 
 from __future__ import annotations
@@ -16,16 +13,7 @@ import pytest
 
 from repro.ir import DependenceDAG, parse_block
 from repro.machine.presets import get_machine
-from repro.sched.pipelining import schedule_loop
-from repro.sched.search import (
-    ScheduleOutcome,
-    ScheduleRequest,
-    SearchOptions,
-    schedule_block,
-    unsupported_backend_option,
-)
-from repro.service.fingerprint import fingerprint_problem
-from repro.synth.loops import get_loop_kernel
+from repro.sched.search import SearchOptions, schedule_block
 
 BLOCK = parse_block(
     "1: Load #a\n"
@@ -41,126 +29,16 @@ def machine():
     return get_machine("paper-simulation")
 
 
-# ---------------------------------------------------------------------------
-# Construction and accessors
-# ---------------------------------------------------------------------------
-
-
-def test_request_from_block_and_dag_agree(machine):
-    from_block = ScheduleRequest(problem=BLOCK, machine=machine)
-    from_dag = ScheduleRequest(
-        problem=DependenceDAG(BLOCK), machine=machine
-    )
-    assert not from_block.is_loop
-    assert from_block.dag.idents == from_dag.dag.idents
-
-
-def test_loop_request_accessors(machine):
-    loop = get_loop_kernel("scaled-update").lower()
-    request = ScheduleRequest(problem=loop, machine=machine)
-    assert request.is_loop
-    assert request.loop is loop
-    assert sorted(request.dag.idents) == sorted(loop.body.idents)
-    block_request = ScheduleRequest(problem=BLOCK, machine=machine)
-    with pytest.raises(TypeError):
-        block_request.loop
-
-
-# ---------------------------------------------------------------------------
-# schedule_block: request form == legacy form
-# ---------------------------------------------------------------------------
-
-
-def test_schedule_block_request_equals_legacy(machine):
-    options = SearchOptions(curtail=500)
-    legacy = schedule_block(DependenceDAG(BLOCK), machine, options)
-    via_request = schedule_block(
-        ScheduleRequest(problem=BLOCK, machine=machine, options=options)
-    )
-    assert legacy.best.order == via_request.best.order
-    assert legacy.best.total_nops == via_request.best.total_nops
-    assert legacy.completed == via_request.completed
-
-
-def test_schedule_block_rejects_request_plus_kwargs(machine):
-    request = ScheduleRequest(problem=BLOCK, machine=machine)
-    with pytest.raises(ValueError, match="not both"):
-        schedule_block(request, machine=machine)
-
-
-def test_schedule_block_rejects_loop_request(machine):
-    loop = get_loop_kernel("decay").lower()
-    with pytest.raises(TypeError, match="schedule_loop"):
-        schedule_block(ScheduleRequest(problem=loop, machine=machine))
-
-
-# ---------------------------------------------------------------------------
-# schedule_loop: request form == legacy form
-# ---------------------------------------------------------------------------
-
-
-def test_schedule_loop_request_equals_legacy(machine):
-    loop = get_loop_kernel("geo-sum").lower()
-    legacy = schedule_loop(loop, machine)
-    via_request = schedule_loop(
-        ScheduleRequest(problem=loop, machine=machine)
-    )
-    assert legacy.ii == via_request.ii
-    assert legacy.offsets == via_request.offsets
-
-
-# ---------------------------------------------------------------------------
-# fingerprint_problem: the service path
-# ---------------------------------------------------------------------------
-
-
-def test_fingerprint_request_equals_legacy(machine):
-    legacy = fingerprint_problem(DependenceDAG(BLOCK), machine)
-    via_request = fingerprint_problem(
-        ScheduleRequest(problem=BLOCK, machine=machine)
-    )
-    assert legacy == via_request
-
-
-def test_fingerprint_rejects_request_plus_kwargs(machine):
-    request = ScheduleRequest(problem=BLOCK, machine=machine)
-    with pytest.raises(ValueError, match="not both"):
-        fingerprint_problem(request, machine=machine)
-
-
-def test_fingerprint_rejects_loop_request(machine):
-    loop = get_loop_kernel("decay").lower()
-    with pytest.raises(TypeError, match="loop"):
-        fingerprint_problem(ScheduleRequest(problem=loop, machine=machine))
-
-
-def test_fingerprint_requires_machine_without_request():
-    with pytest.raises(TypeError, match="machine"):
-        fingerprint_problem(DependenceDAG(BLOCK))
-
-
-# ---------------------------------------------------------------------------
-# Unsupported backend options: one structured error for every field
-# ---------------------------------------------------------------------------
-
-
-def test_unsupported_backend_option_shape():
-    error = unsupported_backend_option("ilp", "engine")
-    assert error.backend == "ilp"
-    assert error.field == "engine"
-    assert "'ilp'" in str(error) and "'engine'" in str(error)
-
-
 @pytest.mark.parametrize(
     "kwargs, field",
     [
-        (dict(engine="native"), "engine"),
+        # The ILP backend ignores the engine, so a non-default engine
+        # must not change how the register budget is refused.
+        (dict(options=SearchOptions(max_live=3, engine="reference")), "max_live"),
         (dict(options=SearchOptions(max_live=3)), "max_live"),
     ],
 )
 def test_ilp_backend_rejects_search_only_fields(machine, kwargs, field):
-    # Regression: engine used to be silently ignored while max_live
-    # raised — both must fail the same structured way.
     with pytest.raises(ValueError) as excinfo:
         schedule_block(
             DependenceDAG(BLOCK), machine, backend="ilp", **kwargs
@@ -168,31 +46,3 @@ def test_ilp_backend_rejects_search_only_fields(machine, kwargs, field):
     assert excinfo.value.backend == "ilp"
     assert excinfo.value.field == field
     assert repr(field) in str(excinfo.value)
-
-
-# ---------------------------------------------------------------------------
-# The common result protocol
-# ---------------------------------------------------------------------------
-
-
-def _assert_outcome(result):
-    assert isinstance(result, ScheduleOutcome)
-    assert isinstance(result.objective, int)
-    assert isinstance(result.provenance, str)
-    assert result.elapsed_seconds >= 0
-    assert isinstance(result.completed, bool)
-    assert result.schedule is not None
-
-
-def test_all_result_types_satisfy_schedule_outcome(machine):
-    search = schedule_block(DependenceDAG(BLOCK), machine)
-    _assert_outcome(search)
-    assert search.provenance == "search"
-
-    ilp = schedule_block(DependenceDAG(BLOCK), machine, backend="ilp")
-    _assert_outcome(ilp)
-    assert ilp.provenance == "ilp"
-
-    modulo = schedule_loop(get_loop_kernel("decay").lower(), machine)
-    _assert_outcome(modulo)
-    assert modulo.provenance == "modulo"

@@ -204,7 +204,9 @@ class TestWindowSearch:
         dag, members = self._window()
         sub = window_dag(dag, members)
         runs = [
-            schedule_block(sub, sim_machine, seed=members, engine=engine)
+            schedule_block(
+                sub, sim_machine, SearchOptions(engine=engine), seed=members
+            )
             for engine in ENGINES
         ]
         assert all(_fields(r) == _fields(runs[0]) for r in runs)
