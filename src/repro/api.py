@@ -7,8 +7,11 @@ package is internal and may move without notice.
 
 The groups:
 
-- **Compiling** — :func:`compile_source` / :func:`compile_program`
-  drive the whole Figure-2 back end; :func:`compile_block` schedules an
+- **Compiling** — :func:`compile_program` drives the whole Figure-2
+  back end over a program's ``barrier;``-separated blocks, and
+  :func:`compile_source` is its one-block case; a single block is
+  verified (:func:`verify_compilation`) as a one-block program
+  (:func:`verify_program`).  :func:`compile_block` schedules an
   already-built tuple block; :func:`compile_loop` software-pipelines a
   bounded source loop into a modulo kernel (:class:`LoopCompilation`).
 - **IR** — the tuple form (:class:`IRTuple`, :class:`BasicBlock`,

@@ -74,55 +74,38 @@ def _resolve_machine(spec: str):
     return get_machine(spec)
 
 
-def _certify_block(block, machine, timing, assignment, conditions=None):
-    """Re-derive one compiled schedule through the independent checker.
+def _certify(blocks, machine) -> Optional[list]:
+    """Re-derive every compiled block schedule through the independent
+    checker, each under the carry-in conditions the driver scheduled it
+    for (footnote 1).
 
-    Returns the :class:`repro.verify.certificate.CertificateReport`; the
-    checker shares no code with the schedulers, so its agreement is
-    evidence rather than tautology.
+    Returns the :class:`repro.verify.certificate.CertificateReport` of
+    each block, or ``None`` once a block's is rejected (reported on
+    stderr).  The checker shares no code with the schedulers, so its
+    agreement is evidence rather than tautology.
     """
     from .verify.certificate import check_schedule
 
-    pipe_free = variable_ready = None
-    if conditions is not None:
-        pipe_free = conditions.pipe_free
-        variable_ready = conditions.variable_ready
-    return check_schedule(
-        block,
-        machine,
-        timing.order,
-        timing.etas,
-        assignment=assignment,
-        pipe_free=pipe_free,
-        variable_ready=variable_ready,
-    )
-
-
-def _certify_program(compiled, machine) -> int:
-    """Certify every block of a barrier-partitioned compilation.
-
-    Carry-in conditions are re-threaded block to block exactly as the
-    compiler threads them (footnote 1), so each certificate judges the
-    schedule under the state it was actually scheduled for.  Returns a
-    process exit code (0 = all certified).
-    """
-    from .sched.nop_insertion import carry_out
-
-    conditions = None
-    for i, result in enumerate(compiled.blocks):
-        cert = _certify_block(
-            result.block, machine, result.timing,
-            result.pipeline_assignment, conditions,
+    reports = []
+    for index, result in enumerate(blocks):
+        report = check_schedule(
+            result.block,
+            machine,
+            result.timing.order,
+            result.timing.etas,
+            assignment=result.pipeline_assignment,
+            pipe_free=result.initial.pipe_free,
+            variable_ready=result.initial.variable_ready,
         )
-        if not cert.ok:
+        if not report.ok:
+            what = f"block {index}" if len(blocks) > 1 else "the schedule"
             print(
-                f"repro-compile: certificate REJECTED block {i}:\n"
-                f"{cert.summary()}",
+                f"repro-compile: certificate REJECTED {what}:\n{report.summary()}",
                 file=sys.stderr,
             )
-            return 1
-        conditions = carry_out(result.timing, result.dag, machine)
-    return 0
+            return None
+        reports.append(report)
+    return reports
 
 
 def build_parser(prog: str = "repro-compile") -> argparse.ArgumentParser:
@@ -289,26 +272,10 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-compile") -> int:
                 discipline=_DISCIPLINES[args.discipline],
                 telemetry=telemetry,
             )
-        elif multi_block:
-            compiled = compile_program(
-                source,
-                machine,
-                scheduler=args.scheduler,
-                options=SearchOptions(curtail=args.curtail, engine=args.engine),
-                optimize=not args.no_optimize,
-                num_registers=args.registers,
-                discipline=_DISCIPLINES[args.discipline],
-                verify_memory=args.verify,
-                telemetry=telemetry,
-            )
-            _write_stats()
-            if args.verify is not None:
-                code = _certify_program(compiled, machine)
-                if code:
-                    return code
-            return _emit_program(compiled, show, args)
         else:
-            result = compile_source(
+            # A ProgramCompilation for a barrier program, else its one block.
+            compile_text = compile_program if multi_block else compile_source
+            result = compile_text(
                 source,
                 machine,
                 scheduler=args.scheduler,
@@ -330,16 +297,12 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-compile") -> int:
 
     cert = None
     if args.verify is not None:
-        cert = _certify_block(
-            result.block, machine, result.timing, result.pipeline_assignment
-        )
-        if not cert.ok:
-            print(
-                f"repro-compile: certificate REJECTED the schedule:\n"
-                f"{cert.summary()}",
-                file=sys.stderr,
-            )
+        reports = _certify(result.blocks if multi_block else (result,), machine)
+        if reports is None:
             return 1
+        cert = reports[0]
+    if multi_block:
+        return _emit_program(result, show, args)
 
     chunks: List[str] = []
     if "tuples" in show:
@@ -357,14 +320,16 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-compile") -> int:
 
         chunks.append(
             render_timeline(
-                result.block, machine, result.timing, dag=result.dag
+                result.block, machine, result.timing,
+                result.pipeline_assignment, result.initial, dag=result.dag,
             )
         )
     if "explain" in show:
         from .analysis.timeline import explain_schedule
 
         explanations = explain_schedule(
-            result.block, machine, result.timing, dag=result.dag
+            result.block, machine, result.timing,
+            result.pipeline_assignment, result.initial, dag=result.dag,
         )
         chunks.append(
             "\n".join(f"; {e}" for e in explanations if e.eta > 0)

@@ -9,12 +9,13 @@ and optionally closes the loop by executing the generated NOP-padded
 stream on the cycle-accurate simulator and comparing the final memory
 against the source-level interpreter.
 
-Two entry points:
+Two entry points over one compile loop:
 
-* :func:`compile_source` — one basic block (the paper's core case);
 * :func:`compile_program` — a multi-block program partitioned by
   ``barrier;`` statements, each block scheduled under its predecessors'
-  carry-out pipeline state (footnote 1 / ``repro.sched.nop_insertion.carry_out``).
+  carry-out pipeline state (footnote 1 / ``repro.sched.nop_insertion.carry_out``);
+* :func:`compile_source` — its one-block case (the paper's core case),
+  verified by :func:`verify_program` as a one-block program.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class CompilationResult:
     machine: MachineDescription
     #: Per-tuple pipeline choice (scheduler="multi" only).
     pipeline_assignment: Optional[dict] = None
+    #: The carry-in conditions the block was scheduled under (footnote 1).
+    initial: InitialConditions = InitialConditions()
 
     @property
     def total_nops(self) -> int:
@@ -116,7 +119,8 @@ def compile_source(
     name: str = "block",
     telemetry: Optional[Telemetry] = None,
 ) -> CompilationResult:
-    """Compile one straight-line source block end to end.
+    """Compile one straight-line source block end to end: the one-block
+    case of :func:`compile_program`, with the block named ``name``.
 
     Parameters
     ----------
@@ -134,76 +138,19 @@ def compile_source(
         this initial memory and checked against source semantics;
         :class:`VerificationError` on mismatch.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
-    _load_back_end()
-
-    program = parse_program(source)
-    raw_block = lower_program(program, name)
-    block = optimize_block(raw_block) if optimize and len(raw_block) else raw_block
-    result = _back_end(
-        program, raw_block, block, machine, scheduler, options,
-        num_registers, discipline, telemetry,
-    )
-    if verify_memory is not None:
-        verify_compilation(result, verify_memory)
-    return result
+    return _compile_straight_line(
+        source, machine, scheduler, options, optimize, num_registers,
+        discipline, verify_memory, name, telemetry, split=False,
+    ).blocks[0]
 
 
 def verify_compilation(
     result: CompilationResult, memory: Mapping[str, int]
 ) -> None:
     """Execute the compiled schedule on the simulator and compare every
-    source-visible variable against the source interpreter."""
-    _load_back_end()
-    expected = run_program(result.program, dict(memory))
-    sim = PipelineSimulator(
-        result.block,
-        result.machine,
-        dag=result.dag,
-        assignment=result.pipeline_assignment,
-    )
-    trace = sim.run_padded(padded_stream(result.timing), memory)
-    for var in result.program.variables_written():
-        got = trace.memory.get(var)
-        want = expected[var]
-        if got != want:
-            raise VerificationError(
-                f"variable {var!r}: simulator produced {got}, source "
-                f"semantics require {want}"
-            )
-    # Timing cross-check: the padded stream's span must equal the
-    # schedule length plus its NOPs.
-    span = len(result.timing.order) + result.timing.total_nops
-    if trace.total_cycles != span:
-        raise VerificationError(
-            f"padded stream took {trace.total_cycles} cycles, schedule "
-            f"says {span}"
-        )
-    # Text-level cross-check: the emitted assembly, reparsed and executed
-    # on the independent register machine, must agree too.  Only possible
-    # when the text carries the delays AND the machine is deterministic —
-    # a per-tuple pipeline assignment cannot be expressed at the mnemonic
-    # level the register machine sees.
-    if (
-        result.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK
-        and result.pipeline_assignment is None
-    ):
-        register_trace = RegisterMachine(result.machine).run_text(
-            str(result.assembly), memory
-        )
-        for var in result.program.variables_written():
-            if register_trace.memory.get(var) != expected[var]:
-                raise VerificationError(
-                    f"assembly text: register machine produced "
-                    f"{register_trace.memory.get(var)} for {var!r}, "
-                    f"source semantics require {expected[var]}"
-                )
-        if register_trace.total_cycles != span:
-            raise VerificationError(
-                f"assembly text took {register_trace.total_cycles} cycles "
-                f"on the register machine, schedule says {span}"
-            )
+    source-visible variable against the source interpreter: the
+    one-block case of :func:`verify_program`."""
+    verify_program(ProgramCompilation(result.program, (result,), result.machine), memory)
 
 
 def compile_block(
@@ -232,7 +179,7 @@ def compile_block(
         block = optimize_block(block)
     return _back_end(
         Program([]), raw_block, block, machine, scheduler, options,
-        num_registers, discipline, telemetry,
+        num_registers, discipline, telemetry, InitialConditions(),
     )
 
 
@@ -246,7 +193,7 @@ def _back_end(
     num_registers: Optional[int],
     discipline: DelayDiscipline,
     telemetry: Optional[Telemetry],
-    initial: Optional[InitialConditions] = None,
+    initial: InitialConditions,
 ) -> CompilationResult:
     """Spill pre-pass, scheduling, register allocation and assembly of
     one optimized block, under carry-in ``initial`` conditions."""
@@ -307,11 +254,12 @@ def _back_end(
         search=search,
         machine=machine,
         pipeline_assignment=assignment,
+        initial=initial,
     )
 
 
 # ----------------------------------------------------------------------
-# Multi-block programs (barrier;)
+# Straight-line programs: one block, or several split at barrier;
 # ----------------------------------------------------------------------
 class ProgramCompilation(Record):
     """Compilation of a barrier-partitioned program."""
@@ -365,27 +313,42 @@ def compile_program(
     ``verify_memory``, that concatenated stream is simulated and
     compared against source semantics (:func:`verify_program`).
     """
+    return _compile_straight_line(
+        source, machine, scheduler, options, optimize, num_registers,
+        discipline, verify_memory, name, telemetry, split=True,
+    )
+
+
+def _compile_straight_line(
+    source, machine, scheduler, options, optimize, num_registers,
+    discipline, verify_memory, name, telemetry, split,
+) -> ProgramCompilation:
+    """Compile ``source`` block by block, each block under the carry-out
+    conditions of its predecessor.  ``split`` partitions the program at
+    its barriers into blocks ``name.0``, ``name.1``, ...; otherwise the
+    whole program is the one block ``name``, and ``lower_program``
+    rejects a barrier or loop in it."""
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
     _load_back_end()
     program = parse_program(source)
-    segments = program.split_blocks()
-    if not segments:
-        segments = (Program([]),)
+    if split:
+        segments = program.split_blocks() or (Program([]),)
+        named = [(f"{name}.{index}", segment) for index, segment in enumerate(segments)]
+    else:
+        named = [(name, program)]
 
     results = []
-    conditions = InitialConditions()
-    for index, segment in enumerate(segments):
-        raw_block = lower_program(segment, f"{name}.{index}")
+    for block_name, segment in named:
+        initial = _carry_out(results[-1], machine) if results else InitialConditions()
+        raw_block = lower_program(segment, block_name)
         block = (
             optimize_block(raw_block) if optimize and len(raw_block) else raw_block
         )
-        result = _back_end(
+        results.append(_back_end(
             segment, raw_block, block, machine, scheduler, options,
-            num_registers, discipline, telemetry, initial=conditions,
-        )
-        results.append(result)
-        conditions = _carry_out(result, machine)
+            num_registers, discipline, telemetry, initial,
+        ))
 
     compiled = ProgramCompilation(program, tuple(results), machine)
     if verify_memory is not None:
@@ -405,36 +368,55 @@ def verify_program(
     compiled: ProgramCompilation, memory: Mapping[str, int]
 ) -> None:
     """Simulate the blocks' padded streams as one concatenated stream and
-    compare every written variable against source semantics.
+    compare every written variable against source semantics, the
+    stream's cycles against the schedules' spans, and the register
+    machine's run of the assembly text against both.
 
     Each block starts in whatever state its predecessor's tail leaves the
     pipelines and memory in, so the stream checks the carry-out hand-off
-    without the conditions the blocks were scheduled under.  The
-    concatenated assembly text runs on the register machine too, which
-    must leave every stored variable as the simulator does."""
+    without the conditions the blocks were scheduled under.  A single
+    block runs as compiled, on its own DAG and pipeline assignment."""
     _load_back_end()
+    if len(compiled.blocks) == 1:
+        (only,) = compiled.blocks
+        block, dag, assignment = only.block, only.dag, only.pipeline_assignment
+        stream = padded_stream(only.timing)
+    else:
+        def shift(operand, offset):
+            return RefOperand(operand.ref + offset) if isinstance(operand, RefOperand) else operand
 
-    def shift(operand, offset):
-        return RefOperand(operand.ref + offset) if isinstance(operand, RefOperand) else operand
-
-    tuples, stream, assignment, offset = [], [], {}, 0
-    for result in compiled.blocks:
-        tuples += (IRTuple(t.ident + offset, t.op, shift(t.alpha, offset), shift(t.beta, offset))
-                   for t in result.block)
-        stream += (i if i is None else i + offset for i in padded_stream(result.timing))
-        assignment.update((i + offset, p) for i, p in (result.pipeline_assignment or {}).items())
-        offset += max(result.block.idents, default=0)
+        tuples, stream, assignment, offset, dag = [], [], {}, 0, None
+        for result in compiled.blocks:
+            tuples += (IRTuple(t.ident + offset, t.op, shift(t.alpha, offset),
+                               shift(t.beta, offset)) for t in result.block)
+            stream += (i if i is None else i + offset for i in padded_stream(result.timing))
+            pipes = result.pipeline_assignment or {}
+            assignment.update((i + offset, p) for i, p in pipes.items())
+            offset += max(result.block.idents, default=0)
+        block = BasicBlock(tuples, "program")
     trace = PipelineSimulator(
-        BasicBlock(tuples, "program"), compiled.machine,
-        assignment=assignment or None,
+        block, compiled.machine, dag=dag, assignment=assignment or None,
     ).run_padded(stream, memory)
+    expected = run_program(compiled.program, dict(memory))
+    written = compiled.program.variables_written()
+    for var in written:
+        got = trace.memory.get(var)
+        want = expected[var]
+        if got != want:
+            raise VerificationError(
+                f"variable {var!r}: simulator produced {got}, source "
+                f"semantics require {want}"
+            )
     if trace.total_cycles != compiled.total_cycles:
         raise VerificationError(
             f"padded stream took {trace.total_cycles} cycles, schedule "
             f"says {compiled.total_cycles}"
         )
-    # Text-level cross-check; as in verify_compilation, a per-tuple
-    # assignment has no mnemonic form.
+    # Text-level cross-check: the emitted assembly, reparsed and executed
+    # on the independent register machine, must agree too.  Only possible
+    # when the text carries the delays AND the machine is deterministic —
+    # a per-tuple pipeline assignment cannot be expressed at the mnemonic
+    # level the register machine sees.
     if all(
         r.assembly.discipline is not DelayDiscipline.IMPLICIT_INTERLOCK
         and r.pipeline_assignment is None
@@ -448,24 +430,18 @@ def verify_program(
                 f"assembly text took {register_trace.total_cycles} cycles "
                 f"on the register machine, schedule says {compiled.total_cycles}"
             )
+        # The simulator matches the source on every written variable, so
+        # agreeing with the simulator is agreeing with both.
         last_store = {var: index for index, result in enumerate(compiled.blocks)
                       for var in result.block.stored_variables}
-        for var, index in last_store.items():
+        for var in dict.fromkeys((*last_store, *written)):
             got, want = register_trace.memory.get(var), trace.memory.get(var)
             if got != want:
+                where = f"block {last_store[var]}" if var in last_store else "program"
                 raise VerificationError(
-                    f"block {index}: assembly text left {var!r} = {got} "
+                    f"{where}: assembly text left {var!r} = {got} "
                     f"on the register machine, the simulator {want}"
                 )
-    expected = run_program(compiled.program, dict(memory))
-    for var in compiled.program.variables_written():
-        got = trace.memory.get(var)
-        want = expected[var]
-        if got != want:
-            raise VerificationError(
-                f"variable {var!r}: simulator produced {got}, source "
-                f"semantics require {want}"
-            )
 
 
 # ----------------------------------------------------------------------

@@ -253,17 +253,6 @@ class DependenceDAG:
         )
 
     # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export as a :mod:`networkx` DiGraph (for analysis/examples)."""
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.block.name)
-        for t in self.block:
-            g.add_node(t.ident, op=t.op.value)
-        for e in self._edges:
-            g.add_edge(e.producer, e.consumer, kind=e.kind)
-        return g
-
     def to_dot(self) -> str:
         """Graphviz DOT rendering (for papers, docs, and debugging).
 

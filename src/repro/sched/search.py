@@ -351,11 +351,6 @@ def schedule_block(
         )
     if backend == "ilp" and options.max_live is not None:
         raise unsupported_backend_option("ilp", "max_live")
-    engine_name = options.engine
-    if engine_name != "reference":
-        from .core import resolve_engine
-
-        engine_name = resolve_engine(engine_name, telemetry=telemetry)
 
     def _done(result: SearchResult) -> SearchResult:
         if telemetry is not None:
@@ -413,12 +408,13 @@ def schedule_block(
     # result except elapsed_seconds is bit-for-bit equal.  Each engine's
     # module loads only when that engine runs; fast and native share
     # run_fast_search's preamble, and native passes in its C DFS
-    # (resolve_engine above has already turned an unavailable native
-    # into fast).
+    # (resolve_engine turns an unavailable native into fast; the ILP
+    # backend above never resolves one).
     # ------------------------------------------------------------------
-    if engine_name != "reference":
-        from .core import run_fast_search
+    if options.engine != "reference":
+        from .core import resolve_engine, run_fast_search
 
+        engine_name = resolve_engine(options.engine, telemetry=telemetry)
         dfs = None
         if engine_name == "native":
             from ..native.bindings import native_dfs as dfs

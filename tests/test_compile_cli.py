@@ -127,6 +127,17 @@ class TestCompilation:
         assert "cycle" in out and "loader" in out and "multiplier" in out
         assert "dependence: waits for tuple" in out
 
+    def test_timeline_and_explain_on_the_chosen_pipelines(self, capsys):
+        """A multi-scheduled block renders on the pipelines the
+        scheduler chose: paper-example offers Load two loaders."""
+        rc = main(
+            ["-e", "b = 15; a = b * a;", "--machine", "paper-example", "--scheduler",
+             "multi", "--show", "timeline", "--show", "explain"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "cycle" in out and "loader" in out
+
     def test_explain_no_stalls(self, capsys):
         rc = main(["-e", "a = b; c = d;", "--show", "explain"])
         assert rc == 0

@@ -118,16 +118,6 @@ class TestLegalOrders:
         assert list(iter_legal_orders(dag)) == [(1, 2, 3, 4)]
 
 
-class TestNetworkxExport:
-    def test_roundtrip(self, figure3_dag):
-        g = figure3_dag.to_networkx()
-        assert set(g.nodes) == set(figure3_dag.idents)
-        assert g.number_of_edges() == len(figure3_dag.edges)
-        import networkx as nx
-
-        assert nx.is_directed_acyclic_graph(g)
-
-
 @given(blocks(max_size=7))
 @settings(max_examples=60)
 def test_count_matches_enumeration(block):

@@ -95,6 +95,17 @@ schedule_block_split(dag, machine, window=2)
 _report()
 """
 
+#: The ILP backend ignores ``options.engine``, so asking for the native
+#: engine must not build or load the C kernel.
+_ILP_BACKEND = """
+from repro.ir.textual import parse_block
+from repro.machine.presets import get_machine
+from repro.sched.search import SearchOptions, schedule_block
+schedule_block(parse_block("1: Load #a\\n2: Load #b\\n3: Mul 1, 2\\n4: Store #c, 3"),
+               get_machine("paper-simulation"), SearchOptions(engine="native"), backend="ilp")
+_report()
+"""
+
 #: One job of the daemon's worker pool, run as a worker runs it.
 _WORKER_JOB = """
 from repro.resilience.pool import JobHandle
@@ -170,8 +181,9 @@ BUDGETS = {
     # nor the reference engine.  The split's windows run on the block
     # search, so the split rung adds little source of its own.
     "search-path-no-numpy": Row(_SEARCH_PATH, forbidden=("numpy", "repro.sched.reference"),
-                                max_lines=5_075),
+                                max_lines=5_060),
     "import-repro": Row("import repro\n_report()", forbidden=("repro.*",)),
+    "ilp-backend": Row(_ILP_BACKEND, forbidden=("repro.native",)),
     "console-help": Row(
         "import repro.console\nrepro.console.main(['--help'])\n_report()",
         forbidden=("repro.*",), allowed=("repro.console",),
@@ -211,7 +223,7 @@ BUDGETS = {
                    "repro.ir.interp", *_FRACTIONS, "repro.resilience.budget", "repro.telemetry",
                    "repro.sched.dfs", "repro.verify.steady_state", *_COLD),
         allowed=("repro.experiments.runner",),
-        max_lines=4_870, max_dataclasses=3,
+        max_lines=4_855, max_dataclasses=3,
     ),
     # This block's root bound (3 NOPs) leaves its seed (4) open, so the
     # call runs the DFS and loads ``repro.sched.dfs``; no ``Div`` runs.
@@ -224,7 +236,7 @@ BUDGETS = {
                    "repro.native", "repro.analysis", "repro.sched.reference", "multiprocessing",
                    "numpy", "repro.regalloc.spill", "repro.sched.heuristics", "repro.telemetry",
                    *_FRACTIONS),
-        max_lines=6_400, max_dataclasses=4,
+        max_lines=6_361, max_dataclasses=4,
     ),
     "loops-first-call": Row(
         *_first_call("loops", {"source": "for i in 0..8 { p = a * b; a = a + b; }",
@@ -235,7 +247,7 @@ BUDGETS = {
                    "repro.ilp", "repro.native", "repro.analysis", "repro.sched.reference",
                    "multiprocessing", "numpy", "repro.sched.dfs", "repro.telemetry", *_FRACTIONS,
                    *_STRAIGHT_LINE),
-        max_lines=6_451, max_dataclasses=4,
+        max_lines=6_412, max_dataclasses=4,
     ),
     # The daemon speaks its HTTP subset on socketserver: none of
     # http.server's stack (http.client, email, ssl, html, mimetypes).
@@ -246,7 +258,7 @@ BUDGETS = {
                    "repro.ilp", "repro.native", "repro.analysis", "repro.synth", "numpy", "http",
                    "email", "ssl", "html", "mimetypes", "repro.resilience.faults", *_NATIVE_LIBS,
                    "repro.verify.steady_state", *_COLD),
-        max_lines=8_215, max_dataclasses=3,
+        max_lines=8_200, max_dataclasses=3,
     ),
     # A client of the daemon loads the protocol's payload helpers, not
     # the daemon, its cache, the schedulers or the worker pool.

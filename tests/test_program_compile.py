@@ -215,6 +215,38 @@ class TestCliBarrierPath:
         assert rc == 1
         assert "repro-compile:" in capsys.readouterr().err
 
+    def test_cli_verifies_multi_scheduler_program(self, capsys):
+        """Each block is certified on the pipelines the multi scheduler
+        chose for it, and under the carry-in conditions they leave."""
+        from repro.cli import main
+
+        rc = main(
+            ["-e", "a = b + c; d = b + c + a; e = c + d; barrier; f = a + b; g = f + c;",
+             "--machine", "paper-example", "--scheduler", "multi",
+             "--verify", "a=1,b=2,c=3,d=4", "--show", "asm", "--show", "stats"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "; verification: simulated output matches source semantics" in captured.out
+
+    def test_cli_certifies_each_block_under_its_recorded_carry_in(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro import cli
+
+        compile_program = cli.compile_program
+
+        def late_a(*args, **kwargs):
+            compiled = compile_program(*args, **kwargs)
+            first, second = compiled.blocks
+            late = InitialConditions(variable_ready={"a": 20})
+            return compiled._replace(blocks=(first, dataclasses.replace(second, initial=late)))
+
+        monkeypatch.setattr(cli, "compile_program", late_a)
+        rc = cli.main(["-e", "a = x * y; barrier; b = a * a;", "--verify", "x=2,y=3"])
+        assert rc == 1
+        assert "certificate REJECTED block 1:" in capsys.readouterr().err
+
 
 def test_compile_block_supports_multi():
     from repro.driver import compile_block
