@@ -20,7 +20,6 @@ Two entry points over one compile loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from . import _lazy_namespace
@@ -80,23 +79,24 @@ class VerificationError(RuntimeError):
     semantics — a compiler bug by definition."""
 
 
-@dataclass(frozen=True)
-class CompilationResult:
-    """Everything the driver produced for one source block."""
+class CompilationResult(Record):
+    """Everything the driver produced for one source block: ``block`` after
+    optimization and the spill pre-pass, ``search`` (``None`` for heuristic
+    schedulers), ``pipeline_assignment`` (scheduler="multi" only) and the
+    carry-in ``initial`` the block was scheduled under (footnote 1)."""
 
-    program: Program
-    raw_block: BasicBlock
-    block: BasicBlock  # after optimization / spill pre-pass
-    dag: DependenceDAG
-    timing: ScheduleTiming
-    allocation: RegisterAllocation
-    assembly: AssemblyProgram
-    search: Optional[SearchResult]  # None for heuristic schedulers
-    machine: MachineDescription
-    #: Per-tuple pipeline choice (scheduler="multi" only).
-    pipeline_assignment: Optional[dict] = None
-    #: The carry-in conditions the block was scheduled under (footnote 1).
-    initial: InitialConditions = InitialConditions()
+    __slots__ = ("program", "raw_block", "block", "dag", "timing", "allocation", "assembly",
+                 "search", "machine", "pipeline_assignment", "initial")
+
+    def __init__(self, program: Program, raw_block: BasicBlock, block: BasicBlock,
+                 dag: DependenceDAG, timing: ScheduleTiming, allocation: RegisterAllocation,
+                 assembly: AssemblyProgram, search: Optional[SearchResult],
+                 machine: MachineDescription, pipeline_assignment: Optional[dict] = None,
+                 initial: InitialConditions = InitialConditions()):
+        for name, value in zip(CompilationResult.__slots__, (
+                program, raw_block, block, dag, timing, allocation, assembly, search, machine,
+                pipeline_assignment, initial)):
+            setslot(self, name, value)
 
     @property
     def total_nops(self) -> int:
@@ -204,7 +204,7 @@ def _back_end(
         from .regalloc.spill import insert_spill_code
 
         block = insert_spill_code(block, num_registers).block
-        options = replace(options, max_live=num_registers)
+        options = options._replace(max_live=num_registers)
     dag = DependenceDAG(block)
 
     search: Optional[SearchResult] = None

@@ -18,7 +18,7 @@ report how often the schedule improves at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
@@ -113,7 +113,7 @@ def run_a1(
     # optimality-consistency cross-check.
     completed_finals: List[Dict[int, int]] = []
     for label, base in A1_CONFIGS:
-        options = replace(base, curtail=curtail, engine=engine)
+        options = base._replace(curtail=curtail, engine=engine)
         omegas: List[int] = []
         finals: List[int] = []
         done = 0
@@ -222,7 +222,7 @@ def run_a2(
 
     rows: List[A2Row] = []
     for multiplier in multipliers:
-        options = replace(base, curtail=base_curtail * multiplier)
+        options = base._replace(curtail=base_curtail * multiplier)
         still = 0
         improved = 0
         finals: List[int] = []

@@ -17,7 +17,7 @@ splitting scheduler, comparing NOPs and Ω calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..ir.dag import DependenceDAG
@@ -251,7 +251,7 @@ def run_x2(
         min_constants=4,
         max_constants=10,
     )
-    paper = replace(SearchOptions.paper(curtail), engine=engine)
+    paper = SearchOptions.paper(curtail)._replace(engine=engine)
     full = SearchOptions(curtail=curtail, engine=engine)
     paper_mono: List[Tuple[int, int, bool]] = []
     full_mono: List[Tuple[int, int, bool]] = []

@@ -46,7 +46,6 @@ falls back to the serial runner, which produces the same records.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 import threading
@@ -214,7 +213,7 @@ def run_population_parallel(
         # byte-identical records, never a crash.
         resolved = resolve_engine(options.engine, telemetry=telemetry)
         if resolved != options.engine:
-            options = dataclasses.replace(options, engine=resolved)
+            options = options._replace(engine=resolved)
     if supervisor is None:
         supervisor = SupervisorConfig()
     if budget is not None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable, List, Mapping, Optional
 
 from ..ir.dag import DependenceDAG
@@ -314,7 +313,7 @@ def schedule_generated_block(
             if options.time_limit is None
             else min(options.time_limit, block_timeout)
         )
-        options = replace(options, time_limit=limit)
+        options = options._replace(time_limit=limit)
     dag = DependenceDAG(block)
     initial = compute_timing(dag, program_order(dag), machine)
     start = time.perf_counter()

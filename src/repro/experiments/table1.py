@@ -33,7 +33,7 @@ no size correlation (structure, not size, governs the space — section
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..ir.dag import COUNT_CAPPED, DependenceDAG
@@ -154,7 +154,7 @@ def run(
     """Run the Table 1 experiment."""
     if machine is None:
         machine = paper_simulation_machine()
-    paper = replace(SearchOptions.paper(curtail), engine=engine)
+    paper = SearchOptions.paper(curtail)._replace(engine=engine)
     full = SearchOptions(curtail=curtail, engine=engine)
     rows: List[Table1Row] = []
     for dag in _blocks_of_sizes(sizes, master_seed):

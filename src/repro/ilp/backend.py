@@ -19,16 +19,16 @@ block carries a replayable optimality gap instead of a shrug.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..prunes import prune_counts
+from ..record import setslot
 from ..sched.search import SearchResult
 from .bnb import IlpOptions, branch_and_bound
 from .encoder import ModelTables, TimeIndexedModel
 
 
-@dataclass(frozen=True)
 class IlpSearchResult(SearchResult):
     """``SearchResult`` plus the ILP backend's certificates.
 
@@ -39,14 +39,22 @@ class IlpSearchResult(SearchResult):
     a true optimality gap.
     """
 
-    #: Root LP optimum in NOPs (makespan relaxation minus ``n - 1``).
-    lp_relaxation: float = 0.0
-    #: Certified lower bound on the optimal NOP count.
-    lower_bound: int = 0
-    #: Branch-and-bound nodes solved (including the root).
-    nodes: int = 0
-    #: Simplex pivots across all node LPs.
-    lp_pivots: int = 0
+    __slots__ = ("lp_relaxation", "lower_bound", "nodes", "lp_pivots")
+
+    def __init__(self, best, initial, omega_calls, completed, elapsed_seconds, improvements,
+                 proved_by_bound=False, timed_out=False, memo_evicted=0, prune_counts=None,
+                 lp_relaxation: float = 0.0, lower_bound: int = 0, nodes: int = 0,
+                 lp_pivots: int = 0):
+        super().__init__(best, initial, omega_calls, completed, elapsed_seconds, improvements,
+                         proved_by_bound, timed_out, memo_evicted, prune_counts)
+        #: Root LP optimum in NOPs (makespan relaxation minus ``n - 1``).
+        setslot(self, "lp_relaxation", lp_relaxation)
+        #: Certified lower bound on the optimal NOP count.
+        setslot(self, "lower_bound", lower_bound)
+        #: Branch-and-bound nodes solved (including the root).
+        setslot(self, "nodes", nodes)
+        #: Simplex pivots across all node LPs.
+        setslot(self, "lp_pivots", lp_pivots)
 
     @property
     def optimality_gap(self) -> int:

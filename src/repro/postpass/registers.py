@@ -122,10 +122,8 @@ def compare_prepass_postpass(
     true_dag = DependenceDAG(block)
     constrained_dag, allocation = postpass_dag(block, num_registers)
     budget = allocation.num_registers_used
-    import dataclasses
-
     fair = (
-        dataclasses.replace(options, max_live=max(3, budget))
+        options._replace(max_live=max(3, budget))
         if len(block) > 0
         else options
     )

@@ -6,6 +6,9 @@ subclass lists its fields in ``__slots__`` and writes its own
 ``__init__``, filling each slot with :data:`setslot`; the base adds the
 rest once per class, with no ``exec``.  Slots named ``_*`` are private
 caches: pickled, but neither constructor fields nor compared.
+
+``dataclasses.replace``, ``fields`` and ``asdict`` work on records too,
+and only their callers import ``dataclasses``.
 """
 
 from operator import attrgetter
@@ -23,6 +26,18 @@ def _values(names):
     return attrgetter(*names) if names else lambda record: ()
 
 
+class _FieldTable:
+    """A record class's ``__dataclass_fields__``, built on first access."""
+
+    def __get__(self, record, cls):
+        if "__dataclass_params__" not in cls.__dict__:  # set by the first build
+            import dataclasses  # only callers of dataclasses' functions load it
+            twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+            cls.__dataclass_params__ = twin.__dataclass_params__
+            cls._field_table = twin.__dataclass_fields__
+        return cls._field_table
+
+
 class Record:
     """A frozen slotted record: ``==`` and ``hash`` over the compared
     fields (the class keyword ``uncompared`` names the others), with
@@ -31,6 +46,7 @@ class Record:
 
     __slots__ = ()
     _fields = ()  # the constructor fields, in order
+    __dataclass_fields__ = _FieldTable()
 
     def __init_subclass__(cls, uncompared=(), **kwargs):
         super().__init_subclass__(**kwargs)

@@ -41,7 +41,6 @@ indistinguishable from a complete one.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Optional
 
 from ..record import Record, setslot
@@ -189,8 +188,7 @@ class BudgetManager:
             and max_memo == options.max_memo_entries
         ):
             return options
-        return replace(
-            options,
+        return options._replace(
             curtail=curtail,
             time_limit=time_limit,
             max_memo_entries=max_memo,

@@ -1,7 +1,7 @@
 """Flattened hot core of the branch-and-bound searches.
 
 The recursive reference formulation in :mod:`repro.sched.reference` is
-written for readability: frozen dataclasses, per-node dict/set churn,
+written for readability: immutable records, per-node dict/set churn,
 ``IncrementalTimingState`` method calls, recursion.  This module runs
 the *same* search on a flattened representation: the DAG and machine
 are lowered once per block into packed integer arrays (:class:`_Flat`)

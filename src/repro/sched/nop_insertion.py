@@ -49,7 +49,6 @@ push/pop interface for the branch-and-bound search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir.dag import DependenceDAG
@@ -172,13 +171,16 @@ class SigmaResolver:
         return self._enqueue[ident]
 
 
-@dataclass(frozen=True)
-class ScheduleTiming:
+class ScheduleTiming(Record):
     """Complete timing of one schedule: the output of Ω over a full order."""
 
-    order: Tuple[int, ...]
-    etas: Tuple[int, ...]
-    issue_times: Tuple[int, ...]
+    __slots__ = ("order", "etas", "issue_times")
+
+    def __init__(self, order: Tuple[int, ...], etas: Tuple[int, ...],
+                 issue_times: Tuple[int, ...]):
+        setslot(self, "order", order)
+        setslot(self, "etas", etas)
+        setslot(self, "issue_times", issue_times)
 
     @property
     def total_nops(self) -> int:

@@ -83,12 +83,12 @@ schedules early — this is what makes the alpha-beta bound effective.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
+from ..record import Record, setslot
 from .list_scheduler import list_schedule, program_order
 from .nop_insertion import (
     InitialConditions,
@@ -131,51 +131,48 @@ def check_engine(engine: str) -> str:
     return engine
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(Record):
     """Tuning knobs of the branch-and-bound search.
 
     The boolean flags exist for the ablation experiments; disabling any
     of them never changes the optimum found (every prune is
     optimality-preserving), only the work done.  ``SearchOptions.paper()``
     is the paper-faithful configuration (α-β + equivalence only);
-    the default enables everything.
+    the default enables everything.  ``cheapest_first`` orders candidates
+    by immediate eta; ``time_limit`` is in seconds (``None``: unlimited);
+    ``engine`` names the DFS implementation, one of :data:`ENGINES`.
+    ``max_live`` is a register-pressure budget: section 3.1's spill code
+    makes *program order* fit it, and the search treats a schedule whose
+    linear-scan pressure exceeds it as illegal, so allocation never needs
+    new spills.  ``None`` assumes "always enough registers", as the
+    paper's simulations do.
     """
 
-    curtail: int = DEFAULT_CURTAIL
-    alpha_beta: bool = True
-    equivalence_prune: bool = True
-    lower_bound_prune: bool = True
-    dominance_prune: bool = True
-    heuristic_seeds: bool = True
-    seed_with_list_schedule: bool = True
-    cheapest_first: bool = True  # candidate ordering by immediate eta
-    max_memo_entries: int = 1_000_000
-    time_limit: Optional[float] = None  # seconds; None = unlimited
-    #: Register-pressure budget: schedules whose linear-scan pressure
-    #: would exceed this are treated as illegal.  Section 3.1 creates
-    #: spill code so *program order* fits the register file; this
-    #: constraint keeps the search from reordering past the budget, so
-    #: post-scheduling allocation never needs new spills.  ``None``
-    #: (default) assumes "always enough registers", as the paper's
-    #: simulations do.
-    max_live: Optional[int] = None
-    #: Which DFS implementation runs the search; one of :data:`ENGINES`.
-    engine: str = "fast"
+    __slots__ = ("curtail", "alpha_beta", "equivalence_prune", "lower_bound_prune",
+                 "dominance_prune", "heuristic_seeds", "seed_with_list_schedule",
+                 "cheapest_first", "max_memo_entries", "time_limit", "max_live", "engine")
 
-    def __post_init__(self) -> None:
-        if self.curtail < 1:
+    def __init__(self, curtail: int = DEFAULT_CURTAIL, alpha_beta: bool = True,
+                 equivalence_prune: bool = True, lower_bound_prune: bool = True,
+                 dominance_prune: bool = True, heuristic_seeds: bool = True,
+                 seed_with_list_schedule: bool = True, cheapest_first: bool = True,
+                 max_memo_entries: int = 1_000_000, time_limit: Optional[float] = None,
+                 max_live: Optional[int] = None, engine: str = "fast"):
+        if curtail < 1:
             raise ValueError("curtail point must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if time_limit is not None and time_limit <= 0:
             raise ValueError("time limit must be positive")
-        check_engine(self.engine)
-        if self.max_memo_entries < 0:
+        check_engine(engine)
+        if max_memo_entries < 0:
             raise ValueError("max_memo_entries must be non-negative")
-        if self.max_live is not None and self.max_live < 3:
-            raise ValueError(
-                "max_live must be at least 3 (a binary operation keeps "
-                "three values live at once)"
-            )
+        if max_live is not None and max_live < 3:
+            raise ValueError("max_live must be at least 3 (a binary operation keeps "
+                             "three values live at once)")
+        for name, value in zip(SearchOptions.__slots__, (
+                curtail, alpha_beta, equivalence_prune, lower_bound_prune, dominance_prune,
+                heuristic_seeds, seed_with_list_schedule, cheapest_first, max_memo_entries,
+                time_limit, max_live, engine)):
+            setslot(self, name, value)
 
     @classmethod
     def paper(cls, curtail: int = DEFAULT_CURTAIL) -> "SearchOptions":
@@ -192,7 +189,7 @@ class SearchOptions:
         )
 
     def with_curtail(self, curtail: int) -> "SearchOptions":
-        return replace(self, curtail=curtail)
+        return self._replace(curtail=curtail)
 
 
 def unsupported_backend_option(backend: str, field_name: str) -> ValueError:
@@ -211,22 +208,29 @@ def unsupported_backend_option(backend: str, field_name: str) -> ValueError:
     return error
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of one optimal-scheduling run."""
+class SearchResult(Record):
+    """Outcome of one optimal-scheduling run.
 
-    best: ScheduleTiming
-    initial: ScheduleTiming
-    omega_calls: int
-    completed: bool  # condition [1]: search exhausted, best is optimal
-    elapsed_seconds: float
-    improvements: int  # times the incumbent was replaced
-    proved_by_bound: bool = False  # incumbent matched the root lower bound
-    timed_out: bool = False  # truncated by the wall-clock deadline
-    #: Dominance-memo entries evicted (FIFO) to honor ``max_memo_entries``.
-    memo_evicted: int = 0
-    #: Prune events by kind (see ``repro.prunes.PRUNE_KINDS``).
-    prune_counts: Mapping[str, int] = field(default_factory=dict)
+    ``completed`` is condition [1]: the search was exhausted and ``best``
+    is optimal.  ``improvements`` counts incumbent replacements,
+    ``proved_by_bound`` means the incumbent met the root lower bound,
+    ``timed_out`` that the wall-clock deadline cut the search short.
+    ``memo_evicted`` counts dominance-memo entries evicted (FIFO) under
+    ``max_memo_entries``; ``prune_counts`` counts prunes by kind
+    (``repro.prunes.PRUNE_KINDS``)."""
+
+    __slots__ = ("best", "initial", "omega_calls", "completed", "elapsed_seconds",
+                 "improvements", "proved_by_bound", "timed_out", "memo_evicted", "prune_counts")
+
+    def __init__(self, best: ScheduleTiming, initial: ScheduleTiming, omega_calls: int,
+                 completed: bool, elapsed_seconds: float, improvements: int,
+                 proved_by_bound: bool = False, timed_out: bool = False, memo_evicted: int = 0,
+                 prune_counts: Mapping[str, int] = None):
+        for name, value in zip(SearchResult.__slots__, (
+                best, initial, omega_calls, completed, elapsed_seconds, improvements,
+                proved_by_bound, timed_out, memo_evicted,
+                {} if prune_counts is None else prune_counts)):
+            setslot(self, name, value)
 
     @property
     def optimal(self) -> bool:

@@ -76,7 +76,6 @@ to the front end's memory tier instead.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -247,7 +246,7 @@ class SchedulingService:
                 f"(requests may set {', '.join(_REQUEST_OPTIONS)})"
             )
         try:
-            return dataclasses.replace(self.options, **overrides)
+            return self.options._replace(**overrides)
         except (ValueError, TypeError) as exc:
             raise ServiceError(f"bad options: {exc}") from None
 
@@ -293,7 +292,7 @@ class SchedulingService:
         req_budget = self._resolve_deadline(payload.get("deadline"))
         blocks = self._parse_blocks(payload.get("blocks"))
         if self.block_timeout is not None:
-            options = dataclasses.replace(options, time_limit=self.block_timeout)
+            options = options._replace(time_limit=self.block_timeout)
 
         self._admit()
         try:

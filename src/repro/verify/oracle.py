@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.block import BasicBlock
@@ -298,7 +298,7 @@ def check_block(
                     schedule_block(
                         dag,
                         machine,
-                        replace(options, engine=twin_engine),
+                        options._replace(engine=twin_engine),
                         assignment=assignment,
                     ),
                 )

@@ -13,13 +13,17 @@ the ``repro`` source lines and module-level dataclasses it loads: with
 no bytecode on disk, a cold start compiles every line and execs every
 dataclass's generated methods.  Start-up modules declare their records
 on ``repro.record.Record`` instead, which builds them with no ``exec``.
-Four classes stay dataclasses because perf's harness calls
-``dataclasses.replace`` on them: ``SearchOptions``, ``SearchResult`` and
-``ScheduleTiming`` (the engine comparison in ``perf/workloads.py``) and
-``CompilationResult`` (``perf/test_perf.py``).  The first-call rows replay
-``perf/workloads.py``'s own ``FIRST_CALL`` script with one payload per
-workload, so they pin the path ``setup_s`` measures; the daemon row
-stops at the first 200 from ``/v1/health/ready``.
+A record answers ``dataclasses.is_dataclass`` through a field table it
+builds on first use, so only classes with their own
+``__dataclass_params__`` count: real ``@dataclass``es, and records a
+``dataclasses`` function has already read.  perf's harness calls
+``dataclasses.replace`` on ``SearchOptions``, ``SearchResult``,
+``ScheduleTiming`` and ``CompilationResult`` and pays that import
+itself; no cold start loads ``dataclasses`` or its ``inspect``.  The
+first-call rows replay ``perf/workloads.py``'s own ``FIRST_CALL``
+script with one payload per workload, so they pin the path ``setup_s``
+measures; the daemon row stops at the first 200 from
+``/v1/health/ready``.
 """
 
 import ast
@@ -63,7 +67,7 @@ _PRELUDE = '''
 def _report():
     import sys
     modules = sorted(sys.modules)
-    import dataclasses, json
+    import json
     own = [m for m in modules if m == "repro" or m.startswith("repro.")]
     lines = classes = 0
     for name in own:
@@ -74,7 +78,7 @@ def _report():
                 lines += sum(1 for _ in fh)
         classes += sum(
             1 for v in vars(module).values()
-            if isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == name
+            if isinstance(v, type) and "__dataclass_params__" in vars(v) and v.__module__ == name
         )
     print(json.dumps({"modules": modules, "lines": lines, "dataclasses": classes}), flush=True)
 '''
@@ -160,6 +164,10 @@ _FRACTIONS = ("fractions", "decimal", "_decimal")
 #: OpenSSL's libcrypto, ``fractions`` loads ``decimal`` and libmpdec.
 _NATIVE_LIBS = ("hashlib", "_hashlib", *_FRACTIONS)
 
+#: ``dataclasses`` and the ``inspect`` it imports (with ``ast``, ``dis``
+#: and ``tokenize``): only a caller of ``dataclasses``' functions needs them.
+_DATACLASSES = ("dataclasses", "inspect")
+
 #: The straight-line back end: a loop compilation runs none of it.
 _STRAIGHT_LINE = ("repro.codegen", "repro.opt", "repro.regalloc", "repro.simulator",
                   "repro.sched.heuristics")
@@ -206,8 +214,8 @@ BUDGETS = {
     "service-worker-job": Row(
         _WORKER_JOB,
         forbidden=("http", "email", "ssl", "socketserver", "repro.sched.reference",
-                   *_NATIVE_LIBS),
-        max_dataclasses=3,
+                   *_NATIVE_LIBS, *_DATACLASSES),
+        max_dataclasses=0,
     ),
     # One block's trip down the ladder needs the rung names, not the
     # budgets; a plain compile runs neither the spill pre-pass nor the
@@ -221,9 +229,9 @@ BUDGETS = {
         forbidden=("multiprocessing", "repro.driver", "repro.analysis", "repro.sched.pipelining",
                    "repro.ilp", "repro.native", "repro.service", "numpy", "repro.experiments.*",
                    "repro.ir.interp", *_FRACTIONS, "repro.resilience.budget", "repro.telemetry",
-                   "repro.sched.dfs", "repro.verify.steady_state", *_COLD),
+                   "repro.sched.dfs", "repro.verify.steady_state", *_COLD, *_DATACLASSES),
         allowed=("repro.experiments.runner",),
-        max_lines=4_855, max_dataclasses=3,
+        max_lines=4_855, max_dataclasses=0,
     ),
     # This block's root bound (3 NOPs) leaves its seed (4) open, so the
     # call runs the DFS and loads ``repro.sched.dfs``; no ``Div`` runs.
@@ -235,8 +243,8 @@ BUDGETS = {
                    "repro.sched.splitting", "repro.sched.multi", "repro.ir.loop", "repro.ilp",
                    "repro.native", "repro.analysis", "repro.sched.reference", "multiprocessing",
                    "numpy", "repro.regalloc.spill", "repro.sched.heuristics", "repro.telemetry",
-                   *_FRACTIONS),
-        max_lines=6_361, max_dataclasses=4,
+                   *_FRACTIONS, *_DATACLASSES),
+        max_lines=6_361, max_dataclasses=0,
     ),
     "loops-first-call": Row(
         *_first_call("loops", {"source": "for i in 0..8 { p = a * b; a = a + b; }",
@@ -246,8 +254,8 @@ BUDGETS = {
                    "repro.sched.splitting", "repro.sched.multi", "repro.sched.interblock",
                    "repro.ilp", "repro.native", "repro.analysis", "repro.sched.reference",
                    "multiprocessing", "numpy", "repro.sched.dfs", "repro.telemetry", *_FRACTIONS,
-                   *_STRAIGHT_LINE),
-        max_lines=6_412, max_dataclasses=4,
+                   *_STRAIGHT_LINE, *_DATACLASSES),
+        max_lines=6_412, max_dataclasses=0,
     ),
     # The daemon speaks its HTTP subset on socketserver: none of
     # http.server's stack (http.client, email, ssl, html, mimetypes).
@@ -257,8 +265,8 @@ BUDGETS = {
         forbidden=("repro.frontend", "repro.driver", "repro.sched.pipelining", "repro.ir.interp",
                    "repro.ilp", "repro.native", "repro.analysis", "repro.synth", "numpy", "http",
                    "email", "ssl", "html", "mimetypes", "repro.resilience.faults", *_NATIVE_LIBS,
-                   "repro.verify.steady_state", *_COLD),
-        max_lines=8_200, max_dataclasses=3,
+                   "repro.verify.steady_state", *_COLD, *_DATACLASSES),
+        max_lines=8_200, max_dataclasses=0,
     ),
     # A client of the daemon loads the protocol's payload helpers, not
     # the daemon, its cache, the schedulers or the worker pool.

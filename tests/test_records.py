@@ -7,17 +7,24 @@ of its compared fields, so set and dict order, and with them every
 schedule, stay the same).  The reference is a frozen dataclass built
 from the same field names and values.  A record refuses assignment,
 carries no instance ``__dict__``, survives pickling and never equals a
-record of another class.
+record of another class.  ``dataclasses.replace``, ``fields`` and
+``asdict`` still work on every record, and only their callers import
+``dataclasses``.
 """
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.codegen.asmparser import AsmInstruction
 from repro.codegen.assembly import AssemblyProgram
 from repro.driver import (
+    CompilationResult,
     LoopCompilation,
     ProgramCompilation,
     compile_loop,
@@ -36,6 +43,7 @@ from repro.frontend.ast import (
     VarRead,
 )
 from repro.frontend.lexer import Token, TokenKind
+from repro.ilp.backend import IlpSearchResult
 from repro.ir.block import BasicBlock
 from repro.ir.dag import DependenceEdge
 from repro.ir.interp import ExecutionResult
@@ -54,8 +62,9 @@ from repro.resilience.budget import BlockBudget
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import SupervisorConfig
 from repro.sched.core import FastOutcome
-from repro.sched.nop_insertion import InitialConditions
+from repro.sched.nop_insertion import InitialConditions, ScheduleTiming
 from repro.sched.pipelining import MiiReport, ModuloScheduleResult
+from repro.sched.search import SearchOptions, SearchResult
 from repro.service.fingerprint import CanonicalForm
 from repro.simulator.core import InterlockMode, SimulationTrace
 from repro.simulator.register_machine import RegisterTrace
@@ -68,6 +77,11 @@ COMPILED = compile_source("a = b * c; d = a + b;", MACHINE)
 LOOP = compile_loop("for i in 0..8 { p = a * b; a = a + b; }", MACHINE)
 PROGRAM = compile_program("a = b; barrier; c = a;", MACHINE)
 ASSIGN = Assignment("a", Binary("+", VarRead("b"), Constant(2)))
+SEARCH_FIELDS = ("best", "initial", "omega_calls", "completed", "elapsed_seconds",
+                 "improvements", "proved_by_bound", "timed_out", "memo_evicted", "prune_counts")
+SEARCH_ARGS = (COMPILED.timing, COMPILED.timing, 9, True, 0.5, 1, True, False, 2, {"bounds": 2})
+COMPILED_FIELDS = ("program", "raw_block", "block", "dag", "timing", "allocation", "assembly",
+                   "search", "machine", "pipeline_assignment", "initial")
 CERT = CertificateReport(True, (Violation("over-padded", 0, 1, "x"),), (1, 2), (0, 1), (0, 1),
                          1, 1)
 
@@ -102,6 +116,15 @@ CASES = [
      (BLOCK, Program([]), 1, 2, 3, 4, None)),
     (InitialConditions, ("pipe_free", "variable_ready", "tuple_ready"),
      ({1: 2}, {"a": 1}, {3: 4})),
+    (ScheduleTiming, ("order", "etas", "issue_times"), ((1, 2, 3), (0, 1, 0), (0, 2, 3))),
+    (SearchOptions,
+     ("curtail", "alpha_beta", "equivalence_prune", "lower_bound_prune", "dominance_prune",
+      "heuristic_seeds", "seed_with_list_schedule", "cheapest_first", "max_memo_entries",
+      "time_limit", "max_live", "engine"),
+     (7, False, True, False, True, False, True, False, 10, 2.5, 4, "native")),
+    (SearchResult, SEARCH_FIELDS, SEARCH_ARGS),
+    (IlpSearchResult, (*SEARCH_FIELDS, "lp_relaxation", "lower_bound", "nodes", "lp_pivots"),
+     (*SEARCH_ARGS, 1.5, 1, 3, 40)),
     (FastOutcome,
      ("best", "omega_calls", "improvements", "completed", "timed_out", "memo_evicted",
       "prune_counts"),
@@ -143,6 +166,11 @@ CASES = [
      (Opcode.ADD, 2, (0, 1), None, None, 1, 4)),
     (AssemblyProgram, ("name", "discipline", "lines", "num_registers_used", "nop_count"),
      ("b0", DelayDiscipline.NOP_PADDED, ("LD r0, a",), 1, 0)),
+    # A block of PROGRAM: COMPILED's block is named "block", which is also a
+    # DependenceDAG attribute name, and unpickling interns that one copy, so
+    # a re-pickled COMPILED memoizes the string differently.
+    (CompilationResult, COMPILED_FIELDS,
+     tuple(getattr(PROGRAM.blocks[0], n) for n in COMPILED_FIELDS)),
     (ProgramCompilation, ("program", "blocks", "machine"),
      (PROGRAM.program, PROGRAM.blocks, MACHINE)),
     (LoopCompilation, ("program", "loop", "result", "machine", "certificate"),
@@ -162,7 +190,7 @@ UNCOMPARED = {BlockRecord: ("elapsed_seconds",)}
 
 #: Records whose fields hold a ``DependenceDAG`` (compared by identity),
 #: so no copy of them ever compares equal.
-BY_IDENTITY = (ProgramCompilation,)
+BY_IDENTITY = (CompilationResult, ProgramCompilation)
 
 
 def _subclasses(cls):
@@ -188,7 +216,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 
 def test_every_record_class_is_covered():
     assert {cls for cls, _, _ in CASES} == set(_subclasses(Record))
-    assert len(CASES) == 43
+    assert len(CASES) == 48
 
 
 @pytest.mark.parametrize("cls, fields, args", CASES, ids=IDS)
@@ -241,6 +269,44 @@ def test_pickle_round_trip(cls, fields, args):
             assert copy._state(copy) == record._state(record)
 
 
+@pytest.mark.parametrize("cls, fields, args", CASES, ids=IDS)
+def test_dataclasses_functions_agree_with_the_record(cls, fields, args):
+    record = cls(*args)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(record)
+    assert tuple(f.name for f in dataclasses.fields(record)) == record._fields == fields
+    for name, value in zip(fields, args):
+        replaced = dataclasses.replace(record, **{name: value})
+        assert type(replaced) is cls and replaced == record._replace(**{name: value}) == record
+    with pytest.raises(TypeError):
+        dataclasses.replace(record, no_such_field=1)
+    as_dict = dataclasses.asdict(record)
+    assert list(as_dict) == list(record._asdict())
+    if cls not in BY_IDENTITY:  # asdict deep-copies the DependenceDAG
+        assert as_dict == dataclasses.asdict(_twin(record))
+
+
+def test_records_build_compare_hash_and_pickle_without_dataclasses():
+    script = (
+        "import pickle, sys\n"
+        "from repro.sched.search import SearchOptions\n"
+        "options = SearchOptions(curtail=9, engine='reference')\n"
+        "assert options == SearchOptions(curtail=9, engine='reference') != SearchOptions()\n"
+        "assert hash(options) == hash(SearchOptions(curtail=9, engine='reference'))\n"
+        "assert pickle.loads(pickle.dumps(options)) == options\n"
+        "assert options._replace(curtail=1).curtail == 1\n"
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'inspect')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_default_search_options_hash_as_the_dataclass_did():
+    options = SearchOptions()
+    assert hash(options) == hash(_twin(options))
+
+
 def test_distinct_classes_never_compare_equal():
     assert RefOperand(1) != ConstOperand(1) and not RefOperand(1) == ConstOperand(1)
     assert Constant(1) != ConstOperand(1)
@@ -289,3 +355,9 @@ def test_validation_still_runs_in_the_constructor():
         FaultPlan(crash_rate=2.0)
     with pytest.raises(ValueError):
         Binary("%", Constant(1), Constant(2))
+
+
+def test_each_search_result_gets_its_own_prune_counts():
+    timing = COMPILED.timing
+    first, second = (SearchResult(timing, timing, 0, True, 0.0, 0) for _ in range(2))
+    assert first.prune_counts == {} and first.prune_counts is not second.prune_counts

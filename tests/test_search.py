@@ -33,6 +33,8 @@ class TestOptions:
             SearchOptions(curtail=0)
         with pytest.raises(ValueError):
             SearchOptions(time_limit=0)
+        with pytest.raises(ValueError):
+            SearchOptions(max_memo_entries=-1)
 
     def test_with_curtail(self):
         assert SearchOptions().with_curtail(7).curtail == 7
