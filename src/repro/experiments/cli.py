@@ -367,17 +367,17 @@ def _render_experiments(wanted, args, records, results) -> None:
         if name == "table1":
             result = table1.run(engine=engine)
         elif name == "table7":
-            result = table7.run_from_records(records, args.curtail)
+            result = table7.Table7Result(records, args.curtail)
         elif name == "fig1":
-            result = fig1.run_from_records(records)
+            result = fig1.Fig1Result(records)
         elif name == "fig4":
-            result = fig4.run_from_records(records)
+            result = fig4.Fig4Result(records)
         elif name == "fig5":
-            result = fig5.run_from_records(records)
+            result = fig5.Fig5Result(records)
         elif name == "fig6":
-            result = fig6.run_from_records(records)
+            result = fig6.Fig6Result(records)
         elif name == "fig7":
-            result = fig7.run_from_records(records)
+            result = fig7.Fig7Result(records)
         elif name == "ablation-a1":
             result = ablation.run_a1(engine=engine)
         elif name == "ablation-a2":

@@ -10,17 +10,10 @@ block size (section 2.3's closing observation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .report import format_scatter, format_table, to_csv
-from .runner import (
-    DEFAULT_CURTAIL,
-    BlockRecord,
-    bucket_by_size,
-    mean,
-    population_size,
-    run_population,
-)
+from .runner import BlockRecord, bucket_by_size, mean
 
 
 @dataclass(frozen=True)
@@ -66,17 +59,3 @@ class Fig1Result:
             ["size", "omega_calls"],
             [(r.size, r.omega_calls) for r in self.complete],
         )
-
-
-def run(
-    n_blocks: Optional[int] = None,
-    curtail: int = DEFAULT_CURTAIL,
-    master_seed: int = 1990,
-) -> Fig1Result:
-    if n_blocks is None:
-        n_blocks = population_size()
-    return Fig1Result(run_population(n_blocks, curtail, master_seed))
-
-
-def run_from_records(records: List[BlockRecord]) -> Fig1Result:
-    return Fig1Result(records)

@@ -11,17 +11,10 @@ the list-schedule seed as a third series for reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .report import format_series, to_csv
-from .runner import (
-    DEFAULT_CURTAIL,
-    BlockRecord,
-    bucket_by_size,
-    mean,
-    population_size,
-    run_population,
-)
+from .runner import BlockRecord, bucket_by_size, mean
 
 
 @dataclass(frozen=True)
@@ -79,17 +72,3 @@ class Fig4Result:
                 for r in self.records
             ],
         )
-
-
-def run(
-    n_blocks: Optional[int] = None,
-    curtail: int = DEFAULT_CURTAIL,
-    master_seed: int = 1990,
-) -> Fig4Result:
-    if n_blocks is None:
-        n_blocks = population_size()
-    return Fig4Result(run_population(n_blocks, curtail, master_seed))
-
-
-def run_from_records(records: List[BlockRecord]) -> Fig4Result:
-    return Fig4Result(records)

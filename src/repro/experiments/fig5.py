@@ -14,10 +14,10 @@ The shape to match: right-skewed histogram, mean ≈ 20.6, thin tail past
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .report import format_histogram, to_csv
-from .runner import DEFAULT_CURTAIL, BlockRecord, mean, population_size, run_population
+from .runner import BlockRecord, mean
 
 BUCKET = 5
 
@@ -52,17 +52,3 @@ class Fig5Result:
 
     def csv(self) -> str:
         return to_csv(["bucket_start", "count"], self.histogram())
-
-
-def run(
-    n_blocks: Optional[int] = None,
-    curtail: int = DEFAULT_CURTAIL,
-    master_seed: int = 1990,
-) -> Fig5Result:
-    if n_blocks is None:
-        n_blocks = population_size()
-    return Fig5Result(run_population(n_blocks, curtail, master_seed))
-
-
-def run_from_records(records: List[BlockRecord]) -> Fig5Result:
-    return Fig5Result(records)

@@ -11,17 +11,10 @@ section 6), which this experiment reports directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .report import format_table, to_csv
-from .runner import (
-    DEFAULT_CURTAIL,
-    BlockRecord,
-    bucket_by_size,
-    mean,
-    population_size,
-    run_population,
-)
+from .runner import BlockRecord, bucket_by_size, mean
 
 
 @dataclass(frozen=True)
@@ -60,17 +53,3 @@ class Fig6Result:
             ["size", "elapsed_seconds", "completed"],
             [(r.size, r.elapsed_seconds, int(r.completed)) for r in self.records],
         )
-
-
-def run(
-    n_blocks: Optional[int] = None,
-    curtail: int = DEFAULT_CURTAIL,
-    master_seed: int = 1990,
-) -> Fig6Result:
-    if n_blocks is None:
-        n_blocks = population_size()
-    return Fig6Result(run_population(n_blocks, curtail, master_seed))
-
-
-def run_from_records(records: List[BlockRecord]) -> Fig6Result:
-    return Fig6Result(records)

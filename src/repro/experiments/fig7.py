@@ -10,16 +10,10 @@ the large-block tail (the overall rate is Table 7's 98.83%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .report import format_table, to_csv
-from .runner import (
-    DEFAULT_CURTAIL,
-    BlockRecord,
-    bucket_by_size,
-    population_size,
-    run_population,
-)
+from .runner import BlockRecord, bucket_by_size
 
 
 @dataclass(frozen=True)
@@ -60,17 +54,3 @@ class Fig7Result:
             ["bucket_start", "percent_optimal", "runs"],
             [(s, p, c) for s, p, c in self.series()],
         )
-
-
-def run(
-    n_blocks: Optional[int] = None,
-    curtail: int = DEFAULT_CURTAIL,
-    master_seed: int = 1990,
-) -> Fig7Result:
-    if n_blocks is None:
-        n_blocks = population_size()
-    return Fig7Result(run_population(n_blocks, curtail, master_seed))
-
-
-def run_from_records(records: List[BlockRecord]) -> Fig7Result:
-    return Fig7Result(records)

@@ -90,10 +90,6 @@ class BlockRecord(Record, uncompared=("elapsed_seconds",)):
         setslot(self, "ladder", ladder)
         setslot(self, "elapsed_seconds", elapsed_seconds)
 
-    @property
-    def nops_removed(self) -> int:
-        return self.initial_nops - self.final_nops
-
 
 class VerificationError(AssertionError):
     """A population schedule failed its independent certificate check."""

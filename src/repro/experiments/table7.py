@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .report import comparison_note, format_table, to_csv
-from .runner import DEFAULT_CURTAIL, BlockRecord, mean, population_size, run_population
+from .runner import BlockRecord, mean
 
 #: The paper's Table 7, for side-by-side rendering.
 PAPER_ROWS = {
@@ -119,21 +119,3 @@ class Table7Result:
             ["statistic", "complete", "truncated", "paper_complete", "paper_truncated"],
             self.rows(),
         )
-
-
-def run(
-    n_blocks: int = None,
-    curtail: int = DEFAULT_CURTAIL,
-    master_seed: int = 1990,
-) -> Table7Result:
-    """Run the Table 7 experiment (scaled by ``REPRO_SCALE`` by default)."""
-    if n_blocks is None:
-        n_blocks = population_size()
-    records = run_population(n_blocks, curtail=curtail, master_seed=master_seed)
-    return Table7Result(records, curtail)
-
-
-def run_from_records(records: List[BlockRecord], curtail: int) -> Table7Result:
-    """Build the result from an existing population run (shared with the
-    figure experiments)."""
-    return Table7Result(records, curtail)

@@ -214,42 +214,6 @@ class Program(Record):
         return "{\n" + body + "\n}"
 
     # ------------------------------------------------------------------
-    def variables_read(self) -> Tuple[str, ...]:
-        """Variables whose incoming value is observable (read before any
-        assignment to them), in first-read order."""
-        assigned: set[str] = set()
-        out: Dict[str, None] = {}
-
-        def walk(e: Expr) -> None:
-            if isinstance(e, VarRead):
-                if e.name not in assigned:
-                    out.setdefault(e.name, None)
-            elif isinstance(e, Unary):
-                walk(e.operand)
-            elif isinstance(e, Binary):
-                walk(e.left)
-                walk(e.right)
-
-        for stmt in self.statements:
-            if isinstance(stmt, Barrier):
-                continue
-            if isinstance(stmt, ForLoop):
-                # Symbolic bounds are reads; the loop variable is scoped.
-                for bound in (stmt.start, stmt.stop):
-                    if isinstance(bound, str) and bound not in assigned:
-                        out.setdefault(bound, None)
-                assigned.add(stmt.var)
-                # The body's first iteration observes outer memory; walk
-                # it like straight-line code, then commit its targets.
-                for inner in stmt.body:
-                    walk(inner.value)
-                    assigned.add(inner.target)
-                assigned.discard(stmt.var)
-                continue
-            walk(stmt.value)
-            assigned.add(stmt.target)
-        return tuple(out)
-
     def variables_written(self) -> Tuple[str, ...]:
         seen: Dict[str, None] = {}
         for stmt in self.statements:

@@ -13,7 +13,7 @@ targets must name variables.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 from ..record import Record, setslot
 from .ops import Opcode
@@ -127,11 +127,6 @@ class BasicBlock(Record):
     # Variable views
     # ------------------------------------------------------------------
     @property
-    def loaded_variables(self) -> tuple[str, ...]:
-        """Variables read by Load tuples, in first-occurrence order."""
-        return tuple(dict.fromkeys(t.variable for t in self.tuples if t.op is Opcode.LOAD))
-
-    @property
     def stored_variables(self) -> tuple[str, ...]:
         """Variables written by Store tuples, in first-occurrence order."""
         return tuple(dict.fromkeys(t.variable for t in self.tuples if t.op is Opcode.STORE))
@@ -143,22 +138,6 @@ class BasicBlock(Record):
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def reordered(self, order: Sequence[int]) -> "BasicBlock":
-        """A new block with the same tuples in schedule order ``order``.
-
-        ``order`` is a permutation of the block's reference numbers.  The
-        result keeps the original reference numbers (so operand references
-        stay meaningful) but is *not* validated for forward references —
-        a scheduled block legally places consumers after producers by
-        construction of the schedule, which is checked by the caller
-        against the dependence DAG, not by positional validation.
-        """
-        if sorted(order) != sorted(self._index or range(1, len(self.tuples) + 1)):
-            raise BlockValidationError(
-                "reorder must be a permutation of the block's tuples"
-            )
-        return BasicBlock.unchecked((self.by_ident(i) for i in order), self.name)
-
     def renumbered(self) -> "BasicBlock":
         """A new block with tuples renumbered densely 1..n in program order.
 
@@ -221,10 +200,6 @@ class BlockBuilder:
 
     def emit_unary(self, op: Opcode, a: int) -> int:
         return self.emit(op, ref_operand(a))
-
-    def tuple_at(self, ident: int) -> IRTuple:
-        """The already-emitted tuple numbered ``ident``."""
-        return self._tuples[ident - 1]
 
     def build(self) -> BasicBlock:
         return BasicBlock(self._tuples, self._name)

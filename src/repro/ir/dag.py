@@ -253,25 +253,6 @@ class DependenceDAG:
         )
 
     # ------------------------------------------------------------------
-    def to_dot(self) -> str:
-        """Graphviz DOT rendering (for papers, docs, and debugging).
-
-        Flow edges are solid, anti edges dashed, output edges dotted —
-        the classic dependence-graph styling.
-        """
-        styles = {"flow": "solid", "anti": "dashed", "output": "dotted"}
-        lines = [f'digraph "{self.block.name}" {{', "  rankdir=TB;"]
-        for t in self.block:
-            label = str(t).replace('"', '\\"')
-            lines.append(f'  n{t.ident} [label="{label}", shape=box];')
-        for e in self._edges:
-            lines.append(
-                f"  n{e.producer} -> n{e.consumer} "
-                f'[style={styles.get(e.kind, "solid")}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
     def __str__(self) -> str:
         lines = [f"DAG({self.block.name}, {len(self)} tuples)"]
         lines += [f"  {e}" for e in self._edges]

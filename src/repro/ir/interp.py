@@ -45,9 +45,6 @@ class ExecutionResult(Record):
         setslot(self, "memory", memory)
         setslot(self, "tuple_values", tuple_values)
 
-    def value_of(self, ident: int) -> Value:
-        return self.tuple_values[ident]
-
     def __getitem__(self, var: str) -> Value:
         return self.memory[var]
 

@@ -52,16 +52,8 @@ class Opcode(enum.Enum):
         return self is not Opcode.STORE
 
     @property
-    def reads_memory(self) -> bool:
-        return self is Opcode.LOAD
-
-    @property
     def writes_memory(self) -> bool:
         return self is Opcode.STORE
-
-    @property
-    def is_arithmetic(self) -> bool:
-        return self in _EVALUATORS
 
     @property
     def is_commutative(self) -> bool:

@@ -160,10 +160,6 @@ class IRTuple(Record):
             return self.alpha.name
         return None
 
-    def with_ident(self, ident: int) -> "IRTuple":
-        """A copy of this tuple renumbered to ``ident`` (operands untouched)."""
-        return IRTuple(ident, self.op, self.alpha, self.beta)
-
     # ------------------------------------------------------------------
     def __str__(self) -> str:
         parts = ", ".join(str(o) for o in self.operands)

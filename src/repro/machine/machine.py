@@ -160,13 +160,6 @@ class MachineDescription(Record):
             return UNPIPELINED_LATENCY
         return self.pipeline(pipeline_ident).latency
 
-    def enqueue_time_of(self, op: Opcode, pipeline_ident: Optional[int] = None) -> int:
-        if pipeline_ident is None:
-            pipeline_ident = self.sigma(op)
-        if pipeline_ident is None:
-            return 0
-        return self.pipeline(pipeline_ident).enqueue_time
-
     # ------------------------------------------------------------------
     # Multi-pipeline support
     # ------------------------------------------------------------------
@@ -190,10 +183,6 @@ class MachineDescription(Record):
     @property
     def max_latency(self) -> int:
         return max((p.latency for p in self.pipelines), default=UNPIPELINED_LATENCY)
-
-    @property
-    def max_enqueue_time(self) -> int:
-        return max((p.enqueue_time for p in self.pipelines), default=0)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -44,11 +44,6 @@ class PipelineDesc(Record):
                 f"({self.enqueue_time} > {self.latency})"
             )
 
-    @property
-    def is_pipelined(self) -> bool:
-        """False for a functional unit modelled as enqueue_time == latency."""
-        return self.enqueue_time < self.latency
-
     def __str__(self) -> str:
         return (
             f"pipeline {self.ident} ({self.function}): "

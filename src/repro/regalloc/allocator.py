@@ -39,9 +39,6 @@ class RegisterAllocation(Record):
         setslot(self, "registers", registers)  # tuple ident -> register number
         setslot(self, "num_registers_used", num_registers_used)
 
-    def register_of(self, ident: int) -> int:
-        return self.registers[ident]
-
 
 def allocate_registers(
     block: BasicBlock,

@@ -53,10 +53,6 @@ class SpillReport(Record):
         setslot(self, "spill_stores", spill_stores)  # Store tuples inserted
         setslot(self, "reloads", reloads)  # Load/Const tuples inserted to recover evicted values
 
-    @property
-    def spilled(self) -> bool:
-        return self.spill_stores > 0 or self.reloads > 0
-
 
 def insert_spill_code(block: BasicBlock, num_registers: int) -> SpillReport:
     """Rewrite ``block`` so program-order pressure fits ``num_registers``.

@@ -193,9 +193,6 @@ class ScheduleTiming(Record):
         ``len(order) + total_nops``."""
         return len(self.order) + self.total_nops
 
-    def eta_of(self, ident: int) -> int:
-        return self.etas[self.order.index(ident)]
-
     def __len__(self) -> int:
         return len(self.order)
 
@@ -297,9 +294,6 @@ class IncrementalTimingState:
     def total_nops(self) -> int:
         """mu(Φ) — NOPs committed by the current prefix."""
         return self._total_nops
-
-    def issue_time_of(self, ident: int) -> int:
-        return self._issue[ident]
 
     # ------------------------------------------------------------------
     def peek_eta(self, ident: int, pipe: Optional[int] = None) -> int:

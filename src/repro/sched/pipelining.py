@@ -556,17 +556,6 @@ class ModuloScheduleResult(Record):
         return sorted((i * self.ii + off, i, z)
                       for i in range(trip_count) for z, off in self.offsets.items())
 
-    def prologue(self, trip_count: int) -> List[Tuple[int, int, int]]:
-        """Stream entries before the first full kernel window (the
-        pipeline fill: cycles ``< (stage_count - 1) * II``)."""
-        fill = (self.stage_count - 1) * self.ii
-        return [e for e in self.stream(trip_count) if e[0] < fill]
-
-    def epilogue(self, trip_count: int) -> List[Tuple[int, int, int]]:
-        """Stream entries after the last full kernel window (the
-        pipeline drain: cycles ``>= trip_count * II``)."""
-        return [e for e in self.stream(trip_count) if e[0] >= trip_count * self.ii]
-
     @property
     def kernel_text(self) -> str:
         """Human-readable kernel listing (one line per window slot)."""

@@ -188,9 +188,6 @@ class SearchOptions(Record):
             cheapest_first=False,
         )
 
-    def with_curtail(self, curtail: int) -> "SearchOptions":
-        return self._replace(curtail=curtail)
-
 
 def unsupported_backend_option(backend: str, field_name: str) -> ValueError:
     """Structured error for a request field a backend cannot honor.

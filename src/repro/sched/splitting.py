@@ -65,10 +65,6 @@ class SplitScheduleResult:
     def total_nops(self) -> int:
         return self.timing.total_nops
 
-    @property
-    def window_sizes(self) -> Tuple[int, ...]:
-        return tuple(len(w) for w in self.windows)
-
 
 def schedule_block_split(
     dag: DependenceDAG,

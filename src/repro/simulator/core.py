@@ -8,11 +8,12 @@ simulator makes that claim checkable:
 
 * in **implicit-interlock** mode it receives a bare instruction order and
   stalls in hardware whenever a dependence or conflict would be violated;
-* in **explicit-interlock** mode it receives ``(instruction, wait)`` pairs
-  (the Tera-style count of cycles to hold issue) and *faults* if the
-  waits are insufficient — stalling is the compiler's job;
 * in **NOP-padded** mode it receives an instruction stream with NOPs
   already inserted and faults on any hazard.
+
+Explicit interlock (a Tera-style wait count per instruction) is the
+padded check with each wait in place of its NOPs;
+:mod:`repro.simulator.register_machine` executes it as assembly text.
 
 The central reproduction invariant (property-tested): for any legal
 order, the implicit-interlock cycle count equals ``len(order) +
@@ -41,15 +42,14 @@ from ..sched.nop_insertion import (
 
 
 class HazardError(RuntimeError):
-    """A NOP-padded or explicit-interlock stream violated the pipeline
-    constraints — the compiler under-inserted delays."""
+    """A NOP-padded stream violated the pipeline constraints — the
+    compiler under-inserted delays."""
 
 
 class InterlockMode(enum.Enum):
-    """The three delay disciplines of section 2.2."""
+    """The delay disciplines of section 2.2 that run on tuples."""
 
     IMPLICIT = "implicit"
-    EXPLICIT = "explicit"
     NOP_PADDED = "nop-padded"
 
 
@@ -73,9 +73,6 @@ class SimulationTrace(Record):
         setslot(self, "completion_cycle", completion_cycle)  # cycle when the last result drains
         setslot(self, "stall_cycles", stall_cycles)  # cycles lost to interlocks / NOPs
         setslot(self, "memory", memory)
-
-    def issue_cycle_of(self, ident: int) -> int:
-        return self.issue_cycles[self.order.index(ident)]
 
 
 class PipelineSimulator:
@@ -113,18 +110,6 @@ class PipelineSimulator:
     ) -> SimulationTrace:
         """Hardware interlock: stall each issue until it is hazard-free."""
         return self._run(list(order), InterlockMode.IMPLICIT, memory, waits=None)
-
-    def run_explicit(
-        self,
-        tagged: Sequence[Tuple[int, int]],
-        memory: Optional[Mapping[str, Value]] = None,
-    ) -> SimulationTrace:
-        """Explicit interlock: each instruction carries a wait count; the
-        hardware blindly delays that many cycles and then *checks* that the
-        issue really was safe (raising :class:`HazardError` otherwise)."""
-        order = [ident for ident, _ in tagged]
-        waits = [wait for _, wait in tagged]
-        return self._run(order, InterlockMode.EXPLICIT, memory, waits=waits)
 
     def run_padded(
         self,

@@ -101,18 +101,3 @@ LOOP_KERNELS: Tuple[LoopKernel, ...] = (
         "recurrence and resource bounds compete",
     ),
 )
-
-#: Loop kernels by name.
-LOOP_KERNELS_BY_NAME: Dict[str, LoopKernel] = {
-    k.name: k for k in LOOP_KERNELS
-}
-
-
-def get_loop_kernel(name: str) -> LoopKernel:
-    try:
-        return LOOP_KERNELS_BY_NAME[name]
-    except KeyError:
-        known = ", ".join(sorted(LOOP_KERNELS_BY_NAME))
-        raise KeyError(
-            f"unknown loop kernel {name!r} (known: {known})"
-        ) from None

@@ -275,17 +275,6 @@ class Telemetry:
 
         atomic_write_text(path, self.dumps(meta) + "\n")
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Telemetry":
-        schema = payload.get("schema")
-        if schema != SCHEMA:
-            raise ValueError(
-                f"unsupported telemetry schema {schema!r} (want {SCHEMA!r})"
-            )
-        tele = cls()
-        tele.merge(payload)
-        return tele
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Telemetry({len(self.counters)} counters, "

@@ -5,27 +5,13 @@ from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
 from repro.sched.interblock import schedule_sequence
 from repro.sched.nop_insertion import compute_timing
-from repro.simulator.core import PipelineSimulator
 
 
 class TestScheduleTimingAccessors:
-    def test_eta_of(self, figure3_dag, sim_machine):
-        timing = compute_timing(figure3_dag, (1, 2, 3, 4, 5), sim_machine)
-        assert timing.eta_of(4) == 1
-        assert timing.eta_of(5) == 3
-        assert len(timing) == 5
-
     def test_issue_span(self, figure3_dag, sim_machine):
         timing = compute_timing(figure3_dag, (1, 2, 3, 4, 5), sim_machine)
+        assert len(timing) == 5
         assert timing.issue_span_cycles == len(timing.order) + timing.total_nops
-
-
-class TestTraceAccessors:
-    def test_issue_cycle_of(self, figure3_block, sim_machine):
-        sim = PipelineSimulator(figure3_block, sim_machine)
-        trace = sim.run_implicit((1, 2, 3, 4, 5), {"a": 3})
-        assert trace.issue_cycle_of(1) == 0
-        assert trace.issue_cycle_of(5) == trace.issue_cycles[-1]
 
 
 class TestSequenceAccessors:

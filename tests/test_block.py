@@ -56,7 +56,6 @@ class TestAccess:
 
     def test_variable_views(self):
         block = simple_block()
-        assert block.loaded_variables == ("a",)
         assert block.stored_variables == ("b", "a")
         assert block.variables == ("b", "a")
 
@@ -67,16 +66,9 @@ class TestAccess:
 class TestTransformations:
     def test_reordered_keeps_reference_numbers(self):
         block = simple_block()
-        shuffled = block.reordered([3, 1, 4, 2, 5])
+        shuffled = BasicBlock.unchecked(block.by_ident(i) for i in [3, 1, 4, 2, 5])
         assert shuffled.idents == (3, 1, 4, 2, 5)
         assert shuffled.by_ident(4).value_refs == (1, 3)
-
-    def test_reordered_rejects_non_permutations(self):
-        block = simple_block()
-        with pytest.raises(BlockValidationError):
-            block.reordered([1, 2, 3])
-        with pytest.raises(BlockValidationError):
-            block.reordered([1, 1, 2, 3, 4])
 
     def test_renumbered_is_dense_and_consistent(self):
         block = BasicBlock(
@@ -109,12 +101,6 @@ class TestBuilder:
         block = b.build()
         assert block.idents == (1, 2, 3, 4, 5)
         assert str(block) == str(simple_block())
-
-    def test_builder_tuple_at(self):
-        b = BlockBuilder()
-        c = b.emit_const(3)
-        assert b.tuple_at(c).op is Opcode.CONST
-        assert len(b) == 1
 
     def test_builder_unary(self):
         b = BlockBuilder()
@@ -167,9 +153,9 @@ def _validation_error(tuples):
     return None
 
 
-def _assert_lookups_match_a_dict(block, permutation):
-    """``by_ident``, ``position_of``, ``in`` and ``reordered`` answer as a
-    plain ident -> position dict does; ``permutation`` orders positions."""
+def _assert_lookups_match_a_dict(block):
+    """``by_ident``, ``position_of`` and ``in`` answer as a plain
+    ident -> position dict does."""
     index = {t.ident: pos for pos, t in enumerate(block.tuples)}
     dense = list(index) == list(range(1, len(block) + 1))
     assert (block._index is None) == dense
@@ -185,14 +171,6 @@ def _assert_lookups_match_a_dict(block, permutation):
         assert caught.value.args == (ident,)
         with pytest.raises(KeyError, match=f"no tuple numbered {ident} in {block.name}"):
             block.by_ident(ident)
-    order = [block.tuples[pos].ident for pos in permutation]
-    assert block.reordered(order).idents == tuple(order)
-    with pytest.raises(BlockValidationError, match="reorder must be a permutation"):
-        block.reordered(order + [top + 1])
-
-
-def _permutation(data, n):
-    return data.draw(st.permutations(range(n)))
 
 
 class TestLookupParity:
@@ -202,17 +180,16 @@ class TestLookupParity:
         from repro.ir.dag import DependenceDAG
         from repro.sched.splitting import window_dag
 
-        _assert_lookups_match_a_dict(block, _permutation(data, len(block)))
+        _assert_lookups_match_a_dict(block)
         start = data.draw(st.integers(0, len(block)))
         stop = data.draw(st.integers(start, len(block)))
-        window = BasicBlock.unchecked(block.tuples[start:stop], "window")
-        _assert_lookups_match_a_dict(window, _permutation(data, len(window)))
-        order = [block.tuples[pos].ident for pos in _permutation(data, len(block))]
-        scheduled = block.reordered(order)
-        _assert_lookups_match_a_dict(scheduled, _permutation(data, len(block)))
+        _assert_lookups_match_a_dict(BasicBlock.unchecked(block.tuples[start:stop], "window"))
+        order = data.draw(st.permutations(block.tuples))
+        scheduled = BasicBlock.unchecked(order, "scheduled")
+        assert scheduled.idents == tuple(t.ident for t in order)
+        _assert_lookups_match_a_dict(scheduled)
         members = data.draw(st.sets(st.sampled_from(block.idents))) if len(block) else set()
-        sub = window_dag(DependenceDAG(block), sorted(members)).block
-        _assert_lookups_match_a_dict(sub, _permutation(data, len(sub)))
+        _assert_lookups_match_a_dict(window_dag(DependenceDAG(block), sorted(members)).block)
 
     @settings(max_examples=80, deadline=None)
     @given(blocks(min_size=1, max_size=12), st.data())
@@ -224,8 +201,8 @@ class TestLookupParity:
         renamed = rename_block(block, data.draw(ident_renamings(block)))
         parsed = parse_block(format_block(renamed), "gapped")
         assert parsed.idents == renamed.idents
-        _assert_lookups_match_a_dict(parsed, _permutation(data, len(parsed)))
-        _assert_lookups_match_a_dict(parsed.renumbered(), _permutation(data, len(parsed)))
+        _assert_lookups_match_a_dict(parsed)
+        _assert_lookups_match_a_dict(parsed.renumbered())
 
     @settings(max_examples=150, deadline=None)
     @given(blocks(min_size=1, max_size=8), st.data())
@@ -244,7 +221,7 @@ class TestLookupParity:
                   for i, t in zip(idents, block)]
         want = _validation_error(tuples)
         if want is None:
-            _assert_lookups_match_a_dict(BasicBlock(tuples), _permutation(data, len(tuples)))
+            _assert_lookups_match_a_dict(BasicBlock(tuples))
         else:
             with pytest.raises(BlockValidationError) as caught:
                 BasicBlock(tuples)

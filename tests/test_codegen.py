@@ -42,7 +42,7 @@ class TestNopPadded:
         timing, allocation, asm = compile_figure3(
             figure3_block, sim_machine, DelayDiscipline.NOP_PADDED
         )
-        mul_reg_a = allocation.register_of(1)
+        mul_reg_a = allocation.registers[1]
         assert any(
             line.startswith("MUL") and f"R{mul_reg_a}" in line
             for line in asm.lines

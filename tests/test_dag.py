@@ -147,17 +147,3 @@ def test_transitive_sets_are_consistent(block):
             assert ident in dag.descendants[anc]
         for p in dag.rho(ident):
             assert p in dag.ancestors[ident]
-
-
-class TestDotExport:
-    def test_dot_structure(self, figure3_dag):
-        dot = figure3_dag.to_dot()
-        assert dot.startswith("digraph")
-        assert dot.count("shape=box") == 5
-        assert "n1 -> n4" in dot
-        assert "style=dashed" in dot  # the anti edge 3 -> 5
-        assert dot.rstrip().endswith("}")
-
-    def test_dot_escapes_labels(self):
-        dot = DependenceDAG(parse_block('1: Const "15"')).to_dot()
-        assert '\\"15\\"' in dot

@@ -9,12 +9,35 @@ import importlib
 import pathlib
 import re
 
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def read(name: str) -> str:
     return (ROOT / name).read_text()
+
+
+def resolve(dotted: str) -> object:
+    """The object ``dotted`` names: its longest importable module prefix,
+    then the rest as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as err:
+            if err.name != module_name:
+                raise
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+
+
+CODE_CITING_DOCS = ["DESIGN.md", "README.md"] + sorted(
+    str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")
+)
 
 
 class TestDesignInventory:
@@ -24,6 +47,17 @@ class TestDesignInventory:
         assert len(modules) >= 15
         for module in sorted(modules):
             importlib.import_module(module)
+
+    @pytest.mark.parametrize("doc", CODE_CITING_DOCS)
+    def test_every_cited_name_resolves(self, doc):
+        names = set(re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)`", read(doc)))
+        unresolved = []
+        for dotted in sorted(names):
+            try:
+                resolve(dotted)
+            except (ImportError, AttributeError):
+                unresolved.append(dotted)
+        assert not unresolved, f"{doc} cites names that do not exist: {unresolved}"
 
     def test_experiment_index_matches_cli(self):
         from repro.experiments.cli import ALL_EXPERIMENTS
@@ -100,9 +134,4 @@ class TestPaperMapping:
             "repro.machine.PipelineDesc",
         ):
             assert dotted in text
-            module_path, _, attr = dotted.rpartition(".")
-            try:
-                module = importlib.import_module(dotted)
-            except ModuleNotFoundError:
-                module = importlib.import_module(module_path)
-                assert hasattr(module, attr), dotted
+            resolve(dotted)

@@ -58,7 +58,7 @@ class TestRunner:
 
 class TestTable7:
     def test_render_and_invariants(self, records):
-        result = table7.run_from_records(records, curtail=20_000)
+        result = table7.Table7Result(records, curtail=20_000)
         text = result.render()
         assert "Table 7" in text and "Percentage of Runs" in text
         complete = result.column(result.complete)
@@ -67,19 +67,19 @@ class TestTable7:
         assert complete["avg_final_nops"] < 0.5 * complete["avg_initial_nops"]
 
     def test_csv(self, records):
-        rows = parse_csv(table7.run_from_records(records, 20_000).csv())
+        rows = parse_csv(table7.Table7Result(records, 20_000).csv())
         assert rows[0][0] == "statistic"
         assert len(rows) == 8  # header + 7 statistics
 
 
 class TestFigures:
     def test_fig1(self, records):
-        result = fig1.run_from_records(records)
+        result = fig1.Fig1Result(records)
         assert "Figure 1" in result.render()
         assert all(calls >= size for size, calls in result.points())
 
     def test_fig4(self, records):
-        result = fig4.run_from_records(records)
+        result = fig4.Fig4Result(records)
         series = result.series()
         assert set(series) == {"initial NOPs", "list-schedule NOPs", "final NOPs"}
         slope, _ = result.linear_fit()
@@ -88,26 +88,32 @@ class TestFigures:
         assert "nearly constant" in text or "final NOPs average" in text
 
     def test_fig5(self, records):
-        result = fig5.run_from_records(records)
+        result = fig5.Fig5Result(records)
         hist = result.histogram()
         assert sum(c for _, c in hist) == len(records)
         assert "Figure 5" in result.render()
 
     def test_fig6(self, records):
-        result = fig6.run_from_records(records)
+        result = fig6.Fig6Result(records)
         assert result.blocks_per_second > 10  # paper: ~100 on a Sun 3/50
         assert "Figure 6" in result.render()
 
     def test_fig7(self, records):
-        result = fig7.run_from_records(records)
+        result = fig7.Fig7Result(records)
         assert 0.0 <= result.overall_percentage <= 100.0
         for start, pct, count in result.series():
             assert 0.0 <= pct <= 100.0 and count > 0
         assert "Figure 7" in result.render()
 
     def test_all_csvs_parse(self, records):
-        for mod in (fig1, fig4, fig5, fig6, fig7):
-            rows = parse_csv(mod.run_from_records(records).csv())
+        for result_class in (
+            fig1.Fig1Result,
+            fig4.Fig4Result,
+            fig5.Fig5Result,
+            fig6.Fig6Result,
+            fig7.Fig7Result,
+        ):
+            rows = parse_csv(result_class(records).csv())
             assert len(rows) >= 2
 
 

@@ -93,7 +93,8 @@ class TestAstSemantics:
 
     def test_variables_read_and_written(self):
         program = parse_program("b = 15; a = b * a; c = d;")
-        assert program.variables_read() == ("a", "d")
+        loads = [t.variable for t in lower_program(program) if t.op is Opcode.LOAD]
+        assert loads == ["a", "d"]
         assert program.variables_written() == ("b", "a", "c")
 
     def test_bad_operators_rejected(self):

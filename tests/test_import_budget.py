@@ -189,7 +189,7 @@ BUDGETS = {
     # nor the reference engine.  The split's windows run on the block
     # search, so the split rung adds little source of its own.
     "search-path-no-numpy": Row(_SEARCH_PATH, forbidden=("numpy", "repro.sched.reference"),
-                                max_lines=5_060),
+                                max_lines=4_958),
     "import-repro": Row("import repro\n_report()", forbidden=("repro.*",)),
     "ilp-backend": Row(_ILP_BACKEND, forbidden=("repro.native",)),
     "console-help": Row(
@@ -231,7 +231,7 @@ BUDGETS = {
                    "repro.ir.interp", *_FRACTIONS, "repro.resilience.budget", "repro.telemetry",
                    "repro.sched.dfs", "repro.verify.steady_state", *_COLD, *_DATACLASSES),
         allowed=("repro.experiments.runner",),
-        max_lines=4_855, max_dataclasses=0,
+        max_lines=4_730, max_dataclasses=0,
     ),
     # This block's root bound (3 NOPs) leaves its seed (4) open, so the
     # call runs the DFS and loads ``repro.sched.dfs``; no ``Div`` runs.
@@ -244,7 +244,7 @@ BUDGETS = {
                    "repro.native", "repro.analysis", "repro.sched.reference", "multiprocessing",
                    "numpy", "repro.regalloc.spill", "repro.sched.heuristics", "repro.telemetry",
                    *_FRACTIONS, *_DATACLASSES),
-        max_lines=6_361, max_dataclasses=0,
+        max_lines=6_222, max_dataclasses=0,
     ),
     "loops-first-call": Row(
         *_first_call("loops", {"source": "for i in 0..8 { p = a * b; a = a + b; }",
@@ -255,7 +255,7 @@ BUDGETS = {
                    "repro.ilp", "repro.native", "repro.analysis", "repro.sched.reference",
                    "multiprocessing", "numpy", "repro.sched.dfs", "repro.telemetry", *_FRACTIONS,
                    *_STRAIGHT_LINE, *_DATACLASSES),
-        max_lines=6_412, max_dataclasses=0,
+        max_lines=6_273, max_dataclasses=0,
     ),
     # The daemon speaks its HTTP subset on socketserver: none of
     # http.server's stack (http.client, email, ssl, html, mimetypes).
@@ -266,7 +266,7 @@ BUDGETS = {
                    "repro.ilp", "repro.native", "repro.analysis", "repro.synth", "numpy", "http",
                    "email", "ssl", "html", "mimetypes", "repro.resilience.faults", *_NATIVE_LIBS,
                    "repro.verify.steady_state", *_COLD, *_DATACLASSES),
-        max_lines=8_200, max_dataclasses=0,
+        max_lines=8_097, max_dataclasses=0,
     ),
     # A client of the daemon loads the protocol's payload helpers, not
     # the daemon, its cache, the schedulers or the worker pool.

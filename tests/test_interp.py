@@ -24,7 +24,7 @@ class TestBasics:
         result = run_block(figure3_block, {"a": 3})
         assert result["b"] == 15
         assert result["a"] == 45
-        assert result.value_of(4) == 45
+        assert result.tuple_values[4] == 45
 
     def test_undefined_variable(self):
         block = parse_block("1: Load #missing")

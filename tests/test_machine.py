@@ -15,11 +15,11 @@ from repro.machine.presets import PRESETS, get_machine, paper_example_machine
 class TestPipelineDesc:
     def test_valid(self):
         p = PipelineDesc("loader", 1, latency=2, enqueue_time=1)
-        assert p.is_pipelined
+        assert (p.latency, p.enqueue_time) == (2, 1)
 
     def test_unpipelined_unit(self):
         p = PipelineDesc("mult", 1, latency=5, enqueue_time=5)
-        assert not p.is_pipelined
+        assert p.enqueue_time == p.latency
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,8 +67,6 @@ class TestMachineDescription:
     def test_latency_of_unpipelined_op(self, sim_machine):
         assert sim_machine.latency_of(Opcode.ADD) == UNPIPELINED_LATENCY
         assert sim_machine.latency_of(Opcode.MUL) == 4
-        assert sim_machine.enqueue_time_of(Opcode.ADD) == 0
-        assert sim_machine.enqueue_time_of(Opcode.MUL) == 2
 
     def test_duplicate_pipeline_ids_rejected(self):
         with pytest.raises(MachineValidationError, match="duplicate"):
@@ -88,9 +86,8 @@ class TestMachineDescription:
         with pytest.raises(KeyError):
             sim_machine.pipeline(99)
 
-    def test_max_latency_and_enqueue(self, sim_machine):
+    def test_max_latency(self, sim_machine):
         assert sim_machine.max_latency == 4
-        assert sim_machine.max_enqueue_time == 2
 
     def test_describe_renders_both_tables(self, sim_machine):
         text = sim_machine.describe()

@@ -136,7 +136,6 @@ class TestIncrementalState:
         state = IncrementalTimingState(figure3_dag, resolver)
         assert state.peek_eta(1) == 0
         assert state.push(1) == 0
-        assert state.issue_time_of(1) == 0
 
 
 class TestSigmaResolver:

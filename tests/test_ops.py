@@ -30,11 +30,8 @@ class TestClassification:
                 assert op in VALUE_PRODUCING_OPCODES
 
     def test_memory_classification(self):
-        assert Opcode.LOAD.reads_memory
         assert not Opcode.LOAD.writes_memory
         assert Opcode.STORE.writes_memory
-        assert not Opcode.STORE.reads_memory
-        assert not Opcode.ADD.reads_memory
         assert not Opcode.ADD.writes_memory
 
     def test_commutativity(self):

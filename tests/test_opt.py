@@ -15,6 +15,7 @@ from repro.frontend.ast import run_program
 from repro.frontend.lowering import lower_program, lower_source
 from repro.ir.block import BasicBlock
 from repro.ir.interp import run_block
+from repro.ir.ops import Opcode
 from repro.ir.textual import format_block, parse_block
 from repro.opt import number_values, optimize_block, remove_dead
 from repro.synth.generator import generate_program
@@ -45,7 +46,7 @@ def case(source, expected, reuse_values=True):
         out = optimize_block(block)
         assert out.tuples == parse_block("\n".join(expected)).tuples
         for value in (7, 0):
-            memory = {var: value for var in block.loaded_variables}
+            memory = {t.variable: value for t in block if t.op is Opcode.LOAD}
             assert final_memory(out, memory) == final_memory(block, memory)
 
     return test
@@ -142,7 +143,7 @@ class TestPeephole:
     def test_identities(self, source, survivor_ops):
         out = optimize_block(lower_source(source))
         assert out.tuples == parse_block("1: Load #x\n2: Store #y, 1").tuples
-        arith = [t for t in out if t.op.is_arithmetic]
+        arith = [t for t in out if t.op not in (Opcode.CONST, Opcode.LOAD, Opcode.STORE)]
         assert len(arith) == survivor_ops
 
     test_x_minus_x = case("y = x - x;", ("1: Const 0", "2: Store #y, 1"))

@@ -23,10 +23,12 @@ from repro.sched.pipelining import (
     schedule_loop,
     steady_state_offsets,
 )
-from repro.synth.loops import LOOP_KERNELS, get_loop_kernel
+from repro.synth.loops import LOOP_KERNELS
 from repro.telemetry import Telemetry
 from repro.verify.brute import brute_force_min_ii
 from repro.verify.certificate import check_steady_state
+
+LOOP_KERNELS_BY_NAME = {k.name: k for k in LOOP_KERNELS}
 
 MACHINE_NAMES = tuple(sorted(PRESETS))
 
@@ -44,7 +46,7 @@ def _lower(source: str):
 def test_mii_hand_example():
     # 6 body tuples on paper-simulation: single issue forces ResMII 6;
     # the a->a recurrence (Load..Store round trip) gives RecMII 4.
-    loop = get_loop_kernel("scaled-update").lower()
+    loop = LOOP_KERNELS_BY_NAME["scaled-update"].lower()
     report = min_initiation_interval(loop, get_machine("paper-simulation"))
     assert report.res_mii == 6
     assert report.rec_mii == 4
@@ -53,7 +55,7 @@ def test_mii_hand_example():
 
 def test_mii_recurrence_bound_dominates():
     # One long serial recurrence, tiny body: rec wins over res.
-    loop = get_loop_kernel("decay").lower()
+    loop = LOOP_KERNELS_BY_NAME["decay"].lower()
     report = min_initiation_interval(loop, get_machine("paper-simulation"))
     assert report.rec_mii > report.res_mii
     assert report.mii == report.rec_mii
@@ -101,7 +103,7 @@ def test_deep_memory_kernels_proven(name, ii):
     # Both once ran out of placement budget (at II 19 and 17); branching
     # only on constrained tuples, with closure pruning, settles them.
     result = schedule_loop(
-        get_loop_kernel(name).lower(), get_machine("deep-memory")
+        LOOP_KERNELS_BY_NAME[name].lower(), get_machine("deep-memory")
     )
     assert result.ii == ii
     assert result.completed
@@ -123,7 +125,7 @@ def test_free_tuples_cost_no_placements():
 def test_strict_win_over_list_schedule():
     # The acceptance-criteria kernel: modulo overlap recovers II 6 on
     # the paper's simulation machine where the list steady state needs 9.
-    loop = get_loop_kernel("scaled-update").lower()
+    loop = LOOP_KERNELS_BY_NAME["scaled-update"].lower()
     result = schedule_loop(loop, get_machine("paper-simulation"))
     assert result.ii == 6
     assert result.list_ii == 9
@@ -137,7 +139,7 @@ def test_strict_win_over_list_schedule():
     "name", ("scaled-update", "geo-sum", "horner-stream", "decay")
 )
 def test_brute_force_agrees_on_small_bodies(name, machine_name):
-    loop = get_loop_kernel(name).lower()
+    loop = LOOP_KERNELS_BY_NAME[name].lower()
     machine = get_machine(machine_name)
     result = schedule_loop(loop, machine)
     brute = brute_force_min_ii(
@@ -149,7 +151,7 @@ def test_brute_force_agrees_on_small_bodies(name, machine_name):
 
 
 def test_steady_state_offsets_are_feasible():
-    loop = get_loop_kernel("geo-sum").lower()
+    loop = LOOP_KERNELS_BY_NAME["geo-sum"].lower()
     machine = get_machine("paper-simulation")
     from repro.ir.dag import DependenceDAG
     from repro.sched.list_scheduler import list_schedule
@@ -178,7 +180,7 @@ def _corruptions(offsets, ii):
 
 
 def test_corrupted_offsets_rejected_everywhere():
-    loop = get_loop_kernel("scaled-update").lower()
+    loop = LOOP_KERNELS_BY_NAME["scaled-update"].lower()
     machine = get_machine("paper-simulation")
     result = schedule_loop(loop, machine)
     for bad_offsets, bad_ii in _corruptions(result.offsets, result.ii):
@@ -208,12 +210,12 @@ def test_empty_loop_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Result anatomy: stream, prologue/epilogue, kernel
+# Result anatomy: stream and kernel
 # ---------------------------------------------------------------------------
 
 
 def test_stream_has_no_cycle_collisions():
-    loop = get_loop_kernel("scaled-update").lower()
+    loop = LOOP_KERNELS_BY_NAME["scaled-update"].lower()
     result = schedule_loop(loop, get_machine("paper-simulation"))
     trips = 5
     stream = result.stream(trips)
@@ -226,21 +228,8 @@ def test_stream_has_no_cycle_collisions():
         assert cycle == iteration * result.ii + result.offsets[z]
 
 
-def test_prologue_epilogue_partition_the_ramp():
-    loop = get_loop_kernel("horner-stream").lower()
-    result = schedule_loop(loop, get_machine("deep-memory"))
-    assert result.stage_count >= 2  # otherwise nothing to fill/drain
-    trips = result.stage_count + 2
-    stream = result.stream(trips)
-    fill = (result.stage_count - 1) * result.ii
-    assert result.prologue(trips) == [e for e in stream if e[0] < fill]
-    assert result.epilogue(trips) == [
-        e for e in stream if e[0] >= trips * result.ii
-    ]
-
-
 def test_modulo_result_renders():
-    loop = get_loop_kernel("geo-sum").lower()
+    loop = LOOP_KERNELS_BY_NAME["geo-sum"].lower()
     result = schedule_loop(loop, get_machine("paper-simulation"))
     assert result.elapsed_seconds >= 0
     assert isinstance(result.completed, bool)
@@ -249,7 +238,7 @@ def test_modulo_result_renders():
 
 
 def test_kernel_window_holds_each_tuple_once():
-    loop = get_loop_kernel("coupled-triple").lower()
+    loop = LOOP_KERNELS_BY_NAME["coupled-triple"].lower()
     result = schedule_loop(loop, get_machine("paper-simulation"))
     kernel = result.kernel
     assert len(kernel) == result.ii
@@ -259,14 +248,14 @@ def test_kernel_window_holds_each_tuple_once():
 
 def test_telemetry_records_loop_time():
     telemetry = Telemetry()
-    loop = get_loop_kernel("decay").lower()
+    loop = LOOP_KERNELS_BY_NAME["decay"].lower()
     schedule_loop(loop, get_machine("scalar"), telemetry=telemetry)
     assert telemetry.timers.get("time.schedule_loop", 0) > 0
 
 
 def test_telemetry_explains_the_proof():
     telemetry = Telemetry()
-    loop = get_loop_kernel("geo-sum").lower()
+    loop = LOOP_KERNELS_BY_NAME["geo-sum"].lower()
     machine = get_machine("paper-example")
     result = schedule_loop(loop, machine, telemetry=telemetry)
     assert result.ii == result.mii + 1  # MII itself was refuted

@@ -68,7 +68,6 @@ class TestSplitBlocks:
 
     def test_variables_skip_barriers(self):
         program = parse_program("a = x; barrier; b = a;")
-        assert program.variables_read() == ("x",)
         assert program.variables_written() == ("a", "b")
 
     def test_lowering_rejects_barriers(self):

@@ -36,9 +36,6 @@ class TestOptions:
         with pytest.raises(ValueError):
             SearchOptions(max_memo_entries=-1)
 
-    def test_with_curtail(self):
-        assert SearchOptions().with_curtail(7).curtail == 7
-
 
 class TestFigure3:
     def test_finds_the_optimum(self, figure3_dag, sim_machine):

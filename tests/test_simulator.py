@@ -5,19 +5,21 @@ cycles (section 2.2)."""
 import pytest
 from hypothesis import given, settings
 
+from repro.codegen.assembly import DelayDiscipline, generate_assembly
 from repro.ir.dag import DependenceDAG
 from repro.ir.interp import run_block
 from repro.ir.textual import parse_block
+from repro.regalloc.allocator import allocate_registers
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.nop_insertion import compute_timing
 from repro.sched.search import schedule_block
 from repro.simulator.core import (
     NOP,
     HazardError,
-    InterlockMode,
     PipelineSimulator,
     simulate_schedule,
 )
+from repro.simulator.register_machine import RegisterMachine
 
 from .strategies import blocks, machines, memories
 
@@ -83,21 +85,6 @@ class TestNopPadded:
         assert trace.memory["a"] == 45
 
 
-class TestExplicitInterlock:
-    def test_wait_tags_run(self, figure3_block, sim_machine):
-        tagged = [(1, 0), (2, 0), (3, 0), (4, 1), (5, 3)]
-        sim = PipelineSimulator(figure3_block, sim_machine)
-        trace = sim.run_explicit(tagged, {"a": 3})
-        assert trace.mode is InterlockMode.EXPLICIT
-        assert trace.total_cycles == 9
-
-    def test_insufficient_waits_fault(self, figure3_block, sim_machine):
-        tagged = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 3)]
-        sim = PipelineSimulator(figure3_block, sim_machine)
-        with pytest.raises(HazardError):
-            sim.run_explicit(tagged, {"a": 3})
-
-
 class TestCompletionDrain:
     def test_completion_includes_last_latency(self, sim_machine):
         block = parse_block("1: Load #a")
@@ -146,13 +133,18 @@ def test_padded_streams_from_omega_never_fault(block, machine, memory):
 def test_all_three_disciplines_agree(block, machine, memory):
     """Section 2.2's orthogonality: implicit, explicit, and NOP-padded
     execution of the same schedule take identical cycles and produce
-    identical memory."""
+    identical memory (explicit waits run as assembly text on the
+    register machine)."""
     dag = DependenceDAG(block)
     order = list_schedule(dag)
     timing = compute_timing(dag, order, machine)
     sim = PipelineSimulator(block, machine, dag)
     implicit = sim.run_implicit(order, memory)
-    explicit = sim.run_explicit(list(zip(timing.order, timing.etas)), memory)
+    assembly = generate_assembly(
+        block, timing, allocate_registers(block, timing.order),
+        DelayDiscipline.EXPLICIT_INTERLOCK,
+    )
+    explicit = RegisterMachine(machine).run_text(str(assembly), memory)
     padded = simulate_schedule(block, machine, timing.order, timing.etas, memory)
     assert implicit.total_cycles == explicit.total_cycles == padded.total_cycles
     assert implicit.memory == explicit.memory == padded.memory

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend.ast import Binary, Constant, Unary, run_program
+from repro.frontend.lowering import lower_program
 from repro.ir.interp import run_block
 from repro.synth.generator import (
     generate_block,
@@ -54,7 +55,7 @@ class TestGenerateProgram:
         program = generate_program(30, 3, 3, seed=5)
         pool = set(variable_names(3))
         assert set(program.variables_written()) <= pool
-        assert set(program.variables_read()) <= pool
+        assert set(lower_program(program).variables) <= pool
 
     def test_constant_pool_size(self):
         program = generate_program(60, 4, 2, seed=9)

@@ -76,12 +76,9 @@ class TestRegistry:
         payload = json.loads(t.dumps(meta={"workers": 2}))
         assert payload["schema"] == SCHEMA
         assert payload["meta"] == {"workers": 2}
-        back = Telemetry.from_dict(payload)
+        back = Telemetry()
+        back.merge(payload)
         assert back.as_dict() == t.as_dict()
-
-    def test_from_dict_rejects_wrong_schema(self):
-        with pytest.raises(ValueError):
-            Telemetry.from_dict({"schema": "repro-telemetry/999"})
 
     def test_record_search_zero_fills_prune_keys(self):
         class FakeResult:

@@ -84,13 +84,6 @@ class TestAccessors:
         assert const(1, 5).variable is None
         assert add(3, 1, 2).variable is None
 
-    def test_with_ident(self):
-        t = mul(4, 1, 3)
-        renamed = t.with_ident(9)
-        assert renamed.ident == 9
-        assert renamed.op is Opcode.MUL
-        assert renamed.value_refs == (1, 3)
-
     def test_rendering_matches_paper_notation(self):
         assert str(const(1, 15)) == '1: Const "15"'
         assert str(store(2, "b", 1)) == "2: Store #b, 1"
